@@ -3,12 +3,15 @@
 A macro replication draws a ground truth from the scenario prior, spends a
 round-robin warmup of ``n0`` observations per alternative, then runs one
 allocation policy to the horizon, recording after every step whether the
-max-posterior-mean selection matches the true best alternative.  Averaging
-the indicator over independently seeded replications estimates, per step,
-the unconditional probability of correct selection.
+max-posterior-mean selection matches the true best alternative.  Summing
+the correct selections per step over independently seeded replications
+estimates, per step, the unconditional probability of correct selection.
 
-Replications are simulated as rows of a batch: every per-step quantity is
-an ``(n, k)`` array and policies decide a whole batch at once.  Each row's
+One engine (``_engine``) does the simulating.  Replications are rows of a
+batch: every per-step quantity is an ``(n, k)`` array, and the policy, a
+score function from the registry in :mod:`ranksel.policies`, decides a
+whole batch at once.  Fixed-truth runs (``run_fixed_truths``) use the same
+engine with given truths, a flat prior and known variances.  Each row's
 randomness comes from its own generator keyed by ``(master_seed,
 namespace, index)``, so results are independent of batch boundaries and
 worker counts, and any single replication can be reproduced in isolation.
@@ -17,6 +20,7 @@ worker counts, and any single replication can be reproduced in isolation.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -30,11 +34,9 @@ from .vfa import SaConfig, VfaWeights, gmcl_fit, load_weights
 __all__ = [
     "VARIANCE_MODES",
     "Scenario",
-    "BatchState",
     "IpcsCurve",
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
-    "make_policy",
     "run_macro_replication",
     "estimate_ipcs",
     "replication_features",
@@ -70,6 +72,9 @@ class Scenario:
             raise ValueError("need at least two alternatives")
         if not len(self.prior_stds) == len(self.sampling_stds) == k:
             raise ValueError("prior and sampling vectors must share one length")
+        for name in ("prior_means", "prior_stds", "sampling_stds"):
+            if not all(math.isfinite(x) for x in getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if any(s < 0 for s in self.prior_stds):
             raise ValueError("prior stds must be nonnegative")
         if any(s <= 0 for s in self.sampling_stds):
@@ -83,6 +88,8 @@ class Scenario:
             raise ValueError("horizon must cover the warmup (horizon >= k * n0)")
         if self.macro_reps < 1:
             raise ValueError("macro_reps must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         zero_prior = [i for i, s in enumerate(self.prior_stds) if s == 0]
         means = [self.prior_means[i] for i in zero_prior]
         if len(set(means)) != len(means):
@@ -167,125 +174,10 @@ class IpcsCurve:
             raise ValueError("ipcs estimates must lie in [0, 1]")
 
     @classmethod
-    def from_bits(cls, steps: np.ndarray, bits: np.ndarray) -> "IpcsCurve":
-        n = bits.shape[0]
-        p = bits.mean(axis=0)
+    def from_counts(cls, steps: np.ndarray, hits: np.ndarray, n: int) -> "IpcsCurve":
+        """Curve from correct-selection counts per step over ``n`` replications."""
+        p = hits / n
         return cls(steps=steps, ipcs=p, stderr=np.sqrt(p * (1.0 - p) / n), macro_reps=n)
-
-
-# ---------------------------------------------------------------------------
-# Batch policies.  Each decides a whole batch of replications per step.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BatchState:
-    """Per-step snapshot of a replication batch, one row per replication."""
-
-    post_means: np.ndarray
-    post_vars: np.ndarray
-    svars: np.ndarray
-    counts: np.ndarray
-    sample_means: np.ndarray
-
-
-class EqualAllocation:
-    label = "ea"
-
-    def decide(self, state: BatchState, t: int):
-        k = state.post_means.shape[-1]
-        return np.full(state.post_means.shape[0], t % k, dtype=int)
-
-
-class AoapAllocation:
-    label = "aoap"
-
-    def decide(self, state: BatchState, t: int):
-        vals = pol.aoap_candidate_values(state.post_means, state.post_vars, state.svars)
-        return pol.argmax_with_tiebreak(vals, state.counts)
-
-
-class OcbaAllocation:
-    """Most-starving budget allocation on frequentist plug-in statistics."""
-
-    label = "ocba"
-
-    def decide(self, state: BatchState, t: int):
-        deficits = pol.ocba_deficits(state.sample_means, state.svars, state.counts)
-        return pol.argmax_with_tiebreak(deficits, state.counts)
-
-
-class KgAllocation:
-    label = "kg"
-
-    def decide(self, state: BatchState, t: int):
-        vals = pol.kg_candidate_values(state.post_means, state.post_vars, state.svars)
-        return pol.argmax_with_tiebreak(vals, state.counts)
-
-
-class TwoFactorAllocation:
-    def __init__(self, weights: VfaWeights):
-        if len(weights.w) != 2:
-            raise ValueError("two-factor policy needs exactly two weights")
-        self.weights = weights
-        self.label = "two_factor"
-
-    def decide(self, state: BatchState, t: int):
-        w = self.weights.w
-        vals = pol.two_factor_candidate_values(
-            state.post_means, state.post_vars, state.svars,
-            float(w[0]), float(w[1]), self.weights.activation,
-        )
-        return pol.argmax_with_tiebreak(vals, state.counts)
-
-
-class MultistepAoapAllocation:
-    def __init__(self, depth: int):
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-        self.label = f"aoap_ms{depth}"
-
-    def decide(self, state: BatchState, t: int):
-        from .beliefs import GaussianBelief
-
-        n, k = state.post_means.shape
-        out = np.empty(n, dtype=int)
-        for r in range(n):
-            beliefs = tuple(
-                GaussianBelief(
-                    post_mean=float(state.post_means[r, i]),
-                    post_var=float(state.post_vars[r, i]),
-                    count=int(state.counts[r, i]),
-                    sampling_var=float(state.svars[r, i]),
-                )
-                for i in range(k)
-            )
-            out[r] = pol.aoap_multistep(pol.BeliefVector(beliefs), self.depth)
-        return out
-
-
-def make_policy(policy_id: str, weights: VfaWeights | None = None):
-    """Instantiate a batch policy from its identifier."""
-    if policy_id == "ea":
-        return EqualAllocation()
-    if policy_id == "aoap":
-        return AoapAllocation()
-    if policy_id == "ocba":
-        return OcbaAllocation()
-    if policy_id == "kg":
-        return KgAllocation()
-    if policy_id == "two_factor":
-        if weights is None:
-            raise ValueError("two_factor policy requires fitted weights")
-        return TwoFactorAllocation(weights)
-    if policy_id.startswith("aoap_ms"):
-        try:
-            depth = int(policy_id[len("aoap_ms"):])
-        except ValueError:
-            raise ValueError(f"bad multistep policy id {policy_id!r}")
-        return MultistepAoapAllocation(depth)
-    raise ValueError(f"unknown policy id {policy_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +211,54 @@ def _sample_vars(counts, sums, sumsqs):
     return np.maximum(s2, np.finfo(float).tiny)
 
 
-def _simulate(scenario: Scenario, policy, indices, master_seed=None, namespace=0,
-              collect_final=False):
-    """Run a batch of macro replications; returns the per-step correctness bits.
+def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,
+            variance_mode, n0, horizon):
+    """Yield the batch state after the round-robin warmup and after every later step.
 
-    With ``collect_final`` also returns the final ``BatchState`` (used for
-    feature extraction at the horizon).
+    Row r's observation at step t of alternative a is ``true_means[r, a] +
+    true_sds[r, a] * noise[r, t]``; the policy's score function picks a per
+    row through ``policies.decide``.  The caller passes ``true_vars`` as
+    well as ``true_sds`` because ``sqrt(v)**2`` need not equal ``v``
+    bitwise.  Infinite prior variance is a flat prior.  A yielded state's
+    ``counts`` array is updated in place by later steps.
     """
+    n, k = true_means.shape
+    rows = np.arange(n)
+    counts = np.zeros((n, k))
+    sums = np.zeros((n, k))
+    sumsqs = None if variance_mode == "known" else np.zeros((n, k))
+
+    def observe(alt, t):
+        obs = true_means[rows, alt] + true_sds[rows, alt] * noise[:, t]
+        counts[rows, alt] += 1.0
+        sums[rows, alt] += obs
+        if sumsqs is not None:
+            sumsqs[rows, alt] += obs**2
+
+    warmup = k * n0
+    for t in range(warmup):
+        observe(np.full(n, t % k, dtype=int), t)
+    svars = true_vars if sumsqs is None else _sample_vars(counts, sums, sumsqs)
+    for t in range(warmup, horizon + 1):
+        if variance_mode == "plugin_refresh" and t > warmup:
+            svars = _sample_vars(counts, sums, sumsqs)
+        post_mean, post_var = _posterior_arrays(prior_means, prior_vars, counts, sums, svars)
+        state = pol.BatchState(post_mean, post_var, svars, counts, sums / counts)
+        yield state
+        if t < horizon:
+            observe(pol.decide(score_fn, state, t), t)
+
+
+def _last(states):
+    for state in states:
+        pass
+    return state
+
+
+def _replications(scenario: Scenario, score_fn, indices, master_seed=None, namespace=0):
+    """Engine run of a batch of macro replications: (true best per row, state stream)."""
     idx = list(indices)
-    n = len(idx)
-    k, n0, horizon = scenario.k, scenario.n0, scenario.horizon
-    warmup = scenario.warmup
+    n, k, horizon = len(idx), scenario.k, scenario.horizon
     seed = scenario.master_seed if master_seed is None else master_seed
 
     z = np.empty((n, k + horizon))
@@ -338,52 +267,19 @@ def _simulate(scenario: Scenario, policy, indices, master_seed=None, namespace=0
 
     prior_means = np.array(scenario.prior_means)
     prior_vars = np.array(scenario.prior_stds) ** 2
-    true_sd = np.array(scenario.sampling_stds)
+    sds = np.broadcast_to(np.array(scenario.sampling_stds), (n, k))
     truth = prior_means + np.sqrt(prior_vars) * z[:, :k]
-    true_best = np.argmax(truth, axis=1)
+    states = _engine(score_fn, truth, sds, sds**2, z[:, k:], prior_means, prior_vars,
+                     scenario.variance_mode, scenario.n0, horizon)
+    return np.argmax(truth, axis=1), states
 
-    counts = np.zeros((n, k))
-    sums = np.zeros((n, k))
-    sumsqs = np.zeros((n, k))
-    rows = np.arange(n)
 
-    def observe(alt, t):
-        obs = truth[rows, alt] + true_sd[alt] * z[:, k + t]
-        counts[rows, alt] += 1.0
-        sums[rows, alt] += obs
-        sumsqs[rows, alt] += obs**2
-
-    for t in range(warmup):
-        observe(np.full(n, t % k, dtype=int), t)
-
-    if scenario.variance_mode == "known":
-        svars_frozen = np.broadcast_to(true_sd**2, (n, k))
-    else:
-        svars_frozen = _sample_vars(counts, sums, sumsqs)
-
-    def current_svars():
-        if scenario.variance_mode == "plugin_refresh":
-            return _sample_vars(counts, sums, sumsqs)
-        return svars_frozen
-
-    def snapshot() -> BatchState:
-        svars = current_svars()
-        post_mean, post_var = _posterior_arrays(prior_means, prior_vars, counts, sums, svars)
-        return BatchState(post_mean, post_var, svars, counts, sums / counts)
-
-    bits = np.empty((n, horizon - warmup + 1), dtype=np.uint8)
-    state = snapshot()
-    bits[:, 0] = np.argmax(state.post_means, axis=1) == true_best
-
-    for t in range(warmup, horizon):
-        alt = np.asarray(policy.decide(state, t), dtype=int)
-        observe(alt, t)
-        state = snapshot()
-        bits[:, t - warmup + 1] = np.argmax(state.post_means, axis=1) == true_best
-
-    if collect_final:
-        return bits, state
-    return bits
+def _correct_counts(scenario: Scenario, score_fn, indices) -> np.ndarray:
+    """Number of replications in the batch selecting correctly, per recorded step."""
+    true_best, states = _replications(scenario, score_fn, indices)
+    return np.array([
+        np.count_nonzero(np.argmax(state.post_means, axis=1) == true_best) for state in states
+    ])
 
 
 def run_macro_replication(
@@ -393,8 +289,8 @@ def run_macro_replication(
     rep_index: int = 0,
 ) -> np.ndarray:
     """One macro replication; element j is the correctness bit at warmup + j samples."""
-    policy = make_policy(policy_id, weights)
-    return _simulate(scenario, policy, [rep_index])[0]
+    score_fn = pol.make_policy(policy_id, weights)
+    return _correct_counts(scenario, score_fn, [rep_index]).astype(np.uint8)
 
 
 def estimate_ipcs(
@@ -409,16 +305,19 @@ def estimate_ipcs(
     Replication indices are split into fixed chunks whose rows carry their
     own generators, so estimates are identical for any worker count.
     """
-    policy = make_policy(policy_id, weights)
+    score_fn = pol.make_policy(policy_id, weights)
     n = scenario.macro_reps
     blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+    def count(block):
+        return _correct_counts(scenario, score_fn, block)
+
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _simulate(scenario, policy, b), blocks))
+            parts = list(pool.map(count, blocks))
     else:
-        parts = [_simulate(scenario, policy, b) for b in blocks]
-    bits = np.concatenate(parts, axis=0)
-    return IpcsCurve.from_bits(scenario.step_grid, bits)
+        parts = [count(b) for b in blocks]
+    return IpcsCurve.from_counts(scenario.step_grid, sum(parts), n)
 
 
 def replication_features(
@@ -435,18 +334,16 @@ def replication_features(
     squared-correlation) features at the horizon of replication l and
     ``y[l]`` is its correct-selection indicator.
     """
-    policy = make_policy(policy_id, weights)
-    bits, final = _simulate(
-        scenario, policy, indices, master_seed=master_seed, namespace=namespace,
-        collect_final=True,
-    )
+    score_fn = pol.make_policy(policy_id, weights)
+    true_best, states = _replications(scenario, score_fn, indices, master_seed, namespace)
+    final = _last(states)
     post_mean, post_var = final.post_means, final.post_vars
     b = np.argmax(post_mean, axis=1)
     is_b = b[:, None] == np.arange(scenario.k)
     v_b = np.take_along_axis(post_var, b[:, None], 1)
     g1 = pol.distance_squared(post_mean, post_var)
     g2 = pol.correlation_squared_min(post_var, is_b, v_b)
-    return np.column_stack([g1, g2]), bits[:, -1].astype(float)
+    return np.column_stack([g1, g2]), (b == true_best).astype(float)
 
 
 @dataclass(frozen=True)
@@ -471,45 +368,20 @@ def run_fixed_truths(
     Used to study long-run sampling behavior: allocation frequencies and
     the terminal selection.  ``steps`` counts post-initialization samples.
     """
-    policy = make_policy(policy_id, weights)
-    n = len(truths)
-    k = truths[0].n_alternatives
-    means_true = np.stack([t.means for t in truths])
+    score_fn = pol.make_policy(policy_id, weights)
+    means = np.stack([t.means for t in truths])
     svars = np.stack([t.variances for t in truths])
     if np.any(svars <= 0):
         raise ValueError("fixed-truth runs require strictly positive variances")
-    sds = np.sqrt(svars)
-
-    total = n_init * k + steps
-    z = np.empty((n, total))
-    for r in range(n):
-        z[r] = _row_normals(seed, 2, r, total)
-
-    counts = np.zeros((n, k))
-    sums = np.zeros((n, k))
-    rows = np.arange(n)
-    prior_means = np.zeros(k)
-    prior_vars = np.full(k, np.inf)
-
-    def observe(alt, t):
-        obs = means_true[rows, alt] + sds[rows, alt] * z[:, t]
-        counts[rows, alt] += 1.0
-        sums[rows, alt] += obs
-
-    for t in range(n_init * k):
-        observe(np.full(n, t % k, dtype=int), t)
-
-    for t in range(n_init * k, total):
-        post_mean, post_var = _posterior_arrays(prior_means, prior_vars, counts, sums, svars)
-        state = BatchState(post_mean, post_var, svars, counts, sums / counts)
-        alt = np.asarray(policy.decide(state, t), dtype=int)
-        observe(alt, t)
-
-    post_mean, _ = _posterior_arrays(prior_means, prior_vars, counts, sums, svars)
+    n, k = means.shape
+    horizon = n_init * k + steps
+    noise = np.stack([_row_normals(seed, 2, r, horizon) for r in range(n)])
+    final = _last(_engine(score_fn, means, np.sqrt(svars), svars, noise, np.zeros(k),
+                          np.full(k, np.inf), "known", n_init, horizon))
     return FixedTruthRun(
-        counts=counts,
-        post_means=post_mean,
-        selections=np.argmax(post_mean, axis=1),
+        counts=final.counts,
+        post_means=final.post_means,
+        selections=np.argmax(final.post_means, axis=1),
     )
 
 
@@ -518,20 +390,42 @@ def run_fixed_truths(
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_numbers(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
+
+
+def _scenario_field(raw: dict, key: str, valid, *default):
+    """``raw[key]``, or the default if one is given and the key is absent."""
+    if key not in raw:
+        if default:
+            return default[0]
+        raise ValueError(f"scenario is missing {key!r}")
+    if not valid(raw[key]):
+        kind = "an integer" if valid is _is_int else "a list of numbers"
+        raise ValueError(f"scenario {key!r} must be {kind}, got {raw[key]!r}")
+    return raw[key]
+
+
 def scenario_from_config(raw) -> Scenario:
     """Build a Scenario from a config value: a built-in name or a mapping."""
     if raw is None:
         raise ValueError("config is missing 'scenario'")
     if isinstance(raw, str):
         return builtin_scenario(raw)
+    if not isinstance(raw, dict):
+        raise ValueError(f"scenario must be a name or an object, got {raw!r}")
     scenario = Scenario(
-        prior_means=raw["prior_means"],
-        prior_stds=raw["prior_stds"],
-        sampling_stds=raw["sampling_stds"],
-        horizon=raw["T"],
-        n0=raw["n0"],
-        macro_reps=raw.get("macro_reps", 10_000),
-        master_seed=raw.get("master_seed", 0),
+        prior_means=_scenario_field(raw, "prior_means", _is_numbers),
+        prior_stds=_scenario_field(raw, "prior_stds", _is_numbers),
+        sampling_stds=_scenario_field(raw, "sampling_stds", _is_numbers),
+        horizon=_scenario_field(raw, "T", _is_int),
+        n0=_scenario_field(raw, "n0", _is_int),
+        macro_reps=_scenario_field(raw, "macro_reps", _is_int, 10_000),
+        master_seed=_scenario_field(raw, "master_seed", _is_int, 0),
         variance_mode=raw.get("variance_mode", "plugin_refresh"),
     )
     if raw.get("k", scenario.k) != scenario.k:
@@ -541,12 +435,17 @@ def scenario_from_config(raw) -> Scenario:
 
 def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     """Validate a config mapping into (scenario, policy specs, output options)."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
     scenario = scenario_from_config(config.get("scenario"))
     specs = []
     for entry in config.get("policies", []):
+        if not isinstance(entry, (str, dict)):
+            raise ValueError(f"policy entry must be an id or an object: {entry!r}")
         spec = {"id": entry} if isinstance(entry, str) else dict(entry)
         if "id" not in spec:
             raise ValueError(f"policy entry missing 'id': {entry!r}")
+        pol.lookup_policy(spec["id"])
         if spec["id"] == "two_factor" and "weights_file" not in spec and "fit" not in spec:
             raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
         specs.append(spec)

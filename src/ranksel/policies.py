@@ -20,10 +20,18 @@ one-step look-ahead policy scores each candidate by recomputing that
 feature after shrinking the candidate's posterior variance as one more
 observation would (the observation itself is replaced by its predictive
 mean, which leaves every posterior mean unchanged).
+
+Each allocation policy is defined once, as a score function
+``score(state, t) -> (n, k)`` over a ``BatchState``; ``POLICIES`` maps
+policy ids to them and ``make_policy`` resolves an id.  ``decide`` turns
+scores into one sampled alternative per row, and the simulation engine
+and the belief-level ``*_allocate`` functions (1-row batches) both go
+through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -41,6 +49,11 @@ if TYPE_CHECKING:
     from .vfa import VfaWeights
 
 __all__ = [
+    "BatchState",
+    "POLICIES",
+    "lookup_policy",
+    "make_policy",
+    "decide",
     "BeliefVector",
     "RatioVector",
     "select_max_posterior_mean",
@@ -67,6 +80,7 @@ __all__ = [
     "distance_squared",
     "correlation_squared_min",
     "aoap_candidate_values",
+    "aoap_multistep_values",
     "two_factor_candidate_values",
     "kg_candidate_values",
     "ocba_deficits",
@@ -134,6 +148,17 @@ class RatioVector:
             raise ValueError("ratios must be nonnegative")
         if abs(float(ratios.sum()) - 1.0) > 1e-10:
             raise ValueError(f"ratios must sum to 1, got {ratios.sum()!r}")
+
+
+@dataclass(frozen=True)
+class BatchState:
+    """Per-step snapshot of a batch of belief states, one row per replication."""
+
+    post_means: np.ndarray
+    post_vars: np.ndarray
+    svars: np.ndarray
+    counts: np.ndarray
+    sample_means: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +244,44 @@ def aoap_candidate_values(
         challenger_vals = np.minimum(own, others_min)
 
     return np.where(is_b, incumbent_val[..., None], challenger_vals)
+
+
+@functools.lru_cache(maxsize=None)
+def _multisets(k: int, size: int) -> np.ndarray:
+    """Count vectors of every multiset of ``size`` alternatives, as an (M, k) matrix."""
+    combos = itertools.combinations_with_replacement(range(k), size)
+    out = np.array([np.bincount(c, minlength=k) for c in combos])
+    out.setflags(write=False)
+    return out
+
+
+def aoap_multistep_values(
+    means: np.ndarray,
+    post_vars: np.ndarray,
+    sampling_vars: np.ndarray,
+    depth: int,
+    cap: int = 10**6,
+) -> np.ndarray:
+    """Look-ahead value of each first sample over ``depth`` samples.
+
+    Under certainty equivalence the posterior means never move, so a
+    sampling sequence affects the final state only through how many times
+    each alternative is sampled.  The value of sampling ``i`` first is the
+    largest squared-gap feature over the multisets of size ``depth`` that
+    contain ``i``.  Depth 1 is ``aoap_candidate_values``.
+    """
+    k = means.shape[-1]
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if k**depth > cap:
+        raise RuntimeError(f"look-ahead tree k^depth = {k**depth} exceeds cap {cap}")
+    if depth == 1:
+        return aoap_candidate_values(means, post_vars, sampling_vars)
+    extra = _multisets(k, depth)
+    vars_new = shrunk_variance(post_vars[..., None, :], sampling_vars[..., None, :], extra)
+    vars_new = np.where(extra > 0, vars_new, post_vars[..., None, :])
+    vals = distance_squared(means[..., None, :], vars_new)
+    return np.where(extra > 0, vals[..., None], -np.inf).max(axis=-2)
 
 
 def two_factor_candidate_values(
@@ -316,6 +379,82 @@ def argmax_with_tiebreak(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Policy registry.  A score function maps a BatchState and the number of
+# samples taken so far to one score per (row, alternative).
+# ---------------------------------------------------------------------------
+
+
+def _ea_score(state: BatchState, t: int) -> np.ndarray:
+    scores = np.zeros(state.counts.shape)
+    scores[..., t % scores.shape[-1]] = 1.0
+    return scores
+
+
+# Entries call the array cores through their module-level names.  The
+# ``aoap_ms`` entry serves the ids ``aoap_ms<d>`` (look-ahead depth d >= 1).
+POLICIES = {
+    "ea": _ea_score,
+    "aoap": lambda s, t: aoap_candidate_values(s.post_means, s.post_vars, s.svars),
+    # most-starving budget allocation on frequentist plug-in statistics
+    "ocba": lambda s, t: ocba_deficits(s.sample_means, s.svars, s.counts),
+    "kg": lambda s, t: kg_candidate_values(s.post_means, s.post_vars, s.svars),
+    "two_factor": lambda s, t, weights: two_factor_candidate_values(
+        s.post_means, s.post_vars, s.svars,
+        float(weights.w[0]), float(weights.w[1]), weights.activation,
+    ),
+    "aoap_ms": lambda s, t, **depth_cap: aoap_multistep_values(
+        s.post_means, s.post_vars, s.svars, **depth_cap
+    ),
+}
+
+
+def lookup_policy(policy_id: str):
+    """Registry score function of a policy id, and the depth of an ``aoap_ms<d>`` id."""
+    name, depth = policy_id, None
+    if isinstance(policy_id, str) and policy_id.startswith("aoap_ms"):
+        name, depth = "aoap_ms", policy_id[len("aoap_ms"):]
+        if not depth.isdecimal() or int(depth) < 1:
+            raise ValueError(f"bad multistep policy id {policy_id!r}")
+        depth = int(depth)
+    if not isinstance(name, str) or name not in POLICIES:
+        raise ValueError(f"unknown policy id {policy_id!r}")
+    return POLICIES[name], depth
+
+
+def make_policy(policy_id: str, weights: "VfaWeights | None" = None):
+    """Score function of a policy id, bound to its depth or weights."""
+    score, depth = lookup_policy(policy_id)
+    if depth is not None:
+        return functools.partial(score, depth=depth)
+    if policy_id == "two_factor":
+        if weights is None:
+            raise ValueError("two_factor policy requires fitted weights")
+        if len(weights.w) != 2:
+            raise ValueError("two-factor policy needs exactly two weights")
+        return functools.partial(score, weights=weights)
+    return score
+
+
+def decide(score_fn, state: BatchState, t: int) -> np.ndarray:
+    """Alternative to sample next in each row: the tie-broken argmax of the scores."""
+    scores = score_fn(state, t)
+    if np.isnan(scores).any():
+        raise ValueError("degenerate state: equal means with zero variances")
+    return argmax_with_tiebreak(scores, state.counts)
+
+
+def _decide_row(score_fn, b: "BeliefVector", sample_means=None) -> int:
+    """``decide`` on a belief vector as a 1-row batch.
+
+    Sample means are passed only by policies that use them: a belief
+    without observations has none.
+    """
+    state = BatchState(b.means[None], b.post_vars[None], b.sampling_vars[None],
+                       b.counts[None].astype(float), sample_means)
+    return int(decide(score_fn, state, 0)[0])
+
+
+# ---------------------------------------------------------------------------
 # Belief-level operations.
 # ---------------------------------------------------------------------------
 
@@ -325,33 +464,34 @@ def select_max_posterior_mean(b: BeliefVector) -> int:
     return int(np.argmax(b.means))
 
 
-def _posterior_best_probability(means, stds, i, tol):
-    """P(alternative i has the largest mean) under independent normal posteriors."""
-    k = len(means)
-    others = [j for j in range(k) if j != i]
+def _posterior_best_probability(means, stds, i, tol, x_moment=False):
+    """P(alternative i has the largest mean) under independent normal posteriors.
 
-    def cdf_product(x):
-        out = np.ones_like(np.asarray(x, dtype=float))
+    With ``x_moment`` the integrand carries a factor x, which gives
+    E[mu_i; mu_i is the largest]; summed over i that is E[max_i mu_i].
+    """
+    others = [j for j in range(len(means)) if j != i]
+
+    def weight(x):
+        out = x if x_moment else 1.0
         for j in others:
             if stds[j] > 0:
-                out = out * ndtr((x - means[j]) / stds[j])
+                out *= float(ndtr((x - means[j]) / stds[j]))
             else:
-                out = out * (x >= means[j])
+                out *= float(x >= means[j])
         return out
 
     if stds[i] == 0.0:
-        return float(cdf_product(np.array(means[i])))
+        return weight(means[i])
 
     def integrand(x):
         z = (x - means[i]) / stds[i]
-        return math.exp(-0.5 * z * z) / (stds[i] * math.sqrt(2 * math.pi)) * float(
-            cdf_product(np.array(x))
-        )
+        return math.exp(-0.5 * z * z) / (stds[i] * math.sqrt(2 * math.pi)) * weight(x)
 
     lo, hi = means[i] - 8 * stds[i], means[i] + 8 * stds[i]
     value, abserr = integrate.quad(integrand, lo, hi, epsabs=tol, limit=200)
-    if abserr > 100 * tol:
-        raise RuntimeError(f"selection quadrature did not converge (abserr={abserr})")
+    if abserr > 100 * tol * max(1.0, abs(value)):
+        raise RuntimeError(f"posterior quadrature did not converge (abserr={abserr})")
     return value
 
 
@@ -369,44 +509,14 @@ def select_optimal_pcs(b: BeliefVector, max_k: int = 16, tol: float = 1e-8) -> i
     return int(np.argmax(probs))
 
 
-def _expected_max_posterior_mean(means, stds, tol):
-    """E[max_i mu_i] under independent normal posteriors, by quadrature."""
-    k = len(means)
-    total = 0.0
-    for i in range(k):
-        others = [j for j in range(k) if j != i]
-
-        def cdf_product(x):
-            out = 1.0
-            for j in others:
-                if stds[j] > 0:
-                    out *= float(ndtr((x - means[j]) / stds[j]))
-                else:
-                    out *= float(x >= means[j])
-            return out
-
-        if stds[i] == 0.0:
-            total += means[i] * cdf_product(means[i])
-            continue
-
-        def integrand(x):
-            z = (x - means[i]) / stds[i]
-            dens = math.exp(-0.5 * z * z) / (stds[i] * math.sqrt(2 * math.pi))
-            return x * dens * cdf_product(x)
-
-        lo, hi = means[i] - 8 * stds[i], means[i] + 8 * stds[i]
-        value, abserr = integrate.quad(integrand, lo, hi, epsabs=tol, limit=200)
-        if abserr > 100 * tol * max(1.0, abs(value)):
-            raise RuntimeError(f"expected-max quadrature did not converge (abserr={abserr})")
-        total += value
-    return total
-
-
 def eoc_value(b: BeliefVector, tol: float = 1e-8) -> float:
     """Expected opportunity cost of selecting the max-mean alternative (<= 0)."""
     means = b.means
     stds = np.sqrt(b.post_vars)
-    return float(means.max() - _expected_max_posterior_mean(means, stds, tol))
+    expected_max = sum(
+        _posterior_best_probability(means, stds, i, tol, x_moment=True) for i in range(b.k)
+    )
+    return float(means.max() - expected_max)
 
 
 def select_optimal_eoc(b: BeliefVector) -> int:
@@ -477,37 +587,15 @@ def aoap_values(b: BeliefVector) -> np.ndarray:
 
 def aoap_allocate(b: BeliefVector) -> int:
     """Allocate the next sample to the alternative with the best look-ahead value."""
-    return int(argmax_with_tiebreak(aoap_values(b), b.counts))
+    return _decide_row(POLICIES["aoap"], b)
 
 
 def aoap_multistep(b: BeliefVector, depth: int, cap: int = 10**6) -> int:
     """Allocate by maximizing the look-ahead value ``depth`` steps out.
 
-    Under certainty equivalence the posterior means never move, so a
-    sampling sequence affects the final state only through how many times
-    each alternative is sampled; the search over continuations therefore
-    enumerates multisets.  Depth 1 reproduces ``aoap_allocate`` exactly.
+    Depth 1 reproduces ``aoap_allocate`` exactly; ``cap`` bounds k^depth.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if b.k**depth > cap:
-        raise RuntimeError(f"look-ahead tree k^depth = {b.k**depth} exceeds cap {cap}")
-    means, post_vars, sampling_vars = b.means, b.post_vars, b.sampling_vars
-    if depth == 1:
-        return aoap_allocate(b)
-
-    best_vals = np.empty(b.k)
-    for first in range(b.k):
-        best = -math.inf
-        for rest in itertools.combinations_with_replacement(range(b.k), depth - 1):
-            extra = np.bincount(np.array((first,) + rest), minlength=b.k)
-            vars_new = shrunk_variance(post_vars, sampling_vars, extra)
-            vars_new = np.where(extra > 0, vars_new, post_vars)
-            best = max(best, float(distance_squared(means, vars_new)))
-        best_vals[first] = best
-    if np.any(np.isnan(best_vals)):
-        raise ValueError("degenerate state: equal means with zero variances")
-    return int(argmax_with_tiebreak(best_vals, b.counts))
+    return _decide_row(functools.partial(POLICIES["aoap_ms"], depth=depth, cap=cap), b)
 
 
 def two_factor_value(b: BeliefVector, weights: "VfaWeights") -> float:
@@ -523,15 +611,7 @@ def two_factor_allocate(b: BeliefVector, weights: "VfaWeights") -> int:
     With zero weight on the correlation feature this reduces to
     ``aoap_allocate`` for any monotone activation.
     """
-    w = weights.w
-    if len(w) != 2:
-        raise ValueError("two-factor policy needs exactly two weights")
-    vals = two_factor_candidate_values(
-        b.means, b.post_vars, b.sampling_vars, float(w[0]), float(w[1]), weights.activation
-    )
-    if np.any(np.isnan(vals)):
-        raise ValueError("degenerate state: equal means with zero variances")
-    return int(argmax_with_tiebreak(vals, b.counts))
+    return _decide_row(make_policy("two_factor", weights), b)
 
 
 def kg_factors(b: BeliefVector) -> np.ndarray:
@@ -543,7 +623,7 @@ def kg_factors(b: BeliefVector) -> np.ndarray:
 
 def kg_allocate(b: BeliefVector) -> int:
     """Allocate to the alternative with the largest expected improvement."""
-    return int(argmax_with_tiebreak(kg_factors(b), b.counts))
+    return _decide_row(POLICIES["kg"], b)
 
 
 def ocba_ratios(means: Sequence[float], stds: Sequence[float]) -> RatioVector:
@@ -562,8 +642,7 @@ def ocba_most_starving_allocate(b: BeliefVector) -> int:
     Plug-in statistics are frequentist: sample means (so every belief needs
     at least one observation) and the beliefs' sampling variances.
     """
-    deficits = ocba_deficits(b.sample_means, b.sampling_vars, b.counts.astype(float))
-    return int(argmax_with_tiebreak(deficits, b.counts))
+    return _decide_row(POLICIES["ocba"], b, b.sample_means[None])
 
 
 def ea_allocate(t: int, k: int) -> int:

@@ -224,3 +224,50 @@ class TestFitVfa:
                       "--iterations", "80", "--horizon", "15", "--seed", "1")
         assert res.returncode == 0, res.stderr
         assert len(json.loads(out.read_text())["weights"]) == 2
+
+
+class TestConfigValidation:
+    """Bad configs end in exit 2 with a one-line message, before any policy runs."""
+
+    def run_main(self, tmp_path, capsys, scenario=None, policies=("aoap",)):
+        from ranksel import cli
+
+        config = json.loads(small_config(tmp_path).read_text())
+        config["scenario"].update(scenario or {})
+        config["policies"] = list(policies)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["run-experiment", "--config", str(path),
+                         "--out", str(tmp_path / "bad.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "bad.csv").exists()
+        return err
+
+    def test_nan_prior_mean(self, tmp_path, capsys):
+        err = self.run_main(tmp_path, capsys, {"prior_means": [0.0, float("nan"), 0.0]})
+        assert "finite" in err
+
+    def test_infinite_sampling_std(self, tmp_path, capsys):
+        err = self.run_main(tmp_path, capsys, {"sampling_stds": [1.0, float("inf"), 1.0]})
+        assert "finite" in err
+
+    def test_string_macro_reps(self, tmp_path, capsys):
+        assert "macro_reps" in self.run_main(tmp_path, capsys, {"macro_reps": "50"})
+
+    def test_fractional_horizon(self, tmp_path, capsys):
+        assert "'T'" in self.run_main(tmp_path, capsys, {"T": 12.5})
+
+    def test_bool_macro_reps(self, tmp_path, capsys):
+        assert "macro_reps" in self.run_main(tmp_path, capsys, {"macro_reps": True})
+
+    def test_unknown_policy_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        from ranksel import experiment
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a policy ran before the config was validated")
+
+        monkeypatch.setattr(experiment, "estimate_ipcs", no_runs)
+        err = self.run_main(tmp_path, capsys, policies=("aoap", "sobol"))
+        assert "sobol" in err

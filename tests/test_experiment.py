@@ -5,17 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from ranksel.beliefs import GaussianBelief
 from ranksel.experiment import (
     BUILTIN_SCENARIOS,
-    BatchState,
+    VARIANCE_MODES,
     IpcsCurve,
     Scenario,
     builtin_scenario,
     estimate_ipcs,
-    make_policy,
     parse_config,
     replication_features,
     run_experiment,
@@ -23,6 +24,7 @@ from ranksel.experiment import (
     write_results,
 )
 from ranksel import policies as pol
+from ranksel.policies import BatchState, decide, make_policy
 from ranksel.vfa import VfaWeights
 
 
@@ -98,10 +100,10 @@ class TestMacroReplication:
 
     def test_ea_counts_balanced(self):
         sc = small_scenario(horizon=31)  # not a multiple of k
-        from ranksel.experiment import _simulate
+        from ranksel.experiment import _last, _replications
 
-        _, final = _simulate(sc, make_policy("ea"), [0, 1, 2], collect_final=True)
-        counts = final.counts
+        _, states = _replications(sc, make_policy("ea"), [0, 1, 2])
+        counts = _last(states).counts
         assert counts.sum() == 3 * sc.horizon
         assert np.all(np.isin(counts, (sc.horizon // sc.k, sc.horizon // sc.k + 1)))
 
@@ -207,21 +209,21 @@ class TestEngineMatchesScalarPolicies:
     def test_aoap_agreement(self):
         rng = np.random.default_rng(21)
         state = self._random_state(rng)
-        batch = make_policy("aoap").decide(state, 0)
+        batch = decide(make_policy("aoap"), state, 0)
         for r in range(len(batch)):
             assert batch[r] == pol.aoap_allocate(self._row_beliefs(state, r))
 
     def test_kg_agreement(self):
         rng = np.random.default_rng(22)
         state = self._random_state(rng)
-        batch = make_policy("kg").decide(state, 0)
+        batch = decide(make_policy("kg"), state, 0)
         for r in range(len(batch)):
             assert batch[r] == pol.kg_allocate(self._row_beliefs(state, r))
 
     def test_ocba_agreement(self):
         rng = np.random.default_rng(23)
         state = self._random_state(rng)
-        batch = make_policy("ocba").decide(state, 0)
+        batch = decide(make_policy("ocba"), state, 0)
         for r in range(len(batch)):
             assert batch[r] == pol.ocba_most_starving_allocate(self._row_beliefs(state, r))
 
@@ -229,16 +231,73 @@ class TestEngineMatchesScalarPolicies:
         rng = np.random.default_rng(24)
         state = self._random_state(rng)
         w = VfaWeights(np.array([0.98, 0.42]))
-        batch = make_policy("two_factor", w).decide(state, 0)
+        batch = decide(make_policy("two_factor", w), state, 0)
         for r in range(len(batch)):
             assert batch[r] == pol.two_factor_allocate(self._row_beliefs(state, r), w)
 
     def test_multistep_depth1_agreement(self):
         rng = np.random.default_rng(25)
         state = self._random_state(rng, n=10)
-        a = make_policy("aoap_ms1").decide(state, 0)
-        b = make_policy("aoap").decide(state, 0)
+        a = decide(make_policy("aoap_ms1"), state, 0)
+        b = decide(make_policy("aoap"), state, 0)
         np.testing.assert_array_equal(a, b)
+
+    def test_multistep_depth2_agreement(self):
+        rng = np.random.default_rng(26)
+        state = self._random_state(rng, n=20)
+        batch = decide(make_policy("aoap_ms2"), state, 0)
+        for r in range(len(batch)):
+            assert batch[r] == pol.aoap_multistep(self._row_beliefs(state, r), 2)
+
+    @pytest.mark.parametrize("policy_id", ["aoap", "two_factor", "aoap_ms2"])
+    def test_degenerate_row_raises_on_batch_and_scalar_paths(self, policy_id):
+        """A row with tied top means and zero variances has no defined
+        score; both paths must refuse it instead of picking alternative 0."""
+        rng = np.random.default_rng(27)
+        state = self._random_state(rng, n=6, k=3)
+        state.post_means[2] = [0.5, 0.5, -1.0]
+        state.post_vars[2] = 0.0
+        w = VfaWeights(np.array([0.98, 0.42]))
+        score_fn = make_policy(policy_id, w)
+        with pytest.raises(ValueError, match="degenerate state"):
+            decide(score_fn, state, 0)
+        scalar = {
+            "aoap": pol.aoap_allocate,
+            "two_factor": lambda b: pol.two_factor_allocate(b, w),
+            "aoap_ms2": lambda b: pol.aoap_multistep(b, 2),
+        }[policy_id]
+        with pytest.raises(ValueError, match="degenerate state"):
+            scalar(self._row_beliefs(state, 2))
+
+
+class TestScaleInvariance:
+    @given(
+        j=st.integers(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(VARIANCE_MODES),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_power_of_two_scaling_gives_identical_curves(self, j, seed, mode):
+        """Scaling prior means and all stds by 2^j scales every intermediate
+        quantity exactly, so each batch policy selects identically."""
+        c = 2.0**j
+        base = small_scenario(
+            prior_means=(0.3, -0.2, 0.1), prior_stds=(1.0, 0.5, 2.0),
+            sampling_stds=(1.0, 1.5, 0.7), macro_reps=24, horizon=24,
+            master_seed=seed, variance_mode=mode,
+        )
+        scaled = replace(
+            base,
+            prior_means=tuple(c * x for x in base.prior_means),
+            prior_stds=tuple(c * x for x in base.prior_stds),
+            sampling_stds=tuple(c * x for x in base.sampling_stds),
+        )
+        w = VfaWeights(np.array([0.98, 0.42]))
+        for pid in ("ea", "aoap", "ocba", "kg", "two_factor"):
+            a = estimate_ipcs(base, pid, w)
+            b = estimate_ipcs(scaled, pid, w)
+            assert a.ipcs.tobytes() == b.ipcs.tobytes(), pid
+            assert a.stderr.tobytes() == b.stderr.tobytes(), pid
 
 
 class TestReplicationFeatures:
@@ -299,7 +358,6 @@ class TestConfigAndResults:
             parse_config({"scenario": "example1", "policies": ["two_factor"]})
 
     def test_unknown_policy_rejected(self):
-        sc = small_scenario()
         with pytest.raises(ValueError):
             make_policy("sobol")
 

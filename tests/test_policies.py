@@ -1,5 +1,6 @@
 """Allocation/selection policies: hand-checked values, invariances, MC oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -260,21 +261,24 @@ class TestAoapMultistep:
             assert aoap_multistep(b, 1) == aoap_allocate(b)
 
     def test_depth_two_matches_pair_enumeration(self):
+        """Depths 2 and 3 against a brute-force loop over every ordered
+        continuation of the first sample."""
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            b = random_belief_vector(rng, k=2)
-            per_first = np.full(2, -math.inf)
-            for i in range(2):
-                for j in range(2):
-                    extra = np.bincount([i, j], minlength=2)
-                    v = shrunk_variance(b.post_vars, b.sampling_vars, extra)
-                    v = np.where(extra > 0, v, b.post_vars)
-                    per_first[i] = max(per_first[i], float(distance_squared(b.means, v)))
-            # same tie rule as the policy: best value, then fewest samples,
-            # then lowest index
-            ties = np.flatnonzero(per_first == per_first.max())
-            best_pair = min(ties, key=lambda i: (b.counts[i], i))
-            assert aoap_multistep(b, 2) == best_pair
+        for k, depth in itertools.product((2, 3, 4), (2, 3)):
+            for _ in range(15):
+                b = random_belief_vector(rng, k=k)
+                per_first = np.full(k, -math.inf)
+                for i in range(k):
+                    for rest in itertools.product(range(k), repeat=depth - 1):
+                        extra = np.bincount((i,) + rest, minlength=k)
+                        v = shrunk_variance(b.post_vars, b.sampling_vars, extra)
+                        v = np.where(extra > 0, v, b.post_vars)
+                        per_first[i] = max(per_first[i], float(distance_squared(b.means, v)))
+                # same tie rule as the policy: best value, then fewest samples,
+                # then lowest index
+                ties = np.flatnonzero(per_first == per_first.max())
+                best_pair = min(ties, key=lambda i: (b.counts[i], i))
+                assert aoap_multistep(b, depth) == best_pair
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(10)
