@@ -122,6 +122,7 @@ def _cmd_solve_exact(args) -> int:
     model = exact.load_model(args.model)
     policy = exact.solve_bellman(model, args.horizon, state_cap=args.state_cap)
     print(f"value: {policy.value:.10g}")
+    print(f"states: {sum(len(level) for level in policy.values.values())}")
     if args.table:
         policy.dump_table(args.table)
         print(f"wrote {args.table}")

@@ -7,11 +7,22 @@ per-alternative outcome counts, because the likelihood is a product over
 observations and therefore order-free.  States are keyed by those counts.
 
 ``solve_bellman`` materializes only states reachable from the empty
-history (forward pass) and then runs backward induction.  An independent
-oracle, ``brute_force_value``, evaluates the same problem by exhaustive
-expectimax over raw observation histories, never collapsing them to
-counts; the two must agree to tight tolerance on any model small enough
-for both.
+history (forward pass) and then runs backward induction, one level (number
+of samples taken) at a time on arrays.  With D = sum of the support sizes,
+column ``d = s_0 + ... + s_{i-1} + j`` stands for outcome j of alternative
+i.  Level t holds its S_t states as an (S_t, D) integer count matrix and
+their unnormalized posterior weights as an (S_t, r) array; its children
+are every parent row plus one unit vector, in parent-major then column
+order, minus those of zero predictive probability, deduplicated by first
+occurrence.  An (S_t, D) table maps each (state, column) to its child's
+row at level t + 1, or -1 when pruned; the backward pass gathers child
+values through it.  Sums over prior points run left to right, so every
+value equals that of the per-state recursion bit for bit.
+
+An independent oracle, ``brute_force_value``, evaluates the same problem
+by exhaustive expectimax over raw observation histories, never collapsing
+them to counts; the two must agree to tight tolerance on any model small
+enough for both.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "DiscreteModel",
@@ -258,12 +268,62 @@ def _fmt_key(key: StateKey) -> str:
     return ";".join(",".join(str(c) for c in row) for row in key)
 
 
+def _sum_over_points(weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum(weights[:, m] * factors[m] for m in range(r))``, shape (S, X).
+
+    ``weights`` is (S, r) and ``factors`` (r, X).  Each entry accumulates
+    from 0.0 over the prior points m left to right, as a scalar loop over
+    one state would, so the two agree bit for bit.
+    """
+    acc = np.zeros((weights.shape[0], factors.shape[1]))
+    for m in range(weights.shape[1]):
+        acc += weights[:, m, None] * factors[m]
+    return acc
+
+
+def _first_occurrences(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, D) int matrix, in order of first occurrence.
+
+    Returns ``(first, index)``: ``first`` holds the row numbers of each
+    distinct row's first occurrence, ascending, and ``rows[n]`` equals
+    ``rows[first[index[n]]]``.  The sort is stable, so each run of equal
+    rows starts at its first occurrence.
+    """
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    heads = order[starts]
+    position = np.empty(len(heads), dtype=np.intp)
+    position[np.argsort(heads)] = np.arange(len(heads))
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = position[np.cumsum(starts) - 1]
+    return np.sort(heads), index
+
+
+def _level_keys(counts: np.ndarray, sizes: Sequence[int]) -> list[StateKey]:
+    """State keys (count tuples per alternative) of an (S, D) count matrix.
+
+    Each alternative's distinct count rows become tuples once and are
+    shared by every key that contains them.
+    """
+    bounds = np.cumsum((0, *sizes))
+    per_alt = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        first, index = _first_occurrences(counts[:, lo:hi])
+        rows = list(map(tuple, counts[first, lo:hi].tolist()))
+        per_alt.append(map(rows.__getitem__, index.tolist()))
+    return list(zip(*per_alt))
+
+
 def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) -> SolvedPolicy:
     """Backward induction over reachable count states up to ``horizon``.
 
     A forward pass enumerates, level by level, every state reachable with
     positive predictive probability; backward induction then fills values,
-    allocations, and the terminal selection.
+    allocations, and the terminal selection.  Each level is a set of
+    arrays (see the module docstring); the result is bit-identical to the
+    per-state recursion, with states in order of first discovery.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -274,72 +334,61 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
             f"exceeds the cap of {state_cap}"
         )
 
+    # Column d = offset(i) + j of a level stands for outcome j of alternative i.
+    q = np.array([[p for pmf in per_alt for p in pmf] for per_alt in model.sampling_pmf])
+    alternative = np.repeat(np.arange(model.k), model.support_sizes)
+    n_cols = len(alternative)
+    ones = np.ones((model.r, 1))
+
     # Forward pass.  Unnormalized posterior weights propagate incrementally:
     # appending outcome j of alternative i multiplies weight m by q[m][i][j].
-    empty = model.empty_state()
-    levels: list[dict[StateKey, list[float]]] = [
-        {empty.counts: _posterior_weights(model, empty)}
-    ]
+    # A child keeps the weights of the first (parent, column) that reaches it.
+    counts = [np.zeros((1, n_cols), dtype=np.int64)]
+    weights = np.array([model.prior_pmf])
+    preds: list[np.ndarray] = []
+    children: list[np.ndarray] = []
     for _ in range(horizon):
-        nxt: dict[StateKey, list[float]] = {}
-        for key, weights in levels[-1].items():
-            state = DiscreteState(key)
-            total = sum(weights)
-            for i in range(model.k):
-                for j in range(len(model.support[i])):
-                    pred = sum(
-                        model.sampling_pmf[m][i][j] * weights[m] for m in range(model.r)
-                    )
-                    if pred / total <= 0.0:
-                        continue
-                    child = state.bump(i, j).counts
-                    if child not in nxt:
-                        child_w = [
-                            weights[m] * model.sampling_pmf[m][i][j]
-                            for m in range(model.r)
-                        ]
-                        nxt[child] = child_w
-        levels.append(nxt)
+        pred = _sum_over_points(weights, q) / _sum_over_points(weights, ones)
+        reached = np.flatnonzero(pred > 0.0)
+        parent, col = np.divmod(reached, n_cols)
+        cand = counts[-1][parent]
+        cand[np.arange(len(reached)), col] += 1
+        first, index = _first_occurrences(cand)
+        child = np.full(pred.size, -1, dtype=np.intp)
+        child[reached] = index
+        preds.append(pred)
+        children.append(child.reshape(pred.shape))
+        counts.append(cand[first])
+        weights = weights[parent[first]] * q[:, col[first]].T
 
-    # Terminal layer: optimal selection.
-    values: dict[int, dict[StateKey, float]] = {t: {} for t in range(horizon + 1)}
-    selection: dict[StateKey, int] = {}
-    for key, weights in levels[horizon].items():
-        total = sum(weights)
-        post = [w / total for w in weights]
-        best_v, best_i = -math.inf, 0
-        for i in range(model.k):
-            v = sum(model.terminal_reward(m, i) * post[m] for m in range(model.r))
-            if v > best_v:
-                best_v, best_i = v, i
-        values[horizon][key] = best_v
-        selection[key] = best_i
+    # Terminal layer: optimal selection (np.argmax takes the lowest index on ties).
+    reward = np.array(
+        [[model.terminal_reward(m, i) for i in range(model.k)] for m in range(model.r)]
+    )
+    post = weights / _sum_over_points(weights, ones)
+    scores = _sum_over_points(post, reward)
+    selection_arr = np.argmax(scores, axis=1)
+    level_values = [None] * horizon + [scores[np.arange(len(scores)), selection_arr]]
 
     # Backward induction over allocations.
-    allocation: dict[int, dict[StateKey, int]] = {t: {} for t in range(horizon)}
+    allocation_arr: list[np.ndarray] = [None] * horizon
     for t in range(horizon - 1, -1, -1):
-        for key, weights in levels[t].items():
-            state = DiscreteState(key)
-            total = sum(weights)
-            best_v, best_i = -math.inf, 0
-            for i in range(model.k):
-                v = 0.0
-                for j in range(len(model.support[i])):
-                    pred = (
-                        sum(model.sampling_pmf[m][i][j] * weights[m] for m in range(model.r))
-                        / total
-                    )
-                    if pred > 0.0:
-                        v += pred * values[t + 1][state.bump(i, j).counts]
-                if v > best_v:
-                    best_v, best_i = v, i
-            values[t][key] = best_v
-            allocation[t][key] = best_i
+        pred, child = preds[t], children[t]
+        terms = np.where(child >= 0, pred * level_values[t + 1][child], 0.0)
+        scores = np.zeros((len(pred), model.k))
+        for d, i in enumerate(alternative):  # from 0.0 over outcomes j, left to right
+            scores[:, i] += terms[:, d]
+        allocation_arr[t] = np.argmax(scores, axis=1)
+        level_values[t] = scores[np.arange(len(scores)), allocation_arr[t]]
 
+    keys = [_level_keys(c, model.support_sizes) for c in counts]
+    values = {t: dict(zip(keys[t], level_values[t].tolist())) for t in range(horizon + 1)}
+    allocation = {t: dict(zip(keys[t], allocation_arr[t].tolist())) for t in range(horizon)}
+    selection = dict(zip(keys[horizon], selection_arr.tolist()))
     return SolvedPolicy(
         horizon=horizon,
         reward=model.reward,
-        value=values[0][empty.counts],
+        value=values[0][model.empty_state().counts],
         allocation=allocation,
         selection=selection,
         values=values,
@@ -497,6 +546,8 @@ def discretize_prior(
     ``obs_grid_points`` cells of the marginal predictive distribution.
     The result is an approximation whose quality improves with grid size.
     """
+    from scipy import stats  # lazy: slow to import, and nothing else here needs it
+
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     if isinstance(spec, BernoulliPriorSpec):
@@ -587,18 +638,30 @@ def save_model(model: DiscreteModel, path: str) -> None:
         json.dump(payload, fh, indent=2)
 
 
+_MODEL_KEYS = ("k", "support", "prior_support", "prior_pmf", "sampling_pmf")
+
+
 def load_model(path: str) -> DiscreteModel:
+    """Read a model file written by ``save_model``; malformed files raise ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    model = DiscreteModel(
-        support=payload["support"],
-        prior_points=[
-            tuple(p) if isinstance(p, list) else p for p in payload["prior_support"]
-        ],
-        prior_pmf=payload["prior_pmf"],
-        sampling_pmf=payload["sampling_pmf"],
-        reward=payload.get("reward", "PCS"),
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise ValueError(f"model file is missing {', '.join(map(repr, missing))}")
+    try:
+        model = DiscreteModel(
+            support=payload["support"],
+            prior_points=[
+                tuple(p) if isinstance(p, list) else p for p in payload["prior_support"]
+            ],
+            prior_pmf=payload["prior_pmf"],
+            sampling_pmf=payload["sampling_pmf"],
+            reward=payload.get("reward", "PCS"),
+        )
+    except TypeError as err:
+        raise ValueError(f"malformed model file: {err}") from None
     if model.k != payload["k"]:
         raise ValueError("model file k does not match its support")
     return model

@@ -394,19 +394,39 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_positive_int(x) -> bool:
+    return _is_int(x) and x > 0
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _is_numbers(x) -> bool:
-    return isinstance(x, list) and all(_is_int(v) or isinstance(v, float) for v in x)
+    return isinstance(x, list) and all(_is_number(v) for v in x)
 
 
-def _scenario_field(raw: dict, key: str, valid, *default):
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+_KINDS = {
+    _is_int: "an integer",
+    _is_positive_int: "a positive integer",
+    _is_number: "a number",
+    _is_numbers: "a list of numbers",
+    _is_str: "a string",
+}
+
+
+def _field(raw: dict, where: str, key: str, valid, *default):
     """``raw[key]``, or the default if one is given and the key is absent."""
     if key not in raw:
         if default:
             return default[0]
-        raise ValueError(f"scenario is missing {key!r}")
+        raise ValueError(f"{where} is missing {key!r}")
     if not valid(raw[key]):
-        kind = "an integer" if valid is _is_int else "a list of numbers"
-        raise ValueError(f"scenario {key!r} must be {kind}, got {raw[key]!r}")
+        raise ValueError(f"{where} {key!r} must be {_KINDS[valid]}, got {raw[key]!r}")
     return raw[key]
 
 
@@ -419,13 +439,13 @@ def scenario_from_config(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ValueError(f"scenario must be a name or an object, got {raw!r}")
     scenario = Scenario(
-        prior_means=_scenario_field(raw, "prior_means", _is_numbers),
-        prior_stds=_scenario_field(raw, "prior_stds", _is_numbers),
-        sampling_stds=_scenario_field(raw, "sampling_stds", _is_numbers),
-        horizon=_scenario_field(raw, "T", _is_int),
-        n0=_scenario_field(raw, "n0", _is_int),
-        macro_reps=_scenario_field(raw, "macro_reps", _is_int, 10_000),
-        master_seed=_scenario_field(raw, "master_seed", _is_int, 0),
+        prior_means=_field(raw, "scenario", "prior_means", _is_numbers),
+        prior_stds=_field(raw, "scenario", "prior_stds", _is_numbers),
+        sampling_stds=_field(raw, "scenario", "sampling_stds", _is_numbers),
+        horizon=_field(raw, "scenario", "T", _is_int),
+        n0=_field(raw, "scenario", "n0", _is_int),
+        macro_reps=_field(raw, "scenario", "macro_reps", _is_int, 10_000),
+        master_seed=_field(raw, "scenario", "master_seed", _is_int, 0),
         variance_mode=raw.get("variance_mode", "plugin_refresh"),
     )
     if raw.get("k", scenario.k) != scenario.k:
@@ -446,12 +466,22 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
         if "id" not in spec:
             raise ValueError(f"policy entry missing 'id': {entry!r}")
         pol.lookup_policy(spec["id"])
-        if spec["id"] == "two_factor" and "weights_file" not in spec and "fit" not in spec:
-            raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
+        if spec["id"] == "two_factor":
+            if "weights_file" in spec:
+                _field(spec, "two_factor", "weights_file", _is_str)
+            elif "fit" in spec:
+                _fit_settings(spec["fit"], scenario)
+            else:
+                raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
         specs.append(spec)
     if not specs:
         raise ValueError("config lists no policies")
-    return scenario, specs, dict(config.get("output", {}))
+    output = config.get("output", {})
+    if not isinstance(output, dict):
+        raise ValueError(f"config 'output' must be an object, got {output!r}")
+    _field(output, "output", "path", _is_str, None)
+    _field(output, "output", "downsample", _is_positive_int, 1)
+    return scenario, specs, dict(output)
 
 
 def load_config(path: str) -> dict:
@@ -464,16 +494,22 @@ def _resolve_weights(scenario: Scenario, spec: dict) -> VfaWeights | None:
         return None
     if "weights_file" in spec:
         return load_weights(spec["weights_file"])
-    fit = dict(spec["fit"]) if isinstance(spec.get("fit"), dict) else {}
-    fit.setdefault("seed", scenario.master_seed)
+    config, activation = _fit_settings(spec["fit"], scenario)
+    return gmcl_fit(scenario, config=config, activation=activation)
+
+
+def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
+    """SA schedule and activation of a two_factor policy's inline ``fit`` object."""
+    if not isinstance(fit, dict):
+        raise ValueError(f"two_factor 'fit' must be an object, got {fit!r}")
     config = SaConfig(
-        step_scale=fit.get("step_scale", 10.0),
-        step_exponent=fit.get("step_exponent", 2.0 / 3.0),
-        iterations=fit.get("iterations", 10_000),
-        initial_w=tuple(fit.get("initial_w", (1.0, 1.0))),
-        seed=fit["seed"],
+        step_scale=_field(fit, "fit", "step_scale", _is_number, 10.0),
+        step_exponent=_field(fit, "fit", "step_exponent", _is_number, 2.0 / 3.0),
+        iterations=_field(fit, "fit", "iterations", _is_int, 10_000),
+        initial_w=tuple(_field(fit, "fit", "initial_w", _is_numbers, [1.0, 1.0])),
+        seed=_field(fit, "fit", "seed", _is_int, scenario.master_seed),
     )
-    return gmcl_fit(scenario, config=config, activation=fit.get("activation", "linear"))
+    return config, _field(fit, "fit", "activation", _is_str, "linear")
 
 
 def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:

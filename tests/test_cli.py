@@ -175,6 +175,31 @@ class TestSolveExact:
                       "--horizon", "9", "--state-cap", "3")
         assert res.returncode == 3
 
+    def test_prints_state_count(self, tmp_path, capsys):
+        from ranksel import cli
+
+        assert cli.main(["solve-exact", "--model", str(self.model_file(tmp_path)),
+                         "--horizon", "2"]) == 0
+        # k=2 binary alternatives: 1 + 4 + 10 count states over levels 0..2
+        assert capsys.readouterr().out.splitlines()[1] == "states: 15"
+
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 2], "JSON object"),
+        ({"k": 2, "support": [[0.0, 1.0], [0.0, 1.0]], "prior_pmf": [1.0],
+          "sampling_pmf": [[[0.5, 0.5], [0.5, 0.5]]]}, "'prior_support'"),
+        ({"k": 2, "support": 5, "prior_support": ["a"], "prior_pmf": [1.0],
+          "sampling_pmf": [[[0.5, 0.5], [0.5, 0.5]]]}, "malformed"),
+    ], ids=["not-an-object", "missing-key", "mistyped-support"])
+    def test_bad_model_file_usage_error(self, tmp_path, capsys, payload, message):
+        from ranksel import cli
+
+        path = tmp_path / "bad_model.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["solve-exact", "--model", str(path), "--horizon", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err
+
 
 class TestFitVfa:
     def test_fit_writes_weights(self, tmp_path):
@@ -229,12 +254,14 @@ class TestFitVfa:
 class TestConfigValidation:
     """Bad configs end in exit 2 with a one-line message, before any policy runs."""
 
-    def run_main(self, tmp_path, capsys, scenario=None, policies=("aoap",)):
+    def run_main(self, tmp_path, capsys, scenario=None, policies=("aoap",), output=None):
         from ranksel import cli
 
         config = json.loads(small_config(tmp_path).read_text())
         config["scenario"].update(scenario or {})
         config["policies"] = list(policies)
+        if output is not None:
+            config["output"] = output
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         code = cli.main(["run-experiment", "--config", str(path),
@@ -271,3 +298,40 @@ class TestConfigValidation:
         monkeypatch.setattr(experiment, "estimate_ipcs", no_runs)
         err = self.run_main(tmp_path, capsys, policies=("aoap", "sobol"))
         assert "sobol" in err
+
+    @pytest.mark.parametrize("fit, message", [
+        ({"iterations": "5"}, "'iterations'"),
+        ({"seed": True}, "'seed'"),
+        ({"step_scale": "10"}, "'step_scale'"),
+        ({"initial_w": [1.0, "x"]}, "'initial_w'"),
+        ({"activation": 1}, "'activation'"),
+        (["iterations", 5], "'fit' must be an object"),
+    ], ids=["string-iterations", "bool-seed", "string-step-scale", "mistyped-initial-w",
+            "numeric-activation", "non-object"])
+    def test_mistyped_fit(self, tmp_path, capsys, fit, message):
+        err = self.run_main(tmp_path, capsys, policies=("aoap", {"id": "two_factor", "fit": fit}))
+        assert message in err
+
+    def test_null_weights_file(self, tmp_path, capsys):
+        err = self.run_main(tmp_path, capsys,
+                            policies=({"id": "two_factor", "weights_file": None},))
+        assert "'weights_file'" in err
+
+    @pytest.mark.parametrize("output, message", [
+        ({"downsample": "2"}, "'downsample'"),
+        ({"downsample": 0}, "'downsample'"),
+        ({"path": 7}, "'path'"),
+        (["x"], "'output' must be an object"),
+    ], ids=["string-downsample", "zero-downsample", "numeric-path", "non-object"])
+    def test_mistyped_output(self, tmp_path, capsys, output, message):
+        assert message in self.run_main(tmp_path, capsys, output=output)
+
+
+class TestImport:
+    def test_scipy_stats_not_imported(self):
+        """Only discretize_prior needs scipy.stats, so importing the package
+        and the CLI must not load it (checked in a fresh interpreter)."""
+        code = "import sys, ranksel, ranksel.cli; print('scipy.stats' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"

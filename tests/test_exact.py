@@ -39,9 +39,9 @@ def two_point_model(p_high=0.8, p_low=0.2, reward="PCS"):
     )
 
 
-def random_model(rng, reward="PCS"):
-    k = int(rng.integers(2, 4))
-    sizes = [int(rng.integers(2, 4)) for _ in range(k)]
+def random_model(rng, reward="PCS", k=None, size=None):
+    k = k or int(rng.integers(2, 4))
+    sizes = [size or int(rng.integers(2, 4)) for _ in range(k)]
     r = int(rng.integers(2, 4))
     support = [tuple(sorted(rng.normal(size=s))) for s in sizes]
     prior = rng.dirichlet(np.ones(r))
@@ -55,6 +55,34 @@ def random_model(rng, reward="PCS"):
         prior_pmf=prior,
         sampling_pmf=sampling,
         reward=reward,
+    )
+
+
+def symmetric_model():
+    """Two identical Bernoulli alternatives: every allocation ties."""
+    return DiscreteModel(
+        support=[(0.0, 1.0), (0.0, 1.0)],
+        prior_points=["hi", "lo"],
+        prior_pmf=[0.5, 0.5],
+        sampling_pmf=[
+            [(0.2, 0.8), (0.2, 0.8)],
+            [(0.8, 0.2), (0.8, 0.2)],
+        ],
+    )
+
+
+def pruned_model():
+    """Outcome 2 of alternative 0 is impossible under every prior point, and
+    one failure of alternative 1 rules out point "b"."""
+    return DiscreteModel(
+        support=[(0.0, 1.0, 2.0), (0.0, 1.0)],
+        prior_points=["a", "b"],
+        prior_pmf=[0.3, 0.7],
+        sampling_pmf=[
+            [(0.4, 0.6, 0.0), (0.5, 0.5)],
+            [(0.1, 0.9, 0.0), (0.0, 1.0)],
+        ],
+        reward="EOC",
     )
 
 
@@ -252,15 +280,7 @@ class TestSolver:
     def test_symmetric_model_indifferent_first_allocation(self):
         """With identical alternatives, the expected value is the same no
         matter which alternative receives the first sample."""
-        model = DiscreteModel(
-            support=[(0.0, 1.0), (0.0, 1.0)],
-            prior_points=["hi", "lo"],
-            prior_pmf=[0.5, 0.5],
-            sampling_pmf=[
-                [(0.2, 0.8), (0.2, 0.8)],
-                [(0.8, 0.2), (0.8, 0.2)],
-            ],
-        )
+        model = symmetric_model()
         policy = solve_bellman(model, 1)
         empty = model.empty_state()
         per_action = []
@@ -451,3 +471,109 @@ class TestModelIO:
         assert lines[0].startswith("# horizon=1")
         assert any(line.startswith("allocate\t0") for line in lines)
         assert any(line.startswith("select\t1") for line in lines)
+
+
+def _lsum(terms):
+    """Float sum from 0.0, left to right (``sum`` before Python 3.12)."""
+    acc = 0.0
+    for x in terms:
+        acc += x
+    return acc
+
+
+def reference_solve(model, horizon):
+    """Per-state backward induction over dict levels in order of discovery.
+
+    Returns (value, values, allocation, selection) shaped like
+    ``SolvedPolicy``; argmax ties go to the lowest index.
+    """
+    q, points = model.sampling_pmf, range(model.r)
+    moves = [(i, j) for i in range(model.k) for j in range(len(model.support[i]))]
+
+    def pred(w, i, j):
+        return _lsum(q[m][i][j] * w[m] for m in points) / _lsum(w)
+
+    levels = [{model.empty_state().counts: list(model.prior_pmf)}]
+    for _ in range(horizon):
+        nxt = {}
+        for key, w in levels[-1].items():
+            for i, j in moves:
+                child = DiscreteState(key).bump(i, j).counts
+                if pred(w, i, j) > 0.0 and child not in nxt:
+                    nxt[child] = [w[m] * q[m][i][j] for m in points]
+        levels.append(nxt)
+
+    def argmax(scores):
+        return max(range(len(scores)), key=scores.__getitem__)
+
+    values = {t: {} for t in range(horizon + 1)}
+    allocation = {t: {} for t in range(horizon)}
+    selection = {}
+    for key, w in levels[horizon].items():
+        post = [x / _lsum(w) for x in w]
+        scores = [
+            _lsum(model.terminal_reward(m, i) * post[m] for m in points)
+            for i in range(model.k)
+        ]
+        selection[key] = argmax(scores)
+        values[horizon][key] = scores[selection[key]]
+    for t in range(horizon - 1, -1, -1):
+        for key, w in levels[t].items():
+            state = DiscreteState(key)
+            scores = [
+                _lsum(
+                    pred(w, i, j) * values[t + 1][state.bump(i, j).counts]
+                    for j in range(len(model.support[i]))
+                    if pred(w, i, j) > 0.0
+                )
+                for i in range(model.k)
+            ]
+            allocation[t][key] = argmax(scores)
+            values[t][key] = scores[allocation[t][key]]
+    return values[0][model.empty_state().counts], values, allocation, selection
+
+
+def oracle_models():
+    rng = np.random.default_rng(12)
+    return {
+        "pcs-k3": random_model(rng, "PCS", k=3, size=3),
+        "eoc-k3": random_model(rng, "EOC", k=3, size=3),
+        "pruned": pruned_model(),
+        "normal-r9": discretize_prior(
+            NormalPriorSpec((0.0, 0.3), (1.0, 1.0), (1.0, 2.0)), 3, obs_grid_points=4
+        ),
+        "beta": discretize_prior(BernoulliPriorSpec((1.0, 2.0, 1.0), (1.0, 1.0, 2.0)), 2),
+        "symmetric": symmetric_model(),
+    }
+
+
+class TestSolverMatchesPerStateRecursion:
+    """The level-array solver reproduces the per-state recursion exactly:
+    same floats, same actions, same state order."""
+
+    @pytest.mark.parametrize("name", list(oracle_models()))
+    def test_bit_identical(self, name):
+        model = oracle_models()[name]
+        for horizon in range(7):
+            value, values, allocation, selection = reference_solve(model, horizon)
+            solved = solve_bellman(model, horizon)
+            assert solved.value == value
+            for got, want in ((solved.values, values), (solved.allocation, allocation)):
+                assert list(got) == list(want)
+                for t in want:
+                    assert list(got[t].items()) == list(want[t].items())
+            assert list(solved.selection.items()) == list(selection.items())
+
+    @pytest.mark.parametrize("name", ["pcs-k3", "eoc-k3", "normal-r9", "beta"])
+    def test_level_sizes_match_state_space_size(self, name):
+        model = oracle_models()[name]
+        solved = solve_bellman(model, 6)
+        for t, level in solved.values.items():
+            assert len(level) == state_space_size(t, model.k, model.support_sizes)
+
+    def test_zero_probability_outcomes_pruned(self):
+        model = pruned_model()
+        solved = solve_bellman(model, 4)
+        for t in range(1, 5):
+            assert len(solved.values[t]) < state_space_size(t, model.k, model.support_sizes)
+            assert all(key[0][2] == 0 for key in solved.values[t])
