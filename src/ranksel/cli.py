@@ -85,7 +85,9 @@ def _cmd_run_experiment(args) -> int:
     out = args.out or output.get("path")
     if not out:
         raise ValueError("no output path: give --out or config output.path")
-    downsample = args.downsample or output.get("downsample", 1)
+    downsample = output.get("downsample", 1) if args.downsample is None else args.downsample
+    if downsample < 1:
+        raise ValueError(f"--downsample must be >= 1, got {downsample}")
     results = experiment.run_experiment(config, workers=args.workers)
     experiment.write_results(results, out, downsample=downsample)
     print(f"wrote {out}")

@@ -17,7 +17,9 @@ order, minus those of zero predictive probability, deduplicated by first
 occurrence.  An (S_t, D) table maps each (state, column) to its child's
 row at level t + 1, or -1 when pruned; the backward pass gathers child
 values through it.  Sums over prior points run left to right, so every
-value equals that of the per-state recursion bit for bit.
+value equals that of the per-state recursion bit for bit.  The result,
+``SolvedPolicy``, keeps these count matrices, with value and action arrays
+aligned with their rows.
 
 An independent oracle, ``brute_force_value``, evaluates the same problem
 by exhaustive expectimax over raw observation histories, never collapsing
@@ -55,8 +57,6 @@ __all__ = [
 ]
 
 _PMF_TOL = 1e-12
-
-StateKey = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _freeze3(blocks) -> tuple:
 class DiscreteState:
     """Outcome counts per alternative: the sufficient statistic of a history."""
 
-    counts: StateKey
+    counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         counts = tuple(tuple(int(c) for c in row) for row in self.counts)
@@ -223,49 +223,64 @@ def terminal_value(model: DiscreteModel, state: DiscreteState, i: int) -> float:
     return float(sum(model.terminal_reward(m, i) * post[m] for m in range(model.r)))
 
 
-@dataclass
+@dataclass(eq=False)
 class SolvedPolicy:
-    """Output of backward induction: optimal actions and values per state.
+    """Output of backward induction: the solver's level arrays.
 
-    ``allocation[t]`` maps every reachable state with ``t`` samples to the
-    alternative to sample next; ``selection`` maps every reachable terminal
-    state to the alternative to select.  Argmax ties break toward the
-    lowest alternative index.
+    ``counts[t]`` is the (S_t, D) count matrix of the reachable states
+    with ``t`` samples, in order of discovery; a row holds the outcome
+    counts of every alternative side by side, ``support_sizes[i]`` columns
+    for alternative i.  ``values[t]`` (t = 0..horizon) and
+    ``allocation[t]`` (t < horizon, the alternative to sample next) are
+    aligned with those rows, and so is ``selection``, the alternative to
+    select at each terminal state.  Argmax ties break toward the lowest
+    alternative index.  ``row`` finds a state's row.
     """
 
     horizon: int
     reward: str
     value: float
-    allocation: dict[int, dict[StateKey, int]] = field(repr=False)
-    selection: dict[StateKey, int] = field(repr=False)
-    values: dict[int, dict[StateKey, float]] = field(repr=False)
+    support_sizes: tuple[int, ...]
+    counts: dict[int, np.ndarray] = field(repr=False)
+    values: dict[int, np.ndarray] = field(repr=False)
+    allocation: dict[int, np.ndarray] = field(repr=False)
+    selection: np.ndarray = field(repr=False)
+
+    def row(self, t: int, state: DiscreteState) -> int:
+        """Row of ``state`` in level t's arrays; KeyError if it is not reachable."""
+        level = self.counts[t]
+        if tuple(map(len, state.counts)) == self.support_sizes:
+            flat = [c for per_alt in state.counts for c in per_alt]
+            hits = np.flatnonzero((level == flat).all(axis=1))
+            if hits.size:
+                return int(hits[0])
+        raise KeyError((t, state.counts))
 
     def allocation_at(self, t: int, state: DiscreteState) -> int:
-        return self.allocation[t][state.counts]
+        return int(self.allocation[t][self.row(t, state)])
 
     def selection_at(self, state: DiscreteState) -> int:
-        return self.selection[state.counts]
+        return int(self.selection[self.row(self.horizon, state)])
 
     def dump_table(self, path: str) -> None:
-        """Write a human-readable policy table."""
+        """Write a human-readable policy table, each level's states in sorted order."""
+        bounds = np.cumsum((0, *self.support_sizes)).tolist()
         with open(path, "w") as fh:
             fh.write(f"# horizon={self.horizon} reward={self.reward} value={self.value!r}\n")
             fh.write("# kind\tt\tstate\taction\tvalue\n")
-            for t in range(self.horizon):
-                for key in sorted(self.allocation[t]):
-                    fh.write(
-                        f"allocate\t{t}\t{_fmt_key(key)}\t{self.allocation[t][key]}"
-                        f"\t{self.values[t][key]!r}\n"
+            levels = [("allocate", self.allocation[t]) for t in range(self.horizon)]
+            for t, (kind, actions) in enumerate(levels + [("select", self.selection)]):
+                order = np.lexsort(self.counts[t].T[::-1])  # column 0 is the primary key
+                # .tolist() yields Python ints and floats: numpy scalars repr differently.
+                for flat, action, value in zip(
+                    self.counts[t][order].tolist(),
+                    actions[order].tolist(),
+                    self.values[t][order].tolist(),
+                ):
+                    state = ";".join(
+                        ",".join(map(str, flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
                     )
-            for key in sorted(self.selection):
-                fh.write(
-                    f"select\t{self.horizon}\t{_fmt_key(key)}\t{self.selection[key]}"
-                    f"\t{self.values[self.horizon][key]!r}\n"
-                )
-
-
-def _fmt_key(key: StateKey) -> str:
-    return ";".join(",".join(str(c) for c in row) for row in key)
+                    fh.write(f"{kind}\t{t}\t{state}\t{action}\t{value!r}\n")
 
 
 def _sum_over_points(weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -299,21 +314,6 @@ def _first_occurrences(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = np.empty(len(rows), dtype=np.intp)
     index[order] = position[np.cumsum(starts) - 1]
     return np.sort(heads), index
-
-
-def _level_keys(counts: np.ndarray, sizes: Sequence[int]) -> list[StateKey]:
-    """State keys (count tuples per alternative) of an (S, D) count matrix.
-
-    Each alternative's distinct count rows become tuples once and are
-    shared by every key that contains them.
-    """
-    bounds = np.cumsum((0, *sizes))
-    per_alt = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        first, index = _first_occurrences(counts[:, lo:hi])
-        rows = list(map(tuple, counts[first, lo:hi].tolist()))
-        per_alt.append(map(rows.__getitem__, index.tolist()))
-    return list(zip(*per_alt))
 
 
 def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) -> SolvedPolicy:
@@ -381,17 +381,15 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
         allocation_arr[t] = np.argmax(scores, axis=1)
         level_values[t] = scores[np.arange(len(scores)), allocation_arr[t]]
 
-    keys = [_level_keys(c, model.support_sizes) for c in counts]
-    values = {t: dict(zip(keys[t], level_values[t].tolist())) for t in range(horizon + 1)}
-    allocation = {t: dict(zip(keys[t], allocation_arr[t].tolist())) for t in range(horizon)}
-    selection = dict(zip(keys[horizon], selection_arr.tolist()))
     return SolvedPolicy(
         horizon=horizon,
         reward=model.reward,
-        value=values[0][model.empty_state().counts],
-        allocation=allocation,
-        selection=selection,
-        values=values,
+        value=float(level_values[0][0]),  # level 0 is the empty state alone
+        support_sizes=model.support_sizes,
+        counts=dict(enumerate(counts)),
+        values=dict(enumerate(level_values)),
+        allocation=dict(enumerate(allocation_arr)),
+        selection=selection_arr,
     )
 
 

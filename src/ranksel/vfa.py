@@ -54,7 +54,7 @@ class VfaWeights:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not self.box_bound > 0:
             raise ValueError("box_bound must be positive")
-        if np.any(w < 0) or np.any(w > self.box_bound):
+        if not np.all((w >= 0) & (w <= self.box_bound)):  # also rejects NaN
             raise ValueError("weights must lie in [0, box_bound]")
 
 
@@ -254,10 +254,21 @@ def save_weights(weights: VfaWeights, path: str, config: SaConfig | None = None)
 
 
 def load_weights(path: str) -> VfaWeights:
+    """Read a weights file written by ``save_weights``; malformed files raise ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    return VfaWeights(
-        w=np.array(payload["weights"], dtype=float),
-        activation=payload.get("activation", "linear"),
-        box_bound=payload.get("box_bound", DEFAULT_BOX_BOUND),
-    )
+    if not isinstance(payload, dict):
+        raise ValueError(f"weights file must hold a JSON object, got {type(payload).__name__}")
+    w = payload.get("weights")
+    if not isinstance(w, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in w
+    ):
+        raise ValueError(f"weights file 'weights' must be a list of numbers, got {w!r}")
+    try:
+        return VfaWeights(
+            w=np.array(w, dtype=float),
+            activation=payload.get("activation", "linear"),
+            box_bound=payload.get("box_bound", DEFAULT_BOX_BOUND),
+        )
+    except TypeError as err:
+        raise ValueError(f"malformed weights file: {err}") from None

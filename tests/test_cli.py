@@ -254,7 +254,8 @@ class TestFitVfa:
 class TestConfigValidation:
     """Bad configs end in exit 2 with a one-line message, before any policy runs."""
 
-    def run_main(self, tmp_path, capsys, scenario=None, policies=("aoap",), output=None):
+    def run_main(self, tmp_path, capsys, scenario=None, policies=("aoap",), output=None,
+                 flags=()):
         from ranksel import cli
 
         config = json.loads(small_config(tmp_path).read_text())
@@ -265,7 +266,7 @@ class TestConfigValidation:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         code = cli.main(["run-experiment", "--config", str(path),
-                         "--out", str(tmp_path / "bad.csv")])
+                         "--out", str(tmp_path / "bad.csv"), *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -289,15 +290,39 @@ class TestConfigValidation:
     def test_bool_macro_reps(self, tmp_path, capsys):
         assert "macro_reps" in self.run_main(tmp_path, capsys, {"macro_reps": True})
 
-    def test_unknown_policy_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def forbid_runs(monkeypatch):
         from ranksel import experiment
 
         def no_runs(*args, **kwargs):
             raise AssertionError("a policy ran before the config was validated")
 
         monkeypatch.setattr(experiment, "estimate_ipcs", no_runs)
+
+    def test_unknown_policy_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        self.forbid_runs(monkeypatch)
         err = self.run_main(tmp_path, capsys, policies=("aoap", "sobol"))
         assert "sobol" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_downsample_flag_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                          value):
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, flags=("--downsample", value))
+        assert "--downsample" in err
+
+    @pytest.mark.parametrize("payload, message", [
+        ([0.5, 0.5], "JSON object"),
+        ({"activation": "linear"}, "'weights'"),
+        ({"weights": [0.5, 0.5], "box_bound": "x"}, "malformed"),
+        ({"weights": [float("nan"), 0.5]}, "[0, box_bound]"),
+    ], ids=["not-an-object", "missing-weights", "mistyped-box-bound", "nan-weight"])
+    def test_bad_weights_file_usage_error(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(payload))
+        err = self.run_main(tmp_path, capsys,
+                            policies=({"id": "two_factor", "weights_file": str(path)},))
+        assert message in err
 
     @pytest.mark.parametrize("fit, message", [
         ({"iterations": "5"}, "'iterations'"),

@@ -273,9 +273,10 @@ class TestSolver:
         rng = np.random.default_rng(7)
         model = random_model(rng)
         policy = solve_bellman(model, 3)
+        assert list(policy.values) == [0, 1, 2, 3]
         for level in policy.values.values():
-            for v in level.values():
-                assert -1e-12 <= v <= 1 + 1e-12
+            assert len(level) > 0
+            assert np.all((-1e-12 <= level) & (level <= 1 + 1e-12))
 
     def test_symmetric_model_indifferent_first_allocation(self):
         """With identical alternatives, the expected value is the same no
@@ -288,7 +289,7 @@ class TestSolver:
             pred = predictive_pmf(model, empty, i)
             per_action.append(
                 sum(
-                    pred[j] * policy.values[1][empty.bump(i, j).counts]
+                    pred[j] * policy.values[1][policy.row(1, empty.bump(i, j))]
                     for j in range(2)
                     if pred[j] > 0
                 )
@@ -343,12 +344,28 @@ class TestSolver:
     def test_allocation_covers_reachable_states(self):
         model = two_point_model()
         policy = solve_bellman(model, 2)
-        assert policy.allocation[0][model.empty_state().counts] in (0, 1)
+        assert policy.allocation_at(0, model.empty_state()) in (0, 1)
         # every level-1 state reachable from the empty state has an entry
         for i in range(2):
             for j in range(2):
                 child = model.empty_state().bump(i, j)
-                assert child.counts in policy.allocation[1]
+                assert policy.allocation_at(1, child) in (0, 1)
+
+    def test_unreachable_state_raises_key_error(self):
+        model = pruned_model()  # outcome 2 of alternative 0 is impossible
+        policy = solve_bellman(model, 2)
+        impossible = model.empty_state().bump(0, 2)
+        with pytest.raises(KeyError):
+            policy.allocation_at(1, impossible)
+        with pytest.raises(KeyError):
+            policy.selection_at(impossible.bump(1, 0))
+        with pytest.raises(KeyError):  # reachable, but no allocation at the horizon
+            policy.allocation_at(2, impossible.bump(0, 0).bump(0, 0))
+        with pytest.raises(KeyError):  # the counts of another model's support
+            policy.allocation_at(0, DiscreteState(((0, 0), (0, 0, 0))))
+        reachable = model.empty_state().bump(0, 1).bump(1, 0)
+        assert type(policy.selection_at(reachable)) is int
+        assert type(policy.allocation_at(0, model.empty_state())) is int
 
 
 class TestStateSpaceSize:
@@ -472,6 +489,33 @@ class TestModelIO:
         assert any(line.startswith("allocate\t0") for line in lines)
         assert any(line.startswith("select\t1") for line in lines)
 
+    def test_policy_table_golden(self, tmp_path):
+        """Row order (sorted count tuples) and float formatting (repr) are fixed."""
+        out = tmp_path / "policy.tsv"
+        solve_bellman(two_point_model(), 2).dump_table(str(out))
+        assert out.read_text() == GOLDEN_TABLE_T2
+
+
+GOLDEN_TABLE_T2 = """\
+# horizon=2 reward=PCS value=0.8000000000000002
+# kind\tt\tstate\taction\tvalue
+allocate\t0\t0,0;0,0\t0\t0.8000000000000002
+allocate\t1\t0,0;0,1\t0\t0.8
+allocate\t1\t0,0;1,0\t0\t0.8
+allocate\t1\t0,1;0,0\t0\t0.8000000000000002
+allocate\t1\t1,0;0,0\t0\t0.8000000000000002
+select\t2\t0,0;0,2\t0\t0.5
+select\t2\t0,0;1,1\t0\t0.5
+select\t2\t0,0;2,0\t0\t0.5
+select\t2\t0,1;0,1\t0\t0.8
+select\t2\t0,1;1,0\t0\t0.8
+select\t2\t0,2;0,0\t0\t0.9411764705882353
+select\t2\t1,0;0,1\t1\t0.8
+select\t2\t1,0;1,0\t1\t0.8
+select\t2\t1,1;0,0\t1\t0.5000000000000001
+select\t2\t2,0;0,0\t1\t0.9411764705882353
+"""
+
 
 def _lsum(terms):
     """Float sum from 0.0, left to right (``sum`` before Python 3.12)."""
@@ -554,15 +598,22 @@ class TestSolverMatchesPerStateRecursion:
     @pytest.mark.parametrize("name", list(oracle_models()))
     def test_bit_identical(self, name):
         model = oracle_models()[name]
+        bounds = np.cumsum((0, *model.support_sizes)).tolist()
         for horizon in range(7):
             value, values, allocation, selection = reference_solve(model, horizon)
             solved = solve_bellman(model, horizon)
-            assert solved.value == value
+            assert type(solved.value) is float and solved.value == value
+            keys = {
+                t: [tuple(tuple(row[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+                    for row in level.tolist()]
+                for t, level in solved.counts.items()
+            }
+            assert keys == {t: list(level) for t, level in values.items()}
             for got, want in ((solved.values, values), (solved.allocation, allocation)):
                 assert list(got) == list(want)
                 for t in want:
-                    assert list(got[t].items()) == list(want[t].items())
-            assert list(solved.selection.items()) == list(selection.items())
+                    assert got[t].tolist() == list(want[t].values())
+            assert solved.selection.tolist() == list(selection.values())
 
     @pytest.mark.parametrize("name", ["pcs-k3", "eoc-k3", "normal-r9", "beta"])
     def test_level_sizes_match_state_space_size(self, name):
@@ -576,4 +627,5 @@ class TestSolverMatchesPerStateRecursion:
         solved = solve_bellman(model, 4)
         for t in range(1, 5):
             assert len(solved.values[t]) < state_space_size(t, model.k, model.support_sizes)
-            assert all(key[0][2] == 0 for key in solved.values[t])
+            assert len(solved.counts[t]) == len(solved.values[t])
+            assert np.all(solved.counts[t][:, 2] == 0)  # outcome 2 of alternative 0
