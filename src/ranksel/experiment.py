@@ -337,13 +337,9 @@ def replication_features(
     score_fn = pol.make_policy(policy_id, weights)
     true_best, states = _replications(scenario, score_fn, indices, master_seed, namespace)
     final = _last(states)
-    post_mean, post_var = final.post_means, final.post_vars
-    b = np.argmax(post_mean, axis=1)
-    is_b = b[:, None] == np.arange(scenario.k)
-    v_b = np.take_along_axis(post_var, b[:, None], 1)
-    g1 = pol.distance_squared(post_mean, post_var)
-    g2 = pol.correlation_squared_min(post_var, is_b, v_b)
-    return np.column_stack([g1, g2]), (b == true_best).astype(float)
+    g1, g2 = pol.state_features(final.post_means, final.post_vars)
+    correct = np.argmax(final.post_means, axis=1) == true_best
+    return np.column_stack([g1, g2]), correct.astype(float)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,7 @@ __all__ = [
     "shrunk_variance",
     "distance_squared",
     "correlation_squared_min",
+    "state_features",
     "aoap_candidate_values",
     "aoap_multistep_values",
     "two_factor_candidate_values",
@@ -192,6 +193,24 @@ def distance_squared(means: np.ndarray, post_vars: np.ndarray) -> np.ndarray:
     return terms.min(axis=-1)
 
 
+def _challenger_top3(post_vars: np.ndarray, is_b: np.ndarray):
+    """Challenger variances (-inf at the incumbent) and their three largest values.
+
+    The values ``(v1, v2, v3)``, each of shape ``(..., 1)``, count ties
+    with multiplicity; ``v3`` is -inf when there are only two challengers.
+    """
+    challengers = np.where(is_b, -np.inf, post_vars)
+    top = np.sort(challengers, axis=-1)
+    return challengers, top[..., -1:], top[..., -2:-1], top[..., -3:-2]
+
+
+def _correlation_squared(v_b: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Squared correlation the incumbent's variance induces between two challengers."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho2 = v_b**2 / ((v_b + v1) * (v_b + v2))
+    return np.where(v_b == 0.0, 0.0, rho2)
+
+
 def correlation_squared_min(post_vars: np.ndarray, is_b: np.ndarray, v_b: np.ndarray) -> np.ndarray:
     """Smallest squared challenger correlation induced by the incumbent's variance.
 
@@ -199,19 +218,36 @@ def correlation_squared_min(post_vars: np.ndarray, is_b: np.ndarray, v_b: np.nda
     challenger variances.  Returns 0 when there are fewer than two
     challengers (k = 2), by convention.
     """
-    k = post_vars.shape[-1]
-    v_b = v_b[..., 0]
-    if k == 2:
-        return np.zeros(np.broadcast_shapes(post_vars.shape[:-1], v_b.shape))
-    masked = np.where(is_b, -np.inf, post_vars)
-    a1 = masked.argmax(axis=-1)
-    v1 = masked.max(axis=-1)
-    masked2 = np.array(masked, copy=True)
-    np.put_along_axis(masked2, a1[..., None], -np.inf, axis=-1)
-    v2 = masked2.max(axis=-1)
+    if post_vars.shape[-1] == 2:
+        return np.zeros(np.broadcast_shapes(post_vars.shape[:-1], v_b.shape[:-1]))
+    _, v1, v2, _ = _challenger_top3(post_vars, is_b)
+    return _correlation_squared(v_b, v1, v2)[..., 0]
+
+
+def state_features(means: np.ndarray, post_vars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-gap and squared-correlation features of ``(..., k)`` belief states."""
+    _, is_b, _, v_b = _incumbent_geometry(means, post_vars)
+    return distance_squared(means, post_vars), correlation_squared_min(post_vars, is_b, v_b)
+
+
+def _gap_lookahead(b, is_b, gaps, v_b, post_vars, new_vars) -> np.ndarray:
+    """Squared-gap feature after shrinking each candidate's variance to ``new_vars``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho2 = v_b**2 / ((v_b + v1) * (v_b + v2))
-    return np.where(v_b == 0.0, 0.0, rho2)
+        base = np.where(is_b, np.inf, gaps**2 / (v_b + post_vars))
+        m1 = base.min(axis=-1, keepdims=True)
+        a1 = base.argmin(axis=-1)[..., None]
+        np.put_along_axis(base, a1, np.inf, axis=-1)
+        m2 = base.min(axis=-1, keepdims=True)
+
+        # Candidate = incumbent: all gap terms see the shrunk incumbent variance.
+        newv_b = np.take_along_axis(new_vars, b[..., None], -1)
+        incumbent_val = np.where(is_b, np.inf, gaps**2 / (newv_b + post_vars)).min(
+            axis=-1, keepdims=True)
+
+        # Candidate = challenger j: only j's own term changes.
+        own = gaps**2 / (v_b + new_vars)
+        others_min = np.where(a1 == np.arange(gaps.shape[-1]), m2, m1)
+        return np.where(is_b, incumbent_val, np.minimum(own, others_min))
 
 
 def aoap_candidate_values(
@@ -223,27 +259,8 @@ def aoap_candidate_values(
     term; sampling a challenger shrinks only that challenger's own term.
     Every candidate value is at least the current minimum squared gap.
     """
-    _, is_b, gaps, v_b = _incumbent_geometry(means, post_vars)
-    new_vars = shrunk_variance(post_vars, sampling_vars)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(is_b, np.inf, gaps**2 / (v_b + post_vars))
-        m1 = base.min(axis=-1)
-        a1 = base.argmin(axis=-1)
-        base2 = np.array(base, copy=True)
-        np.put_along_axis(base2, a1[..., None], np.inf, axis=-1)
-        m2 = base2.min(axis=-1)
-
-        # Candidate = incumbent: all gap terms see the shrunk incumbent variance.
-        newv_b = np.take_along_axis(new_vars, np.argmax(means, axis=-1)[..., None], -1)
-        incumbent_val = np.where(is_b, np.inf, gaps**2 / (newv_b + post_vars)).min(axis=-1)
-
-        # Candidate = challenger j: only j's own term changes.
-        own = gaps**2 / (v_b + new_vars)
-        k = means.shape[-1]
-        others_min = np.where(a1[..., None] == np.arange(k), m2[..., None], m1[..., None])
-        challenger_vals = np.minimum(own, others_min)
-
-    return np.where(is_b, incumbent_val[..., None], challenger_vals)
+    b, is_b, gaps, v_b = _incumbent_geometry(means, post_vars)
+    return _gap_lookahead(b, is_b, gaps, v_b, post_vars, shrunk_variance(post_vars, sampling_vars))
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,20 +314,30 @@ def two_factor_candidate_values(
     The score combines the squared-gap feature with the smallest squared
     induced correlation; each candidate is evaluated on the state reached
     by shrinking its posterior variance (means are unchanged, so the
-    incumbent is unchanged).
+    incumbent is unchanged).  Both features are scored in closed form:
+    the gap feature exactly as ``aoap_candidate_values``; the correlation
+    feature depends on a challenger's variance only through the two
+    largest challenger variances, so sampling challenger j moves it only
+    when j holds one of them, and the three largest values suffice.
     """
-    b, is_b, _, _ = _incumbent_geometry(means, post_vars)
+    b, is_b, gaps, v_b = _incumbent_geometry(means, post_vars)
     new_vars = shrunk_variance(post_vars, sampling_vars)
-    k = means.shape[-1]
-    cols = []
-    for cand in range(k):
-        vars_c = np.array(post_vars, copy=True, dtype=float)
-        vars_c[..., cand] = new_vars[..., cand]
-        g1 = distance_squared(means, vars_c)
-        v_b = np.take_along_axis(vars_c, b[..., None], -1)
-        g2 = correlation_squared_min(vars_c, is_b, v_b)
-        cols.append(apply_activation(w1 * g1 + w2 * g2, activation))
-    return np.stack(cols, axis=-1)
+    g1 = _gap_lookahead(b, is_b, gaps, v_b, post_vars, new_vars)
+    if means.shape[-1] == 2:
+        g2 = np.zeros(g1.shape)
+    else:
+        challengers, v1, v2, v3 = _challenger_top3(post_vars, is_b)
+        # The two largest variances of the other challengers once j's own
+        # leaves: (v2, v3) if j's is the largest, (v1, v3) if it is the
+        # second largest, else (v1, v2).  Comparing values rather than
+        # indices is exact under ties: a tied value leaves the same pair behind.
+        hi = np.where(challengers >= v1, v2, v1)
+        lo = np.where(challengers >= v2, v3, v2)
+        shrunk_challenger = _correlation_squared(
+            v_b, np.maximum(hi, new_vars), np.maximum(lo, np.minimum(hi, new_vars)))
+        newv_b = np.take_along_axis(new_vars, b[..., None], -1)
+        g2 = np.where(is_b, _correlation_squared(newv_b, v1, v2), shrunk_challenger)
+    return apply_activation(w1 * g1 + w2 * g2, activation)
 
 
 def kg_candidate_values(
@@ -561,11 +588,10 @@ def induced_correlation(b: BeliefVector, i: int, j: int) -> float:
 
 def features(b: BeliefVector) -> tuple[float, float]:
     """Feature pair for value approximation: (min squared gap, min squared correlation)."""
-    means, post_vars = b.means, b.post_vars
-    _, is_b, _, v_b = _incumbent_geometry(means, post_vars)
-    g1 = float(distance_squared(means, post_vars))
-    g2 = float(correlation_squared_min(post_vars, is_b, v_b))
-    return g1, g2
+    g1, g2 = state_features(b.means, b.post_vars)
+    if np.isnan(g1) or np.isnan(g2):
+        raise ValueError("degenerate state: equal means with zero variances")
+    return float(g1), float(g2)
 
 
 def apply_activation(z, activation: str):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ranksel.beliefs import GaussianBelief, GroundTruth
 from ranksel.policies import (
@@ -14,6 +15,8 @@ from ranksel.policies import (
     aoap_allocate,
     aoap_multistep,
     aoap_values,
+    apply_activation,
+    correlation_squared_min,
     distance_feature,
     distance_squared,
     ea_allocate,
@@ -31,6 +34,7 @@ from ranksel.policies import (
     select_optimal_pcs,
     shrunk_variance,
     two_factor_allocate,
+    two_factor_candidate_values,
     two_factor_value,
 )
 from ranksel.vfa import VfaWeights
@@ -62,6 +66,59 @@ def random_belief_vector(rng, k=None):
         sampling_vars=rng.uniform(0.2, 4.0, size=k),
         counts=rng.integers(1, 30, size=k),
     )
+
+
+def lookahead_batch(rng, n, k):
+    """Belief batches with the closed form's edge cases: tied top means, ties
+    among the largest challenger variances, zero incumbent variance, and
+    (tied top means with zero variances) degenerate rows."""
+    means = rng.normal(size=(n, k))
+    rows = np.arange(n)
+    tied = rows % 3 == 0
+    top = means.argmax(axis=1)
+    means[tied, (top[tied] + 1) % k] = means[tied, top[tied]]
+    post_vars = rng.uniform(0.05, 3.0, size=(n, k))
+    few = rows % 2 == 0
+    post_vars[few] = rng.choice([0.25, 0.5, 1.0], size=(few.sum(), k))
+    zero_vb = rows % 5 == 1
+    post_vars[zero_vb, means[zero_vb].argmax(axis=1)] = 0.0
+    post_vars[rows % 17 == 3] = 0.0
+    sampling_vars = rng.uniform(0.2, 4.0, size=(n, k))
+    return means, post_vars, sampling_vars
+
+
+def pairwise_correlation_squared_min(post_vars, is_b, v_b):
+    """Smallest v_b^2 / ((v_b + v_i)(v_b + v_j)) over challenger pairs i < j."""
+    k = post_vars.shape[-1]
+    v_b = v_b[..., 0]
+    out = np.zeros(post_vars.shape[:-1]) if k == 2 else np.full(post_vars.shape[:-1], np.inf)
+    for i, j in itertools.combinations(range(k), 2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho2 = v_b**2 / ((v_b + post_vars[..., i]) * (v_b + post_vars[..., j]))
+        out = np.where(is_b[..., i] | is_b[..., j], out, np.minimum(out, rho2))
+    return np.where(v_b == 0.0, 0.0, out)
+
+
+def reference_two_factor_values(means, post_vars, sampling_vars, w1, w2, activation="linear"):
+    """Per-candidate loop: shrink one candidate's variance, recompute both features."""
+    b = np.argmax(means, axis=-1)
+    is_b = b[..., None] == np.arange(means.shape[-1])
+    new_vars = shrunk_variance(post_vars, sampling_vars)
+    cols = []
+    for cand in range(means.shape[-1]):
+        vars_c = np.array(post_vars, copy=True, dtype=float)
+        vars_c[..., cand] = new_vars[..., cand]
+        g1 = distance_squared(means, vars_c)
+        v_b = np.take_along_axis(vars_c, b[..., None], -1)
+        g2 = correlation_squared_min(vars_c, is_b, v_b)
+        cols.append(apply_activation(w1 * g1 + w2 * g2, activation))
+    return np.stack(cols, axis=-1)
+
+
+def same_bits(a, b):
+    """Byte equality, with every NaN (degenerate rows) read as the same NaN:
+    the sign bit of a NaN depends on which operation propagated it."""
+    return np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
 
 
 class TestSelectionRules:
@@ -193,6 +250,24 @@ class TestFeatures:
     def test_two_alternatives_correlation_zero(self):
         _, g2 = features(belief_vector([1.0, 0.0], [0.5, 0.5]))
         assert g2 == 0.0
+
+    def test_degenerate_state_raises(self):
+        """Tied top means with zero variances have no defined gap feature."""
+        b = belief_vector([0.5, 0.5, -1.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="degenerate state"):
+            features(b)
+        with pytest.raises(ValueError, match="degenerate state"):
+            two_factor_value(b, VfaWeights(np.array([0.98, 0.42])))
+
+    def test_correlation_min_matches_pair_enumeration(self):
+        rng = np.random.default_rng(30)
+        for k in (2, 3, 4, 10):
+            means, post_vars, _ = lookahead_batch(rng, 300, k)
+            b = np.argmax(means, axis=-1)
+            is_b = b[:, None] == np.arange(k)
+            v_b = np.take_along_axis(post_vars, b[:, None], -1)
+            got = correlation_squared_min(post_vars, is_b, v_b)
+            assert got.tobytes() == pairwise_correlation_squared_min(post_vars, is_b, v_b).tobytes()
 
     def test_gap_feature_grows_linearly_under_equal_allocation(self):
         # With a fixed mean gap and variances ~ s^2/t, the squared-gap
@@ -327,6 +402,56 @@ class TestTwoFactor:
         w = VfaWeights(np.array([2.0, 4.0]))
         g1, g2 = features(b)
         assert two_factor_value(b, w) == pytest.approx(2 * g1 + 4 * g2, rel=1e-12)
+
+    @pytest.mark.parametrize("activation", ["linear", "expm"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 10])
+    def test_closed_form_matches_loop_bits(self, k, activation):
+        rng = np.random.default_rng(100 + k)
+        means, post_vars, sampling_vars = lookahead_batch(rng, 400, k)
+        args = (means, post_vars, sampling_vars, 0.98, 0.42, activation)
+        got = two_factor_candidate_values(*args)
+        assert 0 < np.isnan(got).any(axis=1).sum() < len(got)  # some degenerate rows, not all
+        assert same_bits(got, reference_two_factor_values(*args))
+
+    @pytest.mark.parametrize(
+        "challenger_vars",
+        [
+            [3.0, 2.0, 1.5, 0.5],  # distinct: sampling the 1st, 2nd, 3rd largest
+            [2.0, 2.0, 1.0, 0.5],  # top two tied
+            [3.0, 1.5, 1.5, 0.5],  # second and third tied
+            [1.0, 1.0, 1.0, 1.0],  # all tied
+            [3.0, 2.0],  # k = 3: no third challenger
+        ],
+    )
+    @pytest.mark.parametrize("v_b", [1.0, 0.0])
+    def test_closed_form_by_sampled_challenger_rank(self, challenger_vars, v_b):
+        k = len(challenger_vars) + 1
+        means = np.array([[1.0] + [0.0] * (k - 1)])
+        post_vars = np.array([[v_b] + challenger_vars])
+        sampling_vars = np.full((1, k), 0.7)
+        args = (means, post_vars, sampling_vars, 0.3, 5.0)
+        assert same_bits(two_factor_candidate_values(*args), reference_two_factor_values(*args))
+
+    @given(
+        data=st.data(),
+        k=st.sampled_from([2, 3, 4, 10]),
+        activation=st.sampled_from(["linear", "expm"]),
+        w=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_loop_bits_hypothesis(self, data, k, activation, w):
+        """Values from small sets, so ties between top means and among the
+        largest variances are common."""
+        shape = (4, k)
+        means = data.draw(hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+                                     | st.floats(-2.0, 2.0)))
+        post_vars = data.draw(hnp.arrays(float, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                                         | st.floats(0.0, 4.0)))
+        sampling_vars = data.draw(hnp.arrays(float, shape, elements=st.floats(0.1, 4.0)))
+        args = (means, post_vars, sampling_vars, w[0], w[1], activation)
+        # Subnormal variances overflow 1/v; a zero weight times an infinite gap is NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(two_factor_candidate_values(*args), reference_two_factor_values(*args))
 
 
 class TestOptimalRatios:
