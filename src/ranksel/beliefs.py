@@ -18,6 +18,11 @@ models:
   ``beta``.  The uninformative prior is alpha = beta = 0 (improper; the
   predictive is undefined until at least one observation arrives).
 
+The normal posterior from counts and sums is defined once, by the array
+core ``posterior_arrays`` (``sample_variances`` gives plug-in variances):
+the simulation engine calls it on ``(n, k)`` batches and
+``normal_batch_posterior`` on scalars.
+
 Beliefs are immutable; updates return new values.  Each caller owns its
 own random generator, so read-only sharing across threads is safe.
 """
@@ -38,6 +43,8 @@ __all__ = [
     "normal_update",
     "normal_batch_posterior",
     "normal_predictive",
+    "posterior_arrays",
+    "sample_variances",
     "sample_ground_truth",
     "sample_observation",
 ]
@@ -59,7 +66,7 @@ class GaussianBelief:
     sampling_var : float
         Known (or plug-in) variance of a single observation; > 0.
     sum_obs : float
-        Running sum of observations (``count * sample_mean``).
+        Running sum of observations (``count`` times the sample mean).
     """
 
     post_mean: float
@@ -85,12 +92,6 @@ class GaussianBelief:
     def uninformative(cls, sampling_var: float) -> "GaussianBelief":
         """Zero-precision prior: the first observation fully determines the mean."""
         return cls(post_mean=0.0, post_var=math.inf, count=0, sampling_var=sampling_var)
-
-    @property
-    def sample_mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("sample mean undefined with no observations")
-        return self.sum_obs / self.count
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,29 @@ def normal_update(belief: GaussianBelief, obs: float) -> GaussianBelief:
     )
 
 
+def posterior_arrays(prior_means, prior_vars, counts, sums, sampling_vars):
+    """Normal posterior mean and variance from observation counts and sums.
+
+    Broadcasts over any shape.  Zero prior variance pins the posterior at
+    the prior mean; infinite prior variance (zero precision) reduces to the
+    pure sample posterior.
+    """
+    with np.errstate(divide="ignore"):
+        prior_prec = np.where(prior_vars > 0, 1.0 / prior_vars, np.inf)
+    post_var = 1.0 / (prior_prec + counts / sampling_vars)
+    with np.errstate(invalid="ignore"):
+        post_mean = post_var * (prior_means * prior_prec + sums / sampling_vars)
+    post_mean = np.where(prior_vars == 0.0, prior_means, post_mean)
+    return post_mean, post_var
+
+
+def sample_variances(counts, sums, sumsqs):
+    """Unbiased sample variances from running sums, floored at the smallest positive float."""
+    mean = sums / counts
+    s2 = (sumsqs - counts * mean**2) / (counts - 1)
+    return np.maximum(s2, np.finfo(float).tiny)
+
+
 def normal_batch_posterior(
     prior_mean: float,
     prior_var: float,
@@ -209,15 +233,16 @@ def normal_batch_posterior(
         raise ValueError("n must be >= 0")
     if n == 0:
         return GaussianBelief.from_prior(prior_mean, prior_var, sampling_var)
-    prior_prec = 0.0 if math.isinf(prior_var) else 1.0 / prior_var
-    post_var = 1.0 / (prior_prec + n / sampling_var)
-    post_mean = post_var * (prior_mean * prior_prec + n * sample_mean / sampling_var)
+    sum_obs = n * sample_mean
+    # A NumPy prior variance divides by zero to inf instead of raising.
+    post_mean, post_var = posterior_arrays(prior_mean, np.float64(prior_var), n, sum_obs,
+                                           sampling_var)
     return GaussianBelief(
-        post_mean=post_mean,
-        post_var=post_var,
+        post_mean=float(post_mean),
+        post_var=float(post_var),
         count=n,
         sampling_var=sampling_var,
-        sum_obs=n * sample_mean,
+        sum_obs=sum_obs,
     )
 
 

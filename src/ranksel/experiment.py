@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import policies as pol
-from .beliefs import GroundTruth
+from .beliefs import GroundTruth, posterior_arrays, sample_variances
 from .vfa import SaConfig, VfaWeights, gmcl_fit, load_weights
 
 __all__ = [
@@ -190,27 +190,6 @@ def _row_normals(master_seed: int, namespace: int, index: int, n: int) -> np.nda
     return np.random.Generator(np.random.PCG64(seq)).standard_normal(n)
 
 
-def _posterior_arrays(prior_means, prior_vars, counts, sums, svars):
-    """Posterior mean and variance per (row, alternative), vectorized.
-
-    Zero prior variance pins the posterior at the prior mean; infinite
-    prior variance (zero precision) reduces to the pure sample posterior.
-    """
-    with np.errstate(divide="ignore"):
-        prior_prec = np.where(prior_vars > 0, 1.0 / prior_vars, np.inf)
-    post_var = 1.0 / (prior_prec + counts / svars)
-    with np.errstate(invalid="ignore"):
-        post_mean = post_var * (prior_means * prior_prec + sums / svars)
-    post_mean = np.where(prior_vars == 0.0, prior_means, post_mean)
-    return post_mean, post_var
-
-
-def _sample_vars(counts, sums, sumsqs):
-    mean = sums / counts
-    s2 = (sumsqs - counts * mean**2) / (counts - 1)
-    return np.maximum(s2, np.finfo(float).tiny)
-
-
 def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,
             variance_mode, n0, horizon):
     """Yield the batch state after the round-robin warmup and after every later step.
@@ -238,11 +217,11 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     warmup = k * n0
     for t in range(warmup):
         observe(np.full(n, t % k, dtype=int), t)
-    svars = true_vars if sumsqs is None else _sample_vars(counts, sums, sumsqs)
+    svars = true_vars if sumsqs is None else sample_variances(counts, sums, sumsqs)
     for t in range(warmup, horizon + 1):
         if variance_mode == "plugin_refresh" and t > warmup:
-            svars = _sample_vars(counts, sums, sumsqs)
-        post_mean, post_var = _posterior_arrays(prior_means, prior_vars, counts, sums, svars)
+            svars = sample_variances(counts, sums, sumsqs)
+        post_mean, post_var = posterior_arrays(prior_means, prior_vars, counts, sums, svars)
         state = pol.BatchState(post_mean, post_var, svars, counts, sums / counts)
         yield state
         if t < horizon:
@@ -278,7 +257,7 @@ def _correct_counts(scenario: Scenario, score_fn, indices) -> np.ndarray:
     """Number of replications in the batch selecting correctly, per recorded step."""
     true_best, states = _replications(scenario, score_fn, indices)
     return np.array([
-        np.count_nonzero(np.argmax(state.post_means, axis=1) == true_best) for state in states
+        np.count_nonzero(np.argmax(state.means, axis=1) == true_best) for state in states
     ])
 
 
@@ -337,8 +316,8 @@ def replication_features(
     score_fn = pol.make_policy(policy_id, weights)
     true_best, states = _replications(scenario, score_fn, indices, master_seed, namespace)
     final = _last(states)
-    g1, g2 = pol.state_features(final.post_means, final.post_vars)
-    correct = np.argmax(final.post_means, axis=1) == true_best
+    g1, g2 = pol.state_features(final.means, final.post_vars)
+    correct = np.argmax(final.means, axis=1) == true_best
     return np.column_stack([g1, g2]), correct.astype(float)
 
 
@@ -376,8 +355,8 @@ def run_fixed_truths(
                           np.full(k, np.inf), "known", n_init, horizon))
     return FixedTruthRun(
         counts=final.counts,
-        post_means=final.post_means,
-        selections=np.argmax(final.post_means, axis=1),
+        post_means=final.means,
+        selections=np.argmax(final.means, axis=1),
     )
 
 

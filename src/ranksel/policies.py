@@ -21,12 +21,14 @@ feature after shrinking the candidate's posterior variance as one more
 observation would (the observation itself is replaced by its predictive
 mean, which leaves every posterior mean unchanged).
 
-Each allocation policy is defined once, as a score function
-``score(state, t) -> (n, k)`` over a ``BatchState``; ``POLICIES`` maps
-policy ids to them and ``make_policy`` resolves an id.  ``decide`` turns
-scores into one sampled alternative per row, and the simulation engine
-and the belief-level ``*_allocate`` functions (1-row batches) both go
-through it.
+There is one belief-state type, ``BatchState``, holding ``(..., k)``
+arrays: the simulation engine passes ``(n, k)`` batches, and a
+``BeliefVector`` is a ``BatchState`` with ``(k,)`` arrays built from
+per-alternative ``GaussianBelief``s.  Each allocation policy is defined
+once, as a score function ``score(state, t) -> (..., k)``; ``POLICIES``
+maps policy ids to them and ``make_policy`` resolves an id.  ``decide``
+turns scores into the sampled alternative of every row, and the
+belief-level ``*_allocate`` functions are ``decide`` on one state.
 """
 
 from __future__ import annotations
@@ -90,46 +92,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BeliefVector:
-    """Per-alternative Gaussian beliefs plus their induced ordering."""
+class BatchState:
+    """Belief states as ``(..., k)`` arrays: one row per replication, or one state.
 
-    beliefs: tuple[GaussianBelief, ...]
+    ``sample_means`` is None when some alternative has no observations.
+    """
 
-    def __post_init__(self) -> None:
-        beliefs = tuple(self.beliefs)
-        object.__setattr__(self, "beliefs", beliefs)
-        if len(beliefs) < 2:
+    means: np.ndarray
+    post_vars: np.ndarray
+    sampling_vars: np.ndarray
+    counts: np.ndarray
+    sample_means: np.ndarray | None
+
+
+class BeliefVector(BatchState):
+    """A single belief state, built from per-alternative Gaussian beliefs: ``(k,)`` arrays."""
+
+    def __init__(self, beliefs: Sequence[GaussianBelief]) -> None:
+        rows = [(b.post_mean, b.post_var, b.sampling_var, b.count, b.sum_obs) for b in beliefs]
+        if len(rows) < 2:
             raise ValueError("need at least two alternatives")
+        means, post_vars, sampling_vars, counts, sums = np.array(rows, dtype=float).T.copy()
+        super().__init__(means, post_vars, sampling_vars, counts,
+                         sums / counts if counts.all() else None)
 
     @property
     def k(self) -> int:
-        return len(self.beliefs)
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([b.post_mean for b in self.beliefs])
-
-    @property
-    def post_vars(self) -> np.ndarray:
-        return np.array([b.post_var for b in self.beliefs])
-
-    @property
-    def sampling_vars(self) -> np.ndarray:
-        return np.array([b.sampling_var for b in self.beliefs])
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([b.count for b in self.beliefs])
-
-    @property
-    def sample_means(self) -> np.ndarray:
-        return np.array([b.sample_mean for b in self.beliefs])
+        return len(self.means)
 
     @property
     def order(self) -> np.ndarray:
         """Indices sorted by descending posterior mean, lower index first on ties."""
-        means = self.means
-        return np.lexsort((np.arange(self.k), -means))
+        return np.lexsort((np.arange(self.k), -self.means))
 
     @property
     def best(self) -> int:
@@ -149,17 +143,6 @@ class RatioVector:
             raise ValueError("ratios must be nonnegative")
         if abs(float(ratios.sum()) - 1.0) > 1e-10:
             raise ValueError(f"ratios must sum to 1, got {ratios.sum()!r}")
-
-
-@dataclass(frozen=True)
-class BatchState:
-    """Per-step snapshot of a batch of belief states, one row per replication."""
-
-    post_means: np.ndarray
-    post_vars: np.ndarray
-    svars: np.ndarray
-    counts: np.ndarray
-    sample_means: np.ndarray | None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +320,7 @@ def two_factor_candidate_values(
             v_b, np.maximum(hi, new_vars), np.maximum(lo, np.minimum(hi, new_vars)))
         newv_b = np.take_along_axis(new_vars, b[..., None], -1)
         g2 = np.where(is_b, _correlation_squared(newv_b, v1, v2), shrunk_challenger)
-    return apply_activation(w1 * g1 + w2 * g2, activation)
+    return _two_factor_score(g1, g2, w1, w2, activation)
 
 
 def kg_candidate_values(
@@ -421,16 +404,16 @@ def _ea_score(state: BatchState, t: int) -> np.ndarray:
 # ``aoap_ms`` entry serves the ids ``aoap_ms<d>`` (look-ahead depth d >= 1).
 POLICIES = {
     "ea": _ea_score,
-    "aoap": lambda s, t: aoap_candidate_values(s.post_means, s.post_vars, s.svars),
+    "aoap": lambda s, t: aoap_candidate_values(s.means, s.post_vars, s.sampling_vars),
     # most-starving budget allocation on frequentist plug-in statistics
-    "ocba": lambda s, t: ocba_deficits(s.sample_means, s.svars, s.counts),
-    "kg": lambda s, t: kg_candidate_values(s.post_means, s.post_vars, s.svars),
+    "ocba": lambda s, t: ocba_deficits(s.sample_means, s.sampling_vars, s.counts),
+    "kg": lambda s, t: kg_candidate_values(s.means, s.post_vars, s.sampling_vars),
     "two_factor": lambda s, t, weights: two_factor_candidate_values(
-        s.post_means, s.post_vars, s.svars,
+        s.means, s.post_vars, s.sampling_vars,
         float(weights.w[0]), float(weights.w[1]), weights.activation,
     ),
     "aoap_ms": lambda s, t, **depth_cap: aoap_multistep_values(
-        s.post_means, s.post_vars, s.svars, **depth_cap
+        s.means, s.post_vars, s.sampling_vars, **depth_cap
     ),
 }
 
@@ -462,23 +445,16 @@ def make_policy(policy_id: str, weights: "VfaWeights | None" = None):
     return score
 
 
+def _defined(values: np.ndarray) -> np.ndarray:
+    """``values``, unless one is NaN: the state has tied top means and zero variances."""
+    if np.isnan(values).any():
+        raise ValueError("degenerate state: equal means with zero variances")
+    return values
+
+
 def decide(score_fn, state: BatchState, t: int) -> np.ndarray:
     """Alternative to sample next in each row: the tie-broken argmax of the scores."""
-    scores = score_fn(state, t)
-    if np.isnan(scores).any():
-        raise ValueError("degenerate state: equal means with zero variances")
-    return argmax_with_tiebreak(scores, state.counts)
-
-
-def _decide_row(score_fn, b: "BeliefVector", sample_means=None) -> int:
-    """``decide`` on a belief vector as a 1-row batch.
-
-    Sample means are passed only by policies that use them: a belief
-    without observations has none.
-    """
-    state = BatchState(b.means[None], b.post_vars[None], b.sampling_vars[None],
-                       b.counts[None].astype(float), sample_means)
-    return int(decide(score_fn, state, 0)[0])
+    return argmax_with_tiebreak(_defined(score_fn(state, t)), state.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +506,18 @@ def select_optimal_pcs(b: BeliefVector, max_k: int = 16, tol: float = 1e-8) -> i
     """
     if b.k > max_k:
         raise ValueError(f"k={b.k} exceeds the quadrature cap of {max_k}")
-    means = b.means
     stds = np.sqrt(b.post_vars)
-    probs = [_posterior_best_probability(means, stds, i, tol) for i in range(b.k)]
+    probs = [_posterior_best_probability(b.means, stds, i, tol) for i in range(b.k)]
     return int(np.argmax(probs))
 
 
 def eoc_value(b: BeliefVector, tol: float = 1e-8) -> float:
     """Expected opportunity cost of selecting the max-mean alternative (<= 0)."""
-    means = b.means
     stds = np.sqrt(b.post_vars)
     expected_max = sum(
-        _posterior_best_probability(means, stds, i, tol, x_moment=True) for i in range(b.k)
+        _posterior_best_probability(b.means, stds, i, tol, x_moment=True) for i in range(b.k)
     )
-    return float(means.max() - expected_max)
+    return float(b.means.max() - expected_max)
 
 
 def select_optimal_eoc(b: BeliefVector) -> int:
@@ -557,11 +531,9 @@ def distance_feature(b: BeliefVector) -> tuple[np.ndarray, float]:
     Returns ``(d_others, d)`` where ``d_others`` follows the descending
     mean order (positions 1..k-1 of ``b.order``).
     """
-    means, post_vars = b.means, b.post_vars
-    order = b.order
-    best = order[0]
-    gaps = means[best] - means[order[1:]]
-    denoms = post_vars[best] + post_vars[order[1:]]
+    best, others = b.best, b.order[1:]
+    gaps = b.means[best] - b.means[others]
+    denoms = b.post_vars[best] + b.post_vars[others]
     if np.any((denoms == 0.0) & (gaps == 0.0)):
         raise ValueError("degenerate pair: zero variances with equal means")
     with np.errstate(divide="ignore"):
@@ -588,9 +560,7 @@ def induced_correlation(b: BeliefVector, i: int, j: int) -> float:
 
 def features(b: BeliefVector) -> tuple[float, float]:
     """Feature pair for value approximation: (min squared gap, min squared correlation)."""
-    g1, g2 = state_features(b.means, b.post_vars)
-    if np.isnan(g1) or np.isnan(g2):
-        raise ValueError("degenerate state: equal means with zero variances")
+    g1, g2 = _defined(np.array(state_features(b.means, b.post_vars)))
     return float(g1), float(g2)
 
 
@@ -603,17 +573,20 @@ def apply_activation(z, activation: str):
     raise ValueError(f"unknown activation {activation!r}")
 
 
+def _two_factor_score(g1, g2, w1, w2, activation: str):
+    """Activated weighted feature sum; a zero weight drops its feature (0 * inf is NaN)."""
+    weighted = (w1 * g1 if w1 else np.zeros_like(g1)) + (w2 * g2 if w2 else 0.0)
+    return apply_activation(weighted, activation)
+
+
 def aoap_values(b: BeliefVector) -> np.ndarray:
     """One-step look-ahead values of sampling each alternative."""
-    vals = aoap_candidate_values(b.means, b.post_vars, b.sampling_vars)
-    if np.any(np.isnan(vals)):
-        raise ValueError("degenerate state: equal means with zero variances")
-    return vals
+    return _defined(aoap_candidate_values(b.means, b.post_vars, b.sampling_vars))
 
 
 def aoap_allocate(b: BeliefVector) -> int:
     """Allocate the next sample to the alternative with the best look-ahead value."""
-    return _decide_row(POLICIES["aoap"], b)
+    return int(decide(POLICIES["aoap"], b, 0))
 
 
 def aoap_multistep(b: BeliefVector, depth: int, cap: int = 10**6) -> int:
@@ -621,14 +594,14 @@ def aoap_multistep(b: BeliefVector, depth: int, cap: int = 10**6) -> int:
 
     Depth 1 reproduces ``aoap_allocate`` exactly; ``cap`` bounds k^depth.
     """
-    return _decide_row(functools.partial(POLICIES["aoap_ms"], depth=depth, cap=cap), b)
+    return int(decide(functools.partial(POLICIES["aoap_ms"], depth=depth, cap=cap), b, 0))
 
 
 def two_factor_value(b: BeliefVector, weights: "VfaWeights") -> float:
     """Two-factor score of the current state."""
     g1, g2 = features(b)
     w = weights.w
-    return float(apply_activation(w[0] * g1 + w[1] * g2, weights.activation))
+    return float(_two_factor_score(g1, g2, w[0], w[1], weights.activation))
 
 
 def two_factor_allocate(b: BeliefVector, weights: "VfaWeights") -> int:
@@ -637,7 +610,7 @@ def two_factor_allocate(b: BeliefVector, weights: "VfaWeights") -> int:
     With zero weight on the correlation feature this reduces to
     ``aoap_allocate`` for any monotone activation.
     """
-    return _decide_row(make_policy("two_factor", weights), b)
+    return int(decide(make_policy("two_factor", weights), b, 0))
 
 
 def kg_factors(b: BeliefVector) -> np.ndarray:
@@ -649,7 +622,7 @@ def kg_factors(b: BeliefVector) -> np.ndarray:
 
 def kg_allocate(b: BeliefVector) -> int:
     """Allocate to the alternative with the largest expected improvement."""
-    return _decide_row(POLICIES["kg"], b)
+    return int(decide(POLICIES["kg"], b, 0))
 
 
 def ocba_ratios(means: Sequence[float], stds: Sequence[float]) -> RatioVector:
@@ -668,7 +641,9 @@ def ocba_most_starving_allocate(b: BeliefVector) -> int:
     Plug-in statistics are frequentist: sample means (so every belief needs
     at least one observation) and the beliefs' sampling variances.
     """
-    return _decide_row(POLICIES["ocba"], b, b.sample_means[None])
+    if b.sample_means is None:
+        raise ValueError("sample mean undefined with no observations")
+    return int(decide(POLICIES["ocba"], b, 0))
 
 
 def ea_allocate(t: int, k: int) -> int:
@@ -681,10 +656,6 @@ def ea_allocate(t: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Asymptotically optimal sampling ratios.
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_rate(gap: float, svar_best: float, svar_other: float, r_best: float, r_other: float) -> float:
-    return gap**2 / (svar_other / r_other + svar_best / r_best)
 
 
 def optimal_ratios(
@@ -707,8 +678,7 @@ def optimal_ratios(
     solution is unique, so any interior start converges to the same point.
     Returns the ratio vector and the number of outer iterations.
     """
-    means = np.asarray(truth.means, dtype=float)
-    svars = np.asarray(truth.variances, dtype=float)
+    means, svars = truth.means, truth.variances
     if np.any(svars <= 0):
         raise ValueError("optimal ratios require strictly positive variances")
     k = len(means)
@@ -771,19 +741,10 @@ def ratio_residuals(truth: GroundTruth, ratios: RatioVector) -> tuple[float, flo
     Returns (largest spread among challenger rate terms, defect of the
     incumbent-ratio equation).
     """
-    means = np.asarray(truth.means, dtype=float)
-    svars = np.asarray(truth.variances, dtype=float)
-    k = len(means)
-    order = np.lexsort((np.arange(k), -means))
-    best = int(order[0])
-    others = order[1:]
-    r = ratios.ratios
-    rates = np.array(
-        [
-            _pairwise_rate(means[best] - means[i], svars[best], svars[i], r[best], r[i])
-            for i in others
-        ]
-    )
+    means, svars, r = truth.means, truth.variances, ratios.ratios
+    order = np.lexsort((np.arange(len(means)), -means))
+    best, others = int(order[0]), order[1:]
+    rates = (means[best] - means[others]) ** 2 / (svars[others] / r[others] + svars[best] / r[best])
     spread = float(rates.max() - rates.min()) if len(rates) > 1 else 0.0
     target = math.sqrt(svars[best]) * math.sqrt(float((r[others] ** 2 / svars[others]).sum()))
     return spread, abs(float(r[best]) - target)

@@ -8,9 +8,11 @@ seeds, so every number here is reproducible bit for bit.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,11 @@ from ranksel.experiment import builtin_scenario, estimate_ipcs, replication_feat
     run_fixed_truths
 from ranksel.policies import optimal_ratios, ratio_residuals
 from ranksel.vfa import SaConfig, VfaWeights, gmcl_fit, linear_lsq_oracle, sa_fit_frozen
+
+# Child interpreters import ranksel from this checkout, installed or not.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                os.environ.get("PYTHONPATH")) if p))
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -339,7 +346,7 @@ class TestAcceptance:
             res = subprocess.run(
                 [sys.executable, "-m", "ranksel.cli", "run-experiment",
                  "--config", str(cpath), "--out", str(out), "--workers", workers],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=SRC_ENV,
             )
             assert res.returncode == 0, res.stderr
             outputs.append(out.read_bytes())

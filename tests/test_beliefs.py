@@ -16,6 +16,7 @@ from ranksel.beliefs import (
     normal_batch_posterior,
     normal_predictive,
     normal_update,
+    posterior_arrays,
     sample_ground_truth,
     sample_observation,
 )
@@ -111,6 +112,28 @@ class TestBatchPosterior:
         b = normal_batch_posterior(0.0, 1.0, 1.0, 3, 1.0)
         assert b.post_mean == pytest.approx(0.75, rel=RTOL)
         assert b.post_var == pytest.approx(0.25, rel=RTOL)
+
+    def test_zero_prior_variance_pins_prior_mean(self):
+        b = normal_batch_posterior(0.0, 0.0, 1.0, 3, 1.0)
+        assert (b.post_mean, b.post_var, b.count, b.sum_obs) == (0.0, 0.0, 3, 3.0)
+
+    def test_matches_array_core_bitwise(self):
+        """The scalar posterior is the engine's array core, row by row."""
+        rng = np.random.default_rng(8)
+        m = 500
+        prior_means = rng.normal(size=m)
+        prior_vars = np.where(rng.random(m) < 0.1, np.inf, rng.uniform(0.01, 5, size=m))
+        prior_vars[:10] = 0.0
+        svars = rng.uniform(0.1, 5, size=m)
+        counts = rng.integers(1, 50, size=m)
+        sample_means = rng.normal(size=m)
+        post_mean, post_var = posterior_arrays(
+            prior_means, prior_vars, counts.astype(float), counts * sample_means, svars)
+        for i in range(m):
+            b = normal_batch_posterior(float(prior_means[i]), float(prior_vars[i]),
+                                       float(svars[i]), int(counts[i]), float(sample_means[i]))
+            assert np.float64(b.post_mean).tobytes() == post_mean[i].tobytes()
+            assert np.float64(b.post_var).tobytes() == post_var[i].tobytes()
 
     def test_matches_sequential_fold(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+# Child interpreters import ranksel from this checkout, installed or not.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
 def run_cli(*args, **kwargs):
@@ -15,6 +19,7 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "ranksel.cli", *args],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
         **kwargs,
     )
 
@@ -122,6 +127,13 @@ class TestOptimalRatios:
     def test_tied_best_is_usage_error(self):
         res = run_cli("optimal-ratios", "--means", "1,1", "--stds", "1,1")
         assert res.returncode == 2
+
+    def test_negative_std_is_usage_error(self):
+        """A negative std must not be squared into a valid variance."""
+        res = run_cli("optimal-ratios", "--means", "1,0,-1", "--stds=-1,2,1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: --stds must be positive"]
 
 
 class TestStateSpaceSize:
@@ -357,6 +369,7 @@ class TestImport:
         """Only discretize_prior needs scipy.stats, so importing the package
         and the CLI must not load it (checked in a fresh interpreter)."""
         code = "import sys, ranksel, ranksel.cli; print('scipy.stats' in sys.modules)"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=SRC_ENV)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"

@@ -180,6 +180,16 @@ class TestEstimateIpcs:
         assert np.all(np.diff(curve.ipcs) >= -slack)
 
 
+def test_two_factor_zero_weight_on_infinite_gap_feature():
+    """Zero prior stds leave zero posterior variances, so the gap feature is
+    +inf on distinct means; a zero weight on it must not make the state
+    look degenerate."""
+    sc = Scenario(prior_means=(1, 0), prior_stds=(0, 0), sampling_stds=(1, 1), horizon=8,
+                  n0=2, variance_mode="known", macro_reps=16)
+    curve = estimate_ipcs(sc, "two_factor", VfaWeights(np.array([0.0, 1.0])))
+    assert np.all(curve.ipcs == 1.0)
+
+
 class TestEngineMatchesScalarPolicies:
     """Batched decisions must agree with the single-state policy functions."""
 
@@ -192,14 +202,14 @@ class TestEngineMatchesScalarPolicies:
         return BatchState(means, post_vars, svars, counts, sample_means)
 
     def _row_beliefs(self, state, r, use_sample_mean_sums=True):
-        k = state.post_means.shape[1]
+        k = state.means.shape[1]
         return pol.BeliefVector(
             tuple(
                 GaussianBelief(
-                    post_mean=float(state.post_means[r, i]),
+                    post_mean=float(state.means[r, i]),
                     post_var=float(state.post_vars[r, i]),
                     count=int(state.counts[r, i]),
-                    sampling_var=float(state.svars[r, i]),
+                    sampling_var=float(state.sampling_vars[r, i]),
                     sum_obs=float(state.sample_means[r, i] * state.counts[r, i]),
                 )
                 for i in range(k)
@@ -255,7 +265,7 @@ class TestEngineMatchesScalarPolicies:
         score; both paths must refuse it instead of picking alternative 0."""
         rng = np.random.default_rng(27)
         state = self._random_state(rng, n=6, k=3)
-        state.post_means[2] = [0.5, 0.5, -1.0]
+        state.means[2] = [0.5, 0.5, -1.0]
         state.post_vars[2] = 0.0
         w = VfaWeights(np.array([0.98, 0.42]))
         score_fn = make_policy(policy_id, w)

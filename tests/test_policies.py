@@ -11,12 +11,14 @@ from hypothesis.extra import numpy as hnp
 
 from ranksel.beliefs import GaussianBelief, GroundTruth
 from ranksel.policies import (
+    BatchState,
     BeliefVector,
     aoap_allocate,
     aoap_multistep,
     aoap_values,
     apply_activation,
     correlation_squared_min,
+    decide,
     distance_feature,
     distance_squared,
     ea_allocate,
@@ -25,6 +27,7 @@ from ranksel.policies import (
     induced_correlation,
     kg_allocate,
     kg_factors,
+    make_policy,
     ocba_most_starving_allocate,
     ocba_ratios,
     optimal_ratios,
@@ -100,7 +103,10 @@ def pairwise_correlation_squared_min(post_vars, is_b, v_b):
 
 
 def reference_two_factor_values(means, post_vars, sampling_vars, w1, w2, activation="linear"):
-    """Per-candidate loop: shrink one candidate's variance, recompute both features."""
+    """Per-candidate loop: shrink one candidate's variance, recompute both features.
+
+    A zero weight drops its feature, so 0 * inf never turns a score into NaN.
+    """
     b = np.argmax(means, axis=-1)
     is_b = b[..., None] == np.arange(means.shape[-1])
     new_vars = shrunk_variance(post_vars, sampling_vars)
@@ -111,7 +117,8 @@ def reference_two_factor_values(means, post_vars, sampling_vars, w1, w2, activat
         g1 = distance_squared(means, vars_c)
         v_b = np.take_along_axis(vars_c, b[..., None], -1)
         g2 = correlation_squared_min(vars_c, is_b, v_b)
-        cols.append(apply_activation(w1 * g1 + w2 * g2, activation))
+        weighted = (w1 * g1 if w1 else np.zeros_like(g1)) + (w2 * g2 if w2 else 0.0)
+        cols.append(apply_activation(weighted, activation))
     return np.stack(cols, axis=-1)
 
 
@@ -397,6 +404,32 @@ class TestTwoFactor:
             w_exp = VfaWeights(np.array([0.7, 0.9]), activation="expm")
             assert two_factor_allocate(b, w_lin) == two_factor_allocate(b, w_exp)
 
+    def test_zero_weight_drops_infinite_feature(self):
+        """With zero variances the gap feature is +inf; a zero weight on it
+        must drop it rather than turn the score into 0 * inf = NaN."""
+        b = belief_vector([1.0, 0.0], [0.0, 0.0])
+        w = VfaWeights(np.array([0.0, 1.0]))
+        assert features(b) == (math.inf, 0.0)
+        assert two_factor_value(b, w) == 0.0
+        vals = two_factor_candidate_values(b.means, b.post_vars, b.sampling_vars, 0.0, 1.0)
+        assert vals.tolist() == [0.0, 0.0]
+        assert two_factor_allocate(b, w) == 0
+
+    def test_zero_weight_keeps_finite_scores_bitwise(self):
+        """Dropping a zero-weight feature adds +0.0 instead of 0 * g, which is
+        exact wherever the plain weighted sum w1 * g1 + w2 * g2 is finite."""
+        rng = np.random.default_rng(16)
+        state = lookahead_batch(rng, 400, 4)
+        g1 = reference_two_factor_values(*state, 1.0, 0.0)
+        g2 = reference_two_factor_values(*state, 0.0, 1.0)
+        for w1, w2 in ((0.0, 0.42), (0.98, 0.0)):
+            got = two_factor_candidate_values(*state, w1, w2)
+            with np.errstate(invalid="ignore"):
+                plain = w1 * g1 + w2 * g2
+            finite = np.isfinite(plain)
+            assert finite.mean() > 0.9
+            assert got[finite].tobytes() == plain[finite].tobytes()
+
     def test_value_at_state(self):
         b = belief_vector([1.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         w = VfaWeights(np.array([2.0, 4.0]))
@@ -449,7 +482,7 @@ class TestTwoFactor:
                                          | st.floats(0.0, 4.0)))
         sampling_vars = data.draw(hnp.arrays(float, shape, elements=st.floats(0.1, 4.0)))
         args = (means, post_vars, sampling_vars, w[0], w[1], activation)
-        # Subnormal variances overflow 1/v; a zero weight times an infinite gap is NaN.
+        # Subnormal variances overflow 1/v.
         with np.errstate(over="ignore", invalid="ignore"):
             assert same_bits(two_factor_candidate_values(*args), reference_two_factor_values(*args))
 
@@ -528,6 +561,13 @@ class TestOcba:
         b = belief_vector([1.0, 0.0, 0.0], [0.5] * 3, counts=[9, 1, 1])
         assert ocba_most_starving_allocate(b) in (1, 2)
 
+    def test_unobserved_alternative_rejected(self):
+        """Plug-in sample means need at least one observation each."""
+        b = belief_vector([1.0, 0.0, 0.0], [0.5] * 3, counts=[3, 0, 2])
+        assert b.sample_means is None
+        with pytest.raises(ValueError, match="sample mean undefined"):
+            ocba_most_starving_allocate(b)
+
 
 class TestKnowledgeGradient:
     def test_identical_beliefs_tie_to_first(self):
@@ -574,3 +614,24 @@ class TestEqualAllocation:
         for t in range(k * m):
             counts[ea_allocate(t, k)] += 1
         assert np.all(counts == m)
+
+
+class TestSingleStateIsOneRow:
+    """A ``(k,)`` belief state decides exactly as row 0 of the same state as
+    a ``(1, k)`` batch, so the belief-level functions need no batch wrapper."""
+
+    @pytest.mark.parametrize("policy_id", ["ea", "aoap", "ocba", "kg", "two_factor", "aoap_ms2"])
+    def test_decide_matches_one_row_batch(self, policy_id):
+        rng = np.random.default_rng(31)
+        n, k = 200, 4
+        means, post_vars, sampling_vars = lookahead_batch(rng, n, k)
+        keep = ~np.isnan(two_factor_candidate_values(
+            means, post_vars, sampling_vars, 0.98, 0.42)).any(axis=1)
+        counts = rng.integers(1, 4, size=(n, k)).astype(float)
+        arrays = [a[keep] for a in (means, post_vars, sampling_vars, counts, means - 0.1)]
+        score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42])))
+        for r in range(len(arrays[0])):
+            single = BatchState(*(a[r] for a in arrays))
+            batch = BatchState(*(a[r:r + 1] for a in arrays))
+            assert score_fn(single, r).tobytes() == score_fn(batch, r)[0].tobytes()
+            assert decide(score_fn, single, r) == decide(score_fn, batch, r)[0]
