@@ -7,14 +7,17 @@ max-posterior-mean selection matches the true best alternative.  Summing
 the correct selections per step over independently seeded replications
 estimates, per step, the unconditional probability of correct selection.
 
-One engine (``_engine``) does the simulating.  Replications are rows of a
-batch: every per-step quantity is an ``(n, k)`` array, and the policy, a
-score function from the registry in :mod:`ranksel.policies`, decides a
-whole batch at once.  Fixed-truth runs (``run_fixed_truths``) use the same
-engine with given truths, a flat prior and known variances.  Each row's
-randomness comes from its own generator keyed by ``(master_seed,
-namespace, index)``, so results are independent of batch boundaries and
-worker counts, and any single replication can be reproduced in isolation.
+One engine (``_engine``) does the simulating.  Replications are the rows
+of a batch, held alternative-major: every per-alternative quantity is a
+C-ordered ``(k, n)`` array with one column per row, the layout of
+:mod:`ranksel.policies`, whose score function decides a whole batch at
+once.  A step samples one alternative per row, so it updates one entry
+per column: O(n) work outside the policy, not O(n k).  Fixed-truth runs
+(``run_fixed_truths``) use the same engine with given truths, a flat prior
+and known variances.  Each row's randomness comes from its own generator
+keyed by ``(master_seed, namespace, index)``, so results are independent
+of batch boundaries and worker counts, and any single replication can be
+reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -194,38 +197,55 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
             variance_mode, n0, horizon):
     """Yield the batch state after the round-robin warmup and after every later step.
 
-    Row r's observation at step t of alternative a is ``true_means[r, a] +
-    true_sds[r, a] * noise[r, t]``; the policy's score function picks a per
+    Arrays are alternative-major, ``(k, n)`` with one column per row.  Row
+    r's observation at step t of alternative a is ``true_means[a, r] +
+    true_sds[a, r] * noise[r, t]``; the policy's score function picks a per
     row through ``policies.decide``.  The caller passes ``true_vars`` as
     well as ``true_sds`` because ``sqrt(v)**2`` need not equal ``v``
-    bitwise.  Infinite prior variance is a flat prior.  A yielded state's
-    ``counts`` array is updated in place by later steps.
+    bitwise.  Infinite prior variance is a flat prior.  A step changes one
+    entry per row, so only that entry's statistics, plug-in variance and
+    posterior are recomputed, by the same formulas on gathered ``(n,)``
+    vectors: the bits of a full recompute.  The one state yielded is
+    updated in place by later steps.
     """
-    n, k = true_means.shape
-    rows = np.arange(n)
-    counts = np.zeros((n, k))
-    sums = np.zeros((n, k))
-    sumsqs = None if variance_mode == "known" else np.zeros((n, k))
-
-    def observe(alt, t):
-        obs = true_means[rows, alt] + true_sds[rows, alt] * noise[:, t]
-        counts[rows, alt] += 1.0
-        sums[rows, alt] += obs
-        if sumsqs is not None:
-            sumsqs[rows, alt] += obs**2
-
+    k, n = true_means.shape
+    counts, sums = np.zeros((k, n)), np.zeros((k, n))
+    sumsqs = None if variance_mode == "known" else np.zeros((k, n))
     warmup = k * n0
     for t in range(warmup):
-        observe(np.full(n, t % k, dtype=int), t)
+        a = t % k
+        obs = true_means[a] + true_sds[a] * noise[:, t]
+        counts[a] += 1.0
+        sums[a] += obs
+        if sumsqs is not None:
+            sumsqs[a] += obs**2
     svars = true_vars if sumsqs is None else sample_variances(counts, sums, sumsqs)
+    means, post_vars = posterior_arrays(prior_means[:, None], prior_vars[:, None], counts, sums,
+                                        svars)
+    state = pol.BatchState(means, post_vars, svars, counts, sums / counts)
+    cols = np.arange(n)
+
+    def put(arr, value):
+        arr.reshape(-1)[at] = value
+        return value
+
     for t in range(warmup, horizon + 1):
-        if variance_mode == "plugin_refresh" and t > warmup:
-            svars = sample_variances(counts, sums, sumsqs)
-        post_mean, post_var = posterior_arrays(prior_means, prior_vars, counts, sums, svars)
-        state = pol.BatchState(post_mean, post_var, svars, counts, sums / counts)
         yield state
-        if t < horizon:
-            observe(pol.decide(score_fn, state, t), t)
+        if t == horizon:
+            break
+        alt = pol.decide(score_fn, state, t)
+        at = alt * n + cols
+        obs = true_means.take(at) + true_sds[alt, cols] * noise[:, t]  # sds may be broadcast
+        c = put(counts, counts.take(at) + 1.0)
+        s = put(sums, sums.take(at) + obs)
+        if variance_mode == "plugin_refresh":
+            sv = put(svars, sample_variances(c, s, put(sumsqs, sumsqs.take(at) + obs**2)))
+        else:
+            sv = svars.take(at)
+        m, v = posterior_arrays(prior_means.take(alt), prior_vars.take(alt), c, s, sv)
+        put(means, m)
+        put(post_vars, v)
+        put(state.sample_means, s / c)
 
 
 def _last(states):
@@ -246,18 +266,18 @@ def _replications(scenario: Scenario, score_fn, indices, master_seed=None, names
 
     prior_means = np.array(scenario.prior_means)
     prior_vars = np.array(scenario.prior_stds) ** 2
-    sds = np.broadcast_to(np.array(scenario.sampling_stds), (n, k))
-    truth = prior_means + np.sqrt(prior_vars) * z[:, :k]
+    sds = np.broadcast_to(np.array(scenario.sampling_stds)[:, None], (k, n))
+    truth = np.ascontiguousarray((prior_means + np.sqrt(prior_vars) * z[:, :k]).T)
     states = _engine(score_fn, truth, sds, sds**2, z[:, k:], prior_means, prior_vars,
                      scenario.variance_mode, scenario.n0, horizon)
-    return np.argmax(truth, axis=1), states
+    return pol._argmax(truth), states
 
 
 def _correct_counts(scenario: Scenario, score_fn, indices) -> np.ndarray:
     """Number of replications in the batch selecting correctly, per recorded step."""
     true_best, states = _replications(scenario, score_fn, indices)
     return np.array([
-        np.count_nonzero(np.argmax(state.means, axis=1) == true_best) for state in states
+        np.count_nonzero(pol._argmax(state.means) == true_best) for state in states
     ])
 
 
@@ -317,7 +337,7 @@ def replication_features(
     true_best, states = _replications(scenario, score_fn, indices, master_seed, namespace)
     final = _last(states)
     g1, g2 = pol.state_features(final.means, final.post_vars)
-    correct = np.argmax(final.means, axis=1) == true_best
+    correct = pol._argmax(final.means) == true_best
     return np.column_stack([g1, g2]), correct.astype(float)
 
 
@@ -344,19 +364,19 @@ def run_fixed_truths(
     the terminal selection.  ``steps`` counts post-initialization samples.
     """
     score_fn = pol.make_policy(policy_id, weights)
-    means = np.stack([t.means for t in truths])
-    svars = np.stack([t.variances for t in truths])
+    means = np.stack([t.means for t in truths], axis=1)
+    svars = np.stack([t.variances for t in truths], axis=1)
     if np.any(svars <= 0):
         raise ValueError("fixed-truth runs require strictly positive variances")
-    n, k = means.shape
+    k, n = means.shape
     horizon = n_init * k + steps
     noise = np.stack([_row_normals(seed, 2, r, horizon) for r in range(n)])
     final = _last(_engine(score_fn, means, np.sqrt(svars), svars, noise, np.zeros(k),
                           np.full(k, np.inf), "known", n_init, horizon))
     return FixedTruthRun(
-        counts=final.counts,
-        post_means=final.means,
-        selections=np.argmax(final.means, axis=1),
+        counts=final.counts.T.copy(),
+        post_means=final.means.T.copy(),
+        selections=pol._argmax(final.means),
     )
 
 

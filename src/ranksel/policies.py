@@ -4,9 +4,12 @@ Conventions shared by every operation here:
 
 - Alternatives are 0-indexed.  The "incumbent" is the alternative with
   the largest posterior mean, lowest index on ties.
-- Numeric cores accept arrays of shape ``(..., k)`` and broadcast over
-  leading axes, so one implementation serves both single belief states
-  and batches of simulated states.
+- Arrays are alternative-major: numeric cores take ``(k, ...)`` arrays,
+  alternatives on axis 0, and broadcast over the trailing axes.  A
+  ``(k,)`` array is one belief state; the simulation engine passes
+  C-ordered ``(k, n)`` batches, one column per state, so every max, min
+  and sum over alternatives runs along contiguous rows.  Sums over
+  alternatives keep the order NumPy uses along a contiguous last axis.
 - Allocation tie-breaking is always: highest value, then fewest samples,
   then lowest index.
 
@@ -21,14 +24,13 @@ feature after shrinking the candidate's posterior variance as one more
 observation would (the observation itself is replaced by its predictive
 mean, which leaves every posterior mean unchanged).
 
-There is one belief-state type, ``BatchState``, holding ``(..., k)``
-arrays: the simulation engine passes ``(n, k)`` batches, and a
-``BeliefVector`` is a ``BatchState`` with ``(k,)`` arrays built from
-per-alternative ``GaussianBelief``s.  Each allocation policy is defined
-once, as a score function ``score(state, t) -> (..., k)``; ``POLICIES``
-maps policy ids to them and ``make_policy`` resolves an id.  ``decide``
-turns scores into the sampled alternative of every row, and the
-belief-level ``*_allocate`` functions are ``decide`` on one state.
+There is one belief-state type, ``BatchState``, holding ``(k, ...)``
+arrays; a ``BeliefVector`` is a ``BatchState`` with ``(k,)`` arrays built
+from per-alternative ``GaussianBelief``s.  Each allocation policy is
+defined once, as a score function ``score(state, t) -> (k, ...)``;
+``POLICIES`` maps policy ids to them and ``make_policy`` resolves an id.
+``decide`` turns scores into the sampled alternative of every state, and
+the belief-level ``*_allocate`` functions are ``decide`` on one state.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BatchState:
-    """Belief states as ``(..., k)`` arrays: one row per replication, or one state.
+    """Belief states as ``(k, ...)`` arrays: one column per replication, or one state.
 
     ``sample_means`` is None when some alternative has no observations.
     """
@@ -146,8 +148,65 @@ class RatioVector:
 
 
 # ---------------------------------------------------------------------------
-# Array cores.  All take (..., k)-shaped arrays and broadcast over rows.
+# Array cores.  All take (k, ...) arrays of one shape, alternatives on axis
+# 0, and broadcast over the trailing axes: (k,) is one belief state, a
+# C-ordered (k, n) batch reduces over alternatives along contiguous rows.
+# A per-state alternative index (the incumbent, say) travels as the flat
+# offsets of its entries (``_offsets``).
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _ranks(k: int, ndim: int) -> np.ndarray:
+    """k, k-1, ..., 1 in the smallest unsigned type, shaped (k, 1, ..., 1)."""
+    out = np.arange(k, 0, -1, dtype=np.min_scalar_type(k)).reshape((k,) + (1,) * (ndim - 1))
+    out.setflags(write=False)
+    return out
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Lowest index at which ``mask`` holds, per state (k if never), as a max over
+    axis 0: ``np.argmax`` copies into an alternative-last layout first."""
+    k = mask.shape[0]
+    return np.subtract(k, (mask.view(np.uint8) * _ranks(k, mask.ndim)).max(axis=0), dtype=np.intp)
+
+
+def _index_of(x: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """First index at which ``x`` equals its max or min ``value``; a NaN comes first, as in argmax."""
+    mask = x == value
+    if np.isnan(value).any():
+        mask |= np.isnan(x)
+    return _first(mask)
+
+
+def _argmax(x: np.ndarray) -> np.ndarray:
+    return _index_of(x, x.max(axis=0))
+
+
+def _offsets(b: np.ndarray) -> np.ndarray:
+    """Flat offsets of the entries ``x[b[j], j]`` of a C-ordered ``(k, *b.shape)`` array
+    ``x``: ``x.take`` gathers them and ``x.reshape(-1)[offsets] = ...`` scatters."""
+    return b * b.size + np.arange(b.size).reshape(b.shape)
+
+
+def _sum_alternatives(x: np.ndarray) -> np.ndarray:
+    """Sum over alternatives in NumPy's order for a contiguous axis, not axis 0's left to
+    right: under 8 terms left to right; up to 128, 8 interleaved partial sums combined
+    pairwise, then the rest left to right; beyond, the two halves apart."""
+    k = x.shape[0]
+    if k < 8:
+        return x.sum(axis=0)
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _sum_alternatives(x[:half]) + _sum_alternatives(x[half:])
+    acc = x[:8].copy()
+    for i in range(8, k - k % 8, 8):
+        acc += x[i:i + 8]
+    acc = acc[0::2] + acc[1::2]
+    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for row in x[k - k % 8:]:
+        total += row
+    return total + 0.0  # NumPy starts from +0.0, so an all -0.0 sum is +0.0
 
 
 def shrunk_variance(post_vars: np.ndarray, sampling_vars: np.ndarray, n: float = 1.0) -> np.ndarray:
@@ -156,35 +215,40 @@ def shrunk_variance(post_vars: np.ndarray, sampling_vars: np.ndarray, n: float =
         return 1.0 / (1.0 / post_vars + n / sampling_vars)
 
 
-def _incumbent_geometry(means: np.ndarray, post_vars: np.ndarray):
-    """Incumbent index, membership mask, gaps to incumbent, incumbent variance."""
-    b = np.argmax(means, axis=-1)
-    k = means.shape[-1]
-    is_b = b[..., None] == np.arange(k)
-    mean_b = np.take_along_axis(means, b[..., None], -1)
-    v_b = np.take_along_axis(post_vars, b[..., None], -1)
-    gaps = mean_b - means
-    return b, is_b, gaps, v_b
+def _incumbent_geometry(means: np.ndarray):
+    """Offsets of the incumbent and the gaps to it.  Subtracting from the maximum,
+    not the incumbent's entry, can flip only a zero gap's sign, which no caller sees."""
+    top = means.max(axis=0)
+    return _offsets(_index_of(means, top)), top - means
+
+
+def _gap_terms(at_b, sq, v_b, post_vars) -> np.ndarray:
+    """``sq / (v_b + post_vars)``, inf at the incumbent; under errstate(divide, invalid)."""
+    terms = np.add(post_vars, v_b)
+    np.divide(sq, terms, out=terms)
+    terms.reshape(-1)[at_b] = np.inf
+    return terms
 
 
 def distance_squared(means: np.ndarray, post_vars: np.ndarray) -> np.ndarray:
     """Minimum squared normalized gap between the incumbent and any challenger."""
-    _, is_b, gaps, v_b = _incumbent_geometry(means, post_vars)
+    at_b, gaps = _incumbent_geometry(means)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = gaps**2 / (v_b + post_vars)
-    terms = np.where(is_b, np.inf, terms)
-    return terms.min(axis=-1)
+        return _gap_terms(at_b, np.square(gaps, out=gaps), post_vars.take(at_b),
+                          post_vars).min(axis=0)
 
 
-def _challenger_top3(post_vars: np.ndarray, is_b: np.ndarray):
-    """Challenger variances (-inf at the incumbent) and their three largest values.
-
-    The values ``(v1, v2, v3)``, each of shape ``(..., 1)``, count ties
-    with multiplicity; ``v3`` is -inf when there are only two challengers.
-    """
-    challengers = np.where(is_b, -np.inf, post_vars)
-    top = np.sort(challengers, axis=-1)
-    return challengers, top[..., -1:], top[..., -2:-1], top[..., -3:-2]
+def _challenger_top3(post_vars: np.ndarray, at_b: np.ndarray):
+    """Challenger variances (-inf at the incumbent) and their three largest values,
+    ``(v1, v2, v3)``, ties counted with multiplicity; ``v3`` is -inf for two challengers."""
+    challengers = np.array(post_vars, dtype=float)
+    challengers.reshape(-1)[at_b] = -np.inf
+    rest = challengers.copy()
+    v1 = rest.max(axis=0)
+    rest.reshape(-1)[_offsets(_index_of(rest, v1))] = -np.inf
+    v2 = rest.max(axis=0)
+    rest.reshape(-1)[_offsets(_index_of(rest, v2))] = -np.inf
+    return challengers, v1, v2, rest.max(axis=0)
 
 
 def _correlation_squared(v_b: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -201,36 +265,40 @@ def correlation_squared_min(post_vars: np.ndarray, is_b: np.ndarray, v_b: np.nda
     challenger variances.  Returns 0 when there are fewer than two
     challengers (k = 2), by convention.
     """
-    if post_vars.shape[-1] == 2:
-        return np.zeros(np.broadcast_shapes(post_vars.shape[:-1], v_b.shape[:-1]))
-    _, v1, v2, _ = _challenger_top3(post_vars, is_b)
-    return _correlation_squared(v_b, v1, v2)[..., 0]
+    if post_vars.shape[0] == 2:
+        return np.zeros(np.shape(v_b))
+    _, v1, v2, _ = _challenger_top3(post_vars, _offsets(_first(is_b)))
+    return _correlation_squared(v_b, v1, v2)
 
 
 def state_features(means: np.ndarray, post_vars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-gap and squared-correlation features of ``(..., k)`` belief states."""
-    _, is_b, _, v_b = _incumbent_geometry(means, post_vars)
-    return distance_squared(means, post_vars), correlation_squared_min(post_vars, is_b, v_b)
+    """Squared-gap and squared-correlation features of ``(k, ...)`` belief states."""
+    at_b, _ = _incumbent_geometry(means)
+    is_b = np.zeros(means.shape, dtype=bool)
+    is_b.reshape(-1)[at_b] = True
+    return (distance_squared(means, post_vars),
+            correlation_squared_min(post_vars, is_b, post_vars.take(at_b)))
 
 
-def _gap_lookahead(b, is_b, gaps, v_b, post_vars, new_vars) -> np.ndarray:
-    """Squared-gap feature after shrinking each candidate's variance to ``new_vars``."""
+def _gap_lookahead(at_b, sq, v_b, post_vars, new_vars) -> np.ndarray:
+    """Squared-gap feature after shrinking each candidate's variance to ``new_vars``;
+    ``sq`` holds the squared gaps to the incumbent, whose variance is ``v_b``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(is_b, np.inf, gaps**2 / (v_b + post_vars))
-        m1 = base.min(axis=-1, keepdims=True)
-        a1 = base.argmin(axis=-1)[..., None]
-        np.put_along_axis(base, a1, np.inf, axis=-1)
-        m2 = base.min(axis=-1, keepdims=True)
-
+        base = _gap_terms(at_b, sq, v_b, post_vars)
+        m1 = base.min(axis=0)
+        at_a1 = _offsets(_index_of(base, m1))
+        base.reshape(-1)[at_a1] = np.inf
+        m2 = base.min(axis=0)
+        # Candidate = challenger j: only j's own term changes, and the least
+        # other term is m1, or m2 for the minimizer a1 itself.
+        out = np.add(new_vars, v_b)
+        np.divide(sq, out, out=out)
+        own_a1 = out.take(at_a1)
+        np.minimum(out, m1, out=out)
+        out.reshape(-1)[at_a1] = np.minimum(own_a1, m2)
         # Candidate = incumbent: all gap terms see the shrunk incumbent variance.
-        newv_b = np.take_along_axis(new_vars, b[..., None], -1)
-        incumbent_val = np.where(is_b, np.inf, gaps**2 / (newv_b + post_vars)).min(
-            axis=-1, keepdims=True)
-
-        # Candidate = challenger j: only j's own term changes.
-        own = gaps**2 / (v_b + new_vars)
-        others_min = np.where(a1 == np.arange(gaps.shape[-1]), m2, m1)
-        return np.where(is_b, incumbent_val, np.minimum(own, others_min))
+        out.reshape(-1)[at_b] = _gap_terms(at_b, sq, new_vars.take(at_b), post_vars).min(axis=0)
+    return out
 
 
 def aoap_candidate_values(
@@ -242,15 +310,16 @@ def aoap_candidate_values(
     term; sampling a challenger shrinks only that challenger's own term.
     Every candidate value is at least the current minimum squared gap.
     """
-    b, is_b, gaps, v_b = _incumbent_geometry(means, post_vars)
-    return _gap_lookahead(b, is_b, gaps, v_b, post_vars, shrunk_variance(post_vars, sampling_vars))
+    at_b, gaps = _incumbent_geometry(means)
+    return _gap_lookahead(at_b, np.square(gaps, out=gaps), post_vars.take(at_b), post_vars,
+                          shrunk_variance(post_vars, sampling_vars))
 
 
 @functools.lru_cache(maxsize=None)
 def _multisets(k: int, size: int) -> np.ndarray:
-    """Count vectors of every multiset of ``size`` alternatives, as an (M, k) matrix."""
+    """Count vectors of every multiset of ``size`` alternatives, as a (k, M) matrix."""
     combos = itertools.combinations_with_replacement(range(k), size)
-    out = np.array([np.bincount(c, minlength=k) for c in combos])
+    out = np.array([np.bincount(c, minlength=k) for c in combos]).T.copy()
     out.setflags(write=False)
     return out
 
@@ -268,20 +337,22 @@ def aoap_multistep_values(
     sampling sequence affects the final state only through how many times
     each alternative is sampled.  The value of sampling ``i`` first is the
     largest squared-gap feature over the multisets of size ``depth`` that
-    contain ``i``.  Depth 1 is ``aoap_candidate_values``.
+    contain ``i``; ``cap`` bounds the number of multisets scored,
+    C(k + depth - 1, depth).  Depth 1 is ``aoap_candidate_values``.
     """
-    k = means.shape[-1]
+    k = means.shape[0]
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if k**depth > cap:
-        raise RuntimeError(f"look-ahead tree k^depth = {k**depth} exceeds cap {cap}")
+    size = math.comb(k + depth - 1, depth)
+    if size > cap:
+        raise RuntimeError(f"look-ahead tree of {size} multisets exceeds cap {cap}")
     if depth == 1:
         return aoap_candidate_values(means, post_vars, sampling_vars)
-    extra = _multisets(k, depth)
-    vars_new = shrunk_variance(post_vars[..., None, :], sampling_vars[..., None, :], extra)
-    vars_new = np.where(extra > 0, vars_new, post_vars[..., None, :])
-    vals = distance_squared(means[..., None, :], vars_new)
-    return np.where(extra > 0, vals[..., None], -np.inf).max(axis=-2)
+    extra = _multisets(k, depth).reshape((k, size) + (1,) * (means.ndim - 1))
+    vars_new = shrunk_variance(post_vars[:, None], sampling_vars[:, None], extra)
+    vars_new = np.where(extra > 0, vars_new, post_vars[:, None])
+    vals = distance_squared(np.broadcast_to(means[:, None], vars_new.shape), vars_new)
+    return np.where(extra > 0, vals, -np.inf).max(axis=1)
 
 
 def two_factor_candidate_values(
@@ -303,24 +374,35 @@ def two_factor_candidate_values(
     largest challenger variances, so sampling challenger j moves it only
     when j holds one of them, and the three largest values suffice.
     """
-    b, is_b, gaps, v_b = _incumbent_geometry(means, post_vars)
+    at_b, gaps = _incumbent_geometry(means)
+    v_b = post_vars.take(at_b)
     new_vars = shrunk_variance(post_vars, sampling_vars)
-    g1 = _gap_lookahead(b, is_b, gaps, v_b, post_vars, new_vars)
-    if means.shape[-1] == 2:
-        g2 = np.zeros(g1.shape)
-    else:
-        challengers, v1, v2, v3 = _challenger_top3(post_vars, is_b)
-        # The two largest variances of the other challengers once j's own
-        # leaves: (v2, v3) if j's is the largest, (v1, v3) if it is the
-        # second largest, else (v1, v2).  Comparing values rather than
-        # indices is exact under ties: a tied value leaves the same pair behind.
-        hi = np.where(challengers >= v1, v2, v1)
-        lo = np.where(challengers >= v2, v3, v2)
-        shrunk_challenger = _correlation_squared(
-            v_b, np.maximum(hi, new_vars), np.maximum(lo, np.minimum(hi, new_vars)))
-        newv_b = np.take_along_axis(new_vars, b[..., None], -1)
-        g2 = np.where(is_b, _correlation_squared(newv_b, v1, v2), shrunk_challenger)
-    return _two_factor_score(g1, g2, w1, w2, activation)
+    g1 = _gap_lookahead(at_b, np.square(gaps, out=gaps), v_b, post_vars, new_vars)
+    del gaps
+    if means.shape[0] == 2:
+        return _two_factor_score(g1, np.zeros(g1.shape), w1, w2, activation)
+    challengers, v1, v2, v3 = _challenger_top3(post_vars, at_b)
+    # The two largest variances of the other challengers once j's own
+    # leaves: (v2, v3) if j's is the largest, (v1, v3) if it is the
+    # second largest, else (v1, v2).  Comparing values rather than
+    # indices is exact under ties: a tied value leaves the same pair behind.
+    hi = np.where(challengers >= v1, v2, v1)
+    lo = np.where(challengers >= v2, v3, v2)
+    del challengers
+    # Shrinking j's variance to new_vars puts it back among them: the pair
+    # becomes (max(hi, new), max(lo, min(hi, new))), and hi then holds
+    # v_b^2 / ((v_b + hi)(v_b + lo)), the correlation feature.
+    np.maximum(lo, np.minimum(hi, new_vars), out=lo)
+    np.maximum(hi, new_vars, out=hi)
+    hi += v_b
+    lo += v_b
+    hi *= lo
+    del lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(v_b**2, hi, out=hi)
+    np.copyto(hi, 0.0, where=v_b == 0.0)
+    hi.reshape(-1)[at_b] = _correlation_squared(new_vars.take(at_b), v1, v2)
+    return _two_factor_score(g1, hi, w1, w2, activation)
 
 
 def kg_candidate_values(
@@ -333,18 +415,23 @@ def kg_candidate_values(
     s_i = sqrt(var_i - var_i'); the expected improvement has the usual
     closed form s * (z * Phi(z) + phi(z)) at z = -|gap to best other| / s.
     """
-    new_vars = shrunk_variance(post_vars, sampling_vars)
-    s = np.sqrt(np.maximum(post_vars - new_vars, 0.0))
-    k = means.shape[-1]
-    a1 = means.argmax(axis=-1)
-    m1 = means.max(axis=-1)
-    masked = np.array(means, copy=True, dtype=float)
-    np.put_along_axis(masked, a1[..., None], -np.inf, axis=-1)
-    m2 = masked.max(axis=-1)
-    best_other = np.where(a1[..., None] == np.arange(k), m2[..., None], m1[..., None])
+    s = post_vars - shrunk_variance(post_vars, sampling_vars)
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    m1 = means.max(axis=0)
+    at_a1 = _offsets(_index_of(means, m1))
+    # The best other mean is m1, except for a1 itself: the runner-up.
+    runner_up = np.array(means, dtype=float)
+    runner_up.reshape(-1)[at_a1] = -np.inf
+    z = means - m1
+    z.reshape(-1)[at_a1] = means.take(at_a1) - runner_up.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = -np.abs(means - best_other) / s
-        nu = s * (z * ndtr(z) + np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi))
+        np.divide(np.negative(np.abs(z, out=z), out=z), s, out=z)
+        nu = ndtr(z)
+        nu *= z
+        np.square(z, out=z)
+        z *= -0.5
+        nu += np.exp(z, out=z) / math.sqrt(2.0 * math.pi)
+        nu *= s
     return np.where(s > 0.0, nu, 0.0)
 
 
@@ -356,17 +443,15 @@ def ocba_ratio_core(means: np.ndarray, sampling_vars: np.ndarray) -> tuple[np.nd
     Zero gaps are floored at machine-epsilon scale; the second return
     value reports whether the floor was hit.
     """
-    b, is_b, gaps, _ = _incumbent_geometry(means, sampling_vars)
-    mean_b = np.take_along_axis(means, b[..., None], -1)
-    floor = np.finfo(float).eps * np.maximum(np.abs(mean_b), 1.0)
-    guarded = bool(np.any((gaps <= floor) & ~is_b))
-    safe_gaps = np.maximum(gaps, floor)
-    raw = sampling_vars / safe_gaps**2
-    raw = np.where(is_b, 0.0, raw)
-    sigma_b = np.sqrt(np.take_along_axis(sampling_vars, b[..., None], -1))[..., 0]
-    r_b = sigma_b * np.sqrt((raw**2 / sampling_vars).sum(axis=-1))
-    raw = np.where(is_b, r_b[..., None], raw)
-    return raw / raw.sum(axis=-1, keepdims=True), guarded
+    at_b, gaps = _incumbent_geometry(means)
+    floor = np.finfo(float).eps * np.maximum(np.abs(means.take(at_b)), 1.0)
+    hit = gaps <= floor
+    hit.reshape(-1)[at_b] = False
+    raw = np.divide(sampling_vars, np.square(np.maximum(gaps, floor, out=gaps), out=gaps), out=gaps)
+    raw.reshape(-1)[at_b] = 0.0
+    r_b = np.sqrt(sampling_vars.take(at_b)) * np.sqrt(_sum_alternatives(raw**2 / sampling_vars))
+    raw.reshape(-1)[at_b] = r_b
+    return raw / _sum_alternatives(raw), bool(hit.any())
 
 
 def ocba_deficits(
@@ -374,29 +459,30 @@ def ocba_deficits(
 ) -> np.ndarray:
     """Most-starving scores: target share of the budget minus samples received."""
     ratios, _ = ocba_ratio_core(means, sampling_vars)
-    t = counts.sum(axis=-1, keepdims=True)
-    return t * ratios - counts
+    return counts.sum(axis=0) * ratios - counts
 
 
 def argmax_with_tiebreak(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Argmax along the last axis; ties go to fewest samples, then lowest index."""
-    k = values.shape[-1]
-    vmax = values.max(axis=-1, keepdims=True)
-    tie = values == vmax
-    score = np.asarray(counts, dtype=float) * k + np.arange(k)
-    score = np.where(tie, score, np.inf)
-    return score.argmin(axis=-1)
+    """Argmax over alternatives (axis 0); ties go to fewest samples, then lowest index."""
+    k = values.shape[0]
+    tie = values == values.max(axis=0)
+    best = _first(tie)
+    # One maximum per state (a NaN state has none): no tie to break.
+    if np.count_nonzero(tie) == best.size and best.max() < k:
+        return best
+    fewest = np.where(tie, counts, np.inf)
+    return _index_of(fewest, fewest.min(axis=0))
 
 
 # ---------------------------------------------------------------------------
 # Policy registry.  A score function maps a BatchState and the number of
-# samples taken so far to one score per (row, alternative).
+# samples taken so far to one score per (alternative, state).
 # ---------------------------------------------------------------------------
 
 
 def _ea_score(state: BatchState, t: int) -> np.ndarray:
     scores = np.zeros(state.counts.shape)
-    scores[..., t % scores.shape[-1]] = 1.0
+    scores[t % scores.shape[0]] = 1.0
     return scores
 
 
@@ -453,7 +539,7 @@ def _defined(values: np.ndarray) -> np.ndarray:
 
 
 def decide(score_fn, state: BatchState, t: int) -> np.ndarray:
-    """Alternative to sample next in each row: the tie-broken argmax of the scores."""
+    """Alternative to sample next in each state: the tie-broken argmax of the scores."""
     return argmax_with_tiebreak(_defined(score_fn(state, t)), state.counts)
 
 
@@ -592,7 +678,8 @@ def aoap_allocate(b: BeliefVector) -> int:
 def aoap_multistep(b: BeliefVector, depth: int, cap: int = 10**6) -> int:
     """Allocate by maximizing the look-ahead value ``depth`` steps out.
 
-    Depth 1 reproduces ``aoap_allocate`` exactly; ``cap`` bounds k^depth.
+    Depth 1 reproduces ``aoap_allocate`` exactly; ``cap`` bounds the number of
+    multisets scored, C(k + depth - 1, depth).
     """
     return int(decide(functools.partial(POLICIES["aoap_ms"], depth=depth, cap=cap), b, 0))
 

@@ -180,7 +180,10 @@ def gmcl_fit(
     sampled from the scenario prior, a run of ``generator_policy`` (which
     must not depend on the weights) to the horizon, then the features and
     the correct-selection indicator of the final state.  Histories are
-    generated in deterministic batches keyed by the config seed.
+    generated in deterministic batches keyed by the config seed.  A history
+    with a non-finite feature (zero posterior variances, as with zero prior
+    stds and known variances) raises ValueError: the weights are not
+    identified from it.
     """
     from .experiment import replication_features
 
@@ -204,7 +207,11 @@ def gmcl_fit(
                 namespace=1,
             )
         feats, inds = cache[block]
-        return feats[idx - block * batch], float(inds[idx - block * batch])
+        g = feats[idx - block * batch]
+        if not np.isfinite(g).all():
+            raise ValueError(f"history {l} has non-finite features {g.tolist()}: zero posterior "
+                             "variances leave the gap feature infinite or undefined")
+        return g, float(inds[idx - block * batch])
 
     return sa_minimize(sample, config, activation, box_bound)
 

@@ -262,6 +262,28 @@ class TestFitVfa:
         assert res.returncode == 0, res.stderr
         assert len(json.loads(out.read_text())["weights"]) == 2
 
+    @pytest.mark.parametrize("command", ["fit-vfa", "run-experiment"])
+    def test_infinite_feature_is_usage_error(self, tmp_path, capsys, command):
+        """Zero prior stds with known variances make every fitted history's gap
+        feature infinite: exit 2 with one line, from fit-vfa and from an
+        inline two_factor fit alike."""
+        from ranksel import cli
+
+        config = {
+            "scenario": {"prior_means": [1, 0], "prior_stds": [0, 0], "sampling_stds": [1, 1],
+                         "T": 8, "n0": 2, "macro_reps": 16, "variance_mode": "known"},
+            "policies": [{"id": "two_factor", "fit": {"iterations": 20}}],
+        }
+        path = tmp_path / "zero_prior.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = (["fit-vfa", "--scenario", str(path), "--iterations", "20"]
+                if command == "fit-vfa" else ["run-experiment", "--config", str(path)])
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: history 1 has non-finite features") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestConfigValidation:
     """Bad configs end in exit 2 with a one-line message, before any policy runs."""

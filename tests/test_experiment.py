@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ranksel.beliefs import GaussianBelief
+from ranksel.beliefs import GaussianBelief, posterior_arrays, sample_variances
 from ranksel.experiment import (
     BUILTIN_SCENARIOS,
     VARIANCE_MODES,
@@ -23,6 +23,7 @@ from ranksel.experiment import (
     run_macro_replication,
     write_results,
 )
+from ranksel import experiment
 from ranksel import policies as pol
 from ranksel.policies import BatchState, decide, make_policy
 from ranksel.vfa import VfaWeights
@@ -199,18 +200,20 @@ class TestEngineMatchesScalarPolicies:
         svars = rng.uniform(0.2, 3.0, size=(n, k))
         counts = rng.integers(2, 20, size=(n, k)).astype(float)
         sample_means = rng.normal(size=(n, k))
-        return BatchState(means, post_vars, svars, counts, sample_means)
+        # drawn row by row, held alternative-major like the engine's state
+        arrays = (means, post_vars, svars, counts, sample_means)
+        return BatchState(*(a.T.copy() for a in arrays))
 
     def _row_beliefs(self, state, r, use_sample_mean_sums=True):
-        k = state.means.shape[1]
+        k = state.means.shape[0]
         return pol.BeliefVector(
             tuple(
                 GaussianBelief(
-                    post_mean=float(state.means[r, i]),
-                    post_var=float(state.post_vars[r, i]),
-                    count=int(state.counts[r, i]),
-                    sampling_var=float(state.sampling_vars[r, i]),
-                    sum_obs=float(state.sample_means[r, i] * state.counts[r, i]),
+                    post_mean=float(state.means[i, r]),
+                    post_var=float(state.post_vars[i, r]),
+                    count=int(state.counts[i, r]),
+                    sampling_var=float(state.sampling_vars[i, r]),
+                    sum_obs=float(state.sample_means[i, r] * state.counts[i, r]),
                 )
                 for i in range(k)
             )
@@ -265,8 +268,8 @@ class TestEngineMatchesScalarPolicies:
         score; both paths must refuse it instead of picking alternative 0."""
         rng = np.random.default_rng(27)
         state = self._random_state(rng, n=6, k=3)
-        state.means[2] = [0.5, 0.5, -1.0]
-        state.post_vars[2] = 0.0
+        state.means[:, 2] = [0.5, 0.5, -1.0]
+        state.post_vars[:, 2] = 0.0
         w = VfaWeights(np.array([0.98, 0.42]))
         score_fn = make_policy(policy_id, w)
         with pytest.raises(ValueError, match="degenerate state"):
@@ -278,6 +281,75 @@ class TestEngineMatchesScalarPolicies:
         }[policy_id]
         with pytest.raises(ValueError, match="degenerate state"):
             scalar(self._row_beliefs(state, 2))
+
+
+def reference_engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,
+                     variance_mode, n0, horizon):
+    """The engine as a full recompute: every step rebuilds the posterior, the
+    plug-in variances and the sample means of all (k, n) entries from the
+    running sums.  Yields (state, decision), decision None at the horizon."""
+    k, n = true_means.shape
+    cols = np.arange(n)
+    counts, sums, sumsqs = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n))
+
+    def observe(alt, t):
+        obs = true_means[alt, cols] + true_sds[alt, cols] * noise[:, t]
+        counts[alt, cols] += 1.0
+        sums[alt, cols] += obs
+        sumsqs[alt, cols] += obs**2
+
+    for t in range(k * n0):
+        observe(np.full(n, t % k), t)
+    svars = true_vars if variance_mode == "known" else sample_variances(counts, sums, sumsqs)
+    for t in range(k * n0, horizon + 1):
+        if variance_mode == "plugin_refresh":
+            svars = sample_variances(counts, sums, sumsqs)
+        means, post_vars = posterior_arrays(prior_means[:, None], prior_vars[:, None], counts,
+                                            sums, svars)
+        state = BatchState(means, post_vars, svars, counts.copy(), sums / counts)
+        alt = decide(score_fn, state, t) if t < horizon else None
+        yield state, alt
+        if alt is not None:
+            observe(alt, t)
+
+
+class TestIncrementalStep:
+    """The engine updates only each row's sampled entry per step; that must
+    give, bit for bit, the state a full recompute gives."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 6),
+        n=st.integers(1, 7),
+        mode=st.sampled_from(VARIANCE_MODES),
+        policy_id=st.sampled_from(["ea", "aoap", "ocba", "kg", "two_factor", "aoap_ms2"]),
+        prior_kinds=st.lists(st.sampled_from(["zero", "finite", "inf"]), min_size=6, max_size=6),
+        steps=st.integers(0, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_recompute_bitwise(self, seed, k, n, mode, policy_id, prior_kinds,
+                                            steps):
+        rng = np.random.default_rng(seed)
+        n0 = 1 if mode == "known" else 2
+        horizon = k * n0 + steps
+        true_means = rng.normal(size=(k, n))
+        true_sds = rng.uniform(0.3, 2.0, size=(k, n))
+        noise = rng.normal(size=(n, horizon))
+        # Distinct prior means, so zero-variance alternatives never tie.
+        prior_means = rng.permutation(k) * 0.37 - 0.5
+        prior_vars = np.array([{"zero": 0.0, "finite": rng.uniform(0.1, 2.0), "inf": np.inf}[kind]
+                               for kind in prior_kinds[:k]])
+        score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42])))
+        args = (score_fn, true_means, true_sds, true_sds**2, noise, prior_means, prior_vars,
+                mode, n0, horizon)
+        fields = ("means", "post_vars", "sampling_vars", "counts", "sample_means")
+        for t, (state, (ref, ref_alt)) in enumerate(
+                zip(experiment._engine(*args), reference_engine(*args), strict=True),
+                start=k * n0):
+            for name in fields:
+                assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), (t, name)
+            if ref_alt is not None:
+                assert decide(score_fn, state, t).tobytes() == ref_alt.tobytes()
 
 
 class TestScaleInvariance:

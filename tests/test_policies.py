@@ -13,10 +13,13 @@ from ranksel.beliefs import GaussianBelief, GroundTruth
 from ranksel.policies import (
     BatchState,
     BeliefVector,
+    _argmax,
+    _sum_alternatives,
     aoap_allocate,
     aoap_multistep,
     aoap_values,
     apply_activation,
+    argmax_with_tiebreak,
     correlation_squared_min,
     decide,
     distance_feature,
@@ -29,6 +32,7 @@ from ranksel.policies import (
     kg_factors,
     make_policy,
     ocba_most_starving_allocate,
+    ocba_ratio_core,
     ocba_ratios,
     optimal_ratios,
     ratio_residuals,
@@ -74,7 +78,8 @@ def random_belief_vector(rng, k=None):
 def lookahead_batch(rng, n, k):
     """Belief batches with the closed form's edge cases: tied top means, ties
     among the largest challenger variances, zero incumbent variance, and
-    (tied top means with zero variances) degenerate rows."""
+    (tied top means with zero variances) degenerate rows.  Drawn row by row,
+    returned alternative-major: (k, n) arrays, one column per row."""
     means = rng.normal(size=(n, k))
     rows = np.arange(n)
     tied = rows % 3 == 0
@@ -87,18 +92,17 @@ def lookahead_batch(rng, n, k):
     post_vars[zero_vb, means[zero_vb].argmax(axis=1)] = 0.0
     post_vars[rows % 17 == 3] = 0.0
     sampling_vars = rng.uniform(0.2, 4.0, size=(n, k))
-    return means, post_vars, sampling_vars
+    return tuple(a.T.copy() for a in (means, post_vars, sampling_vars))
 
 
 def pairwise_correlation_squared_min(post_vars, is_b, v_b):
     """Smallest v_b^2 / ((v_b + v_i)(v_b + v_j)) over challenger pairs i < j."""
-    k = post_vars.shape[-1]
-    v_b = v_b[..., 0]
-    out = np.zeros(post_vars.shape[:-1]) if k == 2 else np.full(post_vars.shape[:-1], np.inf)
+    k = post_vars.shape[0]
+    out = np.zeros(post_vars.shape[1:]) if k == 2 else np.full(post_vars.shape[1:], np.inf)
     for i, j in itertools.combinations(range(k), 2):
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho2 = v_b**2 / ((v_b + post_vars[..., i]) * (v_b + post_vars[..., j]))
-        out = np.where(is_b[..., i] | is_b[..., j], out, np.minimum(out, rho2))
+            rho2 = v_b**2 / ((v_b + post_vars[i]) * (v_b + post_vars[j]))
+        out = np.where(is_b[i] | is_b[j], out, np.minimum(out, rho2))
     return np.where(v_b == 0.0, 0.0, out)
 
 
@@ -107,19 +111,20 @@ def reference_two_factor_values(means, post_vars, sampling_vars, w1, w2, activat
 
     A zero weight drops its feature, so 0 * inf never turns a score into NaN.
     """
-    b = np.argmax(means, axis=-1)
-    is_b = b[..., None] == np.arange(means.shape[-1])
+    k = means.shape[0]
+    b = np.argmax(means, axis=0)
+    is_b = np.arange(k).reshape((k,) + (1,) * (means.ndim - 1)) == b
     new_vars = shrunk_variance(post_vars, sampling_vars)
-    cols = []
-    for cand in range(means.shape[-1]):
+    rows = []
+    for cand in range(k):
         vars_c = np.array(post_vars, copy=True, dtype=float)
-        vars_c[..., cand] = new_vars[..., cand]
+        vars_c[cand] = new_vars[cand]
         g1 = distance_squared(means, vars_c)
-        v_b = np.take_along_axis(vars_c, b[..., None], -1)
+        v_b = np.take_along_axis(vars_c, b[None], 0)[0]
         g2 = correlation_squared_min(vars_c, is_b, v_b)
         weighted = (w1 * g1 if w1 else np.zeros_like(g1)) + (w2 * g2 if w2 else 0.0)
-        cols.append(apply_activation(weighted, activation))
-    return np.stack(cols, axis=-1)
+        rows.append(apply_activation(weighted, activation))
+    return np.stack(rows)
 
 
 def same_bits(a, b):
@@ -270,9 +275,9 @@ class TestFeatures:
         rng = np.random.default_rng(30)
         for k in (2, 3, 4, 10):
             means, post_vars, _ = lookahead_batch(rng, 300, k)
-            b = np.argmax(means, axis=-1)
-            is_b = b[:, None] == np.arange(k)
-            v_b = np.take_along_axis(post_vars, b[:, None], -1)
+            b = np.argmax(means, axis=0)
+            is_b = np.arange(k)[:, None] == b
+            v_b = np.take_along_axis(post_vars, b[None], 0)[0]
             got = correlation_squared_min(post_vars, is_b, v_b)
             assert got.tobytes() == pairwise_correlation_squared_min(post_vars, is_b, v_b).tobytes()
 
@@ -369,9 +374,11 @@ class TestAoapMultistep:
         assert aoap_multistep(shifted, 3) == aoap_multistep(b, 3)
 
     def test_cap_enforced(self):
+        """The cap bounds the multisets scored: C(4 + 10 - 1, 10) = 286 at k=4, depth 10."""
         b = random_belief_vector(np.random.default_rng(11), k=4)
-        with pytest.raises(RuntimeError):
-            aoap_multistep(b, 10, cap=1000)
+        with pytest.raises(RuntimeError, match="286 multisets exceeds cap 285"):
+            aoap_multistep(b, 10, cap=285)
+        assert aoap_multistep(b, 10, cap=286) in range(4)
 
 
 class TestTwoFactor:
@@ -443,7 +450,7 @@ class TestTwoFactor:
         means, post_vars, sampling_vars = lookahead_batch(rng, 400, k)
         args = (means, post_vars, sampling_vars, 0.98, 0.42, activation)
         got = two_factor_candidate_values(*args)
-        assert 0 < np.isnan(got).any(axis=1).sum() < len(got)  # some degenerate rows, not all
+        assert 0 < np.isnan(got).any(axis=0).sum() < got.shape[1]  # some degenerate rows, not all
         assert same_bits(got, reference_two_factor_values(*args))
 
     @pytest.mark.parametrize(
@@ -459,9 +466,9 @@ class TestTwoFactor:
     @pytest.mark.parametrize("v_b", [1.0, 0.0])
     def test_closed_form_by_sampled_challenger_rank(self, challenger_vars, v_b):
         k = len(challenger_vars) + 1
-        means = np.array([[1.0] + [0.0] * (k - 1)])
-        post_vars = np.array([[v_b] + challenger_vars])
-        sampling_vars = np.full((1, k), 0.7)
+        means = np.array([[1.0] + [0.0] * (k - 1)]).T
+        post_vars = np.array([[v_b] + challenger_vars]).T
+        sampling_vars = np.full((k, 1), 0.7)
         args = (means, post_vars, sampling_vars, 0.3, 5.0)
         assert same_bits(two_factor_candidate_values(*args), reference_two_factor_values(*args))
 
@@ -475,7 +482,7 @@ class TestTwoFactor:
     def test_closed_form_matches_loop_bits_hypothesis(self, data, k, activation, w):
         """Values from small sets, so ties between top means and among the
         largest variances are common."""
-        shape = (4, k)
+        shape = (k, 4)
         means = data.draw(hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 0.0, 0.5, 1.0])
                                      | st.floats(-2.0, 2.0)))
         post_vars = data.draw(hnp.arrays(float, shape, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])
@@ -617,8 +624,8 @@ class TestEqualAllocation:
 
 
 class TestSingleStateIsOneRow:
-    """A ``(k,)`` belief state decides exactly as row 0 of the same state as
-    a ``(1, k)`` batch, so the belief-level functions need no batch wrapper."""
+    """A ``(k,)`` belief state decides exactly as column 0 of the same state
+    as a ``(k, 1)`` batch, so the belief-level functions need no batch wrapper."""
 
     @pytest.mark.parametrize("policy_id", ["ea", "aoap", "ocba", "kg", "two_factor", "aoap_ms2"])
     def test_decide_matches_one_row_batch(self, policy_id):
@@ -626,12 +633,71 @@ class TestSingleStateIsOneRow:
         n, k = 200, 4
         means, post_vars, sampling_vars = lookahead_batch(rng, n, k)
         keep = ~np.isnan(two_factor_candidate_values(
-            means, post_vars, sampling_vars, 0.98, 0.42)).any(axis=1)
-        counts = rng.integers(1, 4, size=(n, k)).astype(float)
-        arrays = [a[keep] for a in (means, post_vars, sampling_vars, counts, means - 0.1)]
+            means, post_vars, sampling_vars, 0.98, 0.42)).any(axis=0)
+        counts = rng.integers(1, 4, size=(n, k)).astype(float).T
+        arrays = [a[:, keep] for a in (means, post_vars, sampling_vars, counts, means - 0.1)]
         score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42])))
-        for r in range(len(arrays[0])):
-            single = BatchState(*(a[r] for a in arrays))
-            batch = BatchState(*(a[r:r + 1] for a in arrays))
-            assert score_fn(single, r).tobytes() == score_fn(batch, r)[0].tobytes()
+        for r in range(arrays[0].shape[1]):
+            single = BatchState(*(a[:, r] for a in arrays))
+            batch = BatchState(*(a[:, r:r + 1] for a in arrays))
+            assert score_fn(single, r).tobytes() == score_fn(batch, r)[:, 0].tobytes()
             assert decide(score_fn, single, r) == decide(score_fn, batch, r)[0]
+
+
+def alternative_last_tiebreak(values, counts):
+    """Tie-broken argmax over the last axis of C-ordered (n, k) arrays."""
+    k = values.shape[-1]
+    tie = values == values.max(axis=-1, keepdims=True)
+    return np.where(tie, counts * k + np.arange(k), np.inf).argmin(axis=-1)
+
+
+def alternative_last_ocba_ratios(means, svars):
+    """OCBA ratios over the last axis of C-ordered (n, k) arrays, summed by np.sum."""
+    b = np.argmax(means, axis=-1)[:, None]
+    is_b = b == np.arange(means.shape[-1])
+    mean_b = np.take_along_axis(means, b, -1)
+    gaps = mean_b - means
+    floor = np.finfo(float).eps * np.maximum(np.abs(mean_b), 1.0)
+    raw = np.where(is_b, 0.0, svars / np.maximum(gaps, floor) ** 2)
+    r_b = np.sqrt(np.take_along_axis(svars, b, -1)[:, 0]) * np.sqrt((raw**2 / svars).sum(axis=-1))
+    raw = np.where(is_b, r_b[:, None], raw)
+    return raw / raw.sum(axis=-1, keepdims=True), bool(np.any((gaps <= floor) & ~is_b))
+
+
+class TestAlternativeMajorReductions:
+    """Reductions over axis 0 of (k, n) arrays must reproduce NumPy's last-axis
+    results on the same data held as C-ordered (n, k) arrays, bit for bit:
+    the tie-break, the incumbent index (NaN first, as in argmax) and the sums
+    in OCBA, where NumPy sums 8 or more terms pairwise."""
+
+    K = [2, 3, 7, 8, 9, 10, 16, 17]
+
+    @given(data=st.data(), k=st.sampled_from(K), n=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_tiebreak_and_incumbent(self, data, k, n):
+        values = data.draw(hnp.arrays(float, (n, k), elements=st.sampled_from(
+            [-1.0, -0.0, 0.0, 1.0, 2.0]) | st.floats(-2.0, 2.0)))
+        counts = data.draw(hnp.arrays(float, (n, k), elements=st.sampled_from([1.0, 2.0, 3.0])))
+        got = argmax_with_tiebreak(np.ascontiguousarray(values.T), np.ascontiguousarray(counts.T))
+        assert got.tobytes() == alternative_last_tiebreak(values, counts).tobytes()
+        with_nan = values.copy()
+        with_nan[data.draw(hnp.arrays(bool, (n, k)))] = np.nan
+        for x in (values, with_nan):
+            assert _argmax(np.ascontiguousarray(x.T)).tobytes() == np.argmax(x, axis=-1).tobytes()
+
+    @given(data=st.data(), k=st.sampled_from(K), n=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_ocba_sums(self, data, k, n):
+        means = data.draw(hnp.arrays(float, (n, k), elements=st.sampled_from([0.0, 0.5, 1.0])
+                                     | st.floats(-2.0, 2.0)))
+        svars = data.draw(hnp.arrays(float, (n, k), elements=st.floats(0.1, 4.0)))
+        ratios, guarded = ocba_ratio_core(np.ascontiguousarray(means.T),
+                                          np.ascontiguousarray(svars.T))
+        want, want_guarded = alternative_last_ocba_ratios(means, svars)
+        assert ratios.T.tobytes() == want.tobytes() and guarded == want_guarded
+
+    @pytest.mark.parametrize("k", K + [64, 129, 300])
+    def test_sum_keeps_pairwise_order(self, k):
+        x = np.random.default_rng(k).lognormal(sigma=3.0, size=(50, k))
+        x[::7] = -0.0
+        assert _sum_alternatives(np.ascontiguousarray(x.T)).tobytes() == x.sum(axis=-1).tobytes()

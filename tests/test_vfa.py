@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from ranksel.experiment import Scenario
 from ranksel.vfa import (
     SaConfig,
     VfaWeights,
+    gmcl_fit,
     gmcl_gradient,
     linear_lsq_oracle,
     load_weights,
@@ -190,6 +192,17 @@ class TestSaMinimize:
         cfg = SaConfig(step_scale=1.0, iterations=10, initial_w=(1.0, 0.0))
         with pytest.raises(RuntimeError, match="diverged"):
             sa_minimize(sample, cfg)
+
+
+class TestGmclFit:
+    def test_infinite_feature_rejected(self):
+        """Zero prior stds with known variances leave zero posterior variances,
+        so the gap feature of every history is +inf; the fit must refuse it
+        as bad input instead of diverging."""
+        sc = Scenario(prior_means=(1, 0), prior_stds=(0, 0), sampling_stds=(1, 1), horizon=8,
+                      n0=2, variance_mode="known")
+        with pytest.raises(ValueError, match=r"history 1 has non-finite features \[inf, 0.0\]"):
+            gmcl_fit(sc, config=SaConfig(iterations=20))
 
 
 class TestWeightsIO:
