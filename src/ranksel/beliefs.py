@@ -20,8 +20,9 @@ models:
 
 The normal posterior from counts and sums is defined once, by the array
 core ``posterior_arrays`` (``sample_variances`` gives plug-in variances):
-the simulation engine calls it on ``(n, k)`` batches and
-``normal_batch_posterior`` on scalars.
+the simulation engine calls it on ``(k, n)`` arrays after the warmup and on
+the ``(n,)`` vectors of sampled entries it gathers at each step, and
+``normal_update`` and ``normal_batch_posterior`` call it on scalars.
 
 Beliefs are immutable; updates return new values.  Each caller owns its
 own random generator, so read-only sharing across threads is safe.
@@ -30,7 +31,7 @@ own random generator, so read-only sharing across threads is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,20 +175,18 @@ def beta_predictive(belief: BetaBelief) -> float:
 def normal_update(belief: GaussianBelief, obs: float) -> GaussianBelief:
     """Fold one observation into a Gaussian belief.
 
-    Precision-weighted update: the new posterior precision is the old one
-    plus the sampling precision, and the new mean is the precision-weighted
-    average of the old mean and the observation.
+    The current belief is the prior of one observation: the new posterior
+    precision is the old one plus the sampling precision, and the new mean
+    is the precision-weighted average of the old mean and the observation.
     """
     if not math.isfinite(obs):
         raise ValueError(f"observation must be finite, got {obs}")
-    if belief.post_var == 0.0:
-        # Infinitely precise prior: data cannot move it.
-        return replace(belief, count=belief.count + 1, sum_obs=belief.sum_obs + obs)
-    new_var = 1.0 / (1.0 / belief.post_var + 1.0 / belief.sampling_var)
-    new_mean = new_var * (belief.post_mean / belief.post_var + obs / belief.sampling_var)
+    # A NumPy prior variance divides by zero to inf instead of raising.
+    post_mean, post_var = posterior_arrays(belief.post_mean, np.float64(belief.post_var), 1, obs,
+                                           belief.sampling_var)
     return GaussianBelief(
-        post_mean=new_mean,
-        post_var=new_var,
+        post_mean=float(post_mean),
+        post_var=float(post_var),
         count=belief.count + 1,
         sampling_var=belief.sampling_var,
         sum_obs=belief.sum_obs + obs,

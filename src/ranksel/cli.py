@@ -54,11 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output weights JSON path")
     p.add_argument("--horizon", type=int,
                    help="fit at this step instead of the scenario horizon")
-    p.add_argument("--iterations", type=int, default=10_000)
+    p.add_argument("--iterations", type=int)
     p.add_argument("--seed", type=int, help="fit seed (default: scenario master seed)")
-    p.add_argument("--step-scale", type=float, default=10.0)
-    p.add_argument("--step-exponent", type=float, default=2.0 / 3.0)
-    p.add_argument("--activation", choices=("linear", "expm"), default="linear")
+    p.add_argument("--step-scale", type=float)
+    p.add_argument("--step-exponent", type=float)
+    p.add_argument("--activation", choices=("linear", "expm"))
     p.add_argument("--generator", default="ea", help="history-generating policy id")
 
     p = sub.add_parser("solve-exact", help="solve a finite-support model exactly")
@@ -100,19 +100,16 @@ def _cmd_fit_vfa(args) -> int:
     else:
         config = experiment.load_config(args.scenario)
         scenario = experiment.scenario_from_config(config.get("scenario"))
-    seed = args.seed if args.seed is not None else scenario.master_seed
-    config = vfa.SaConfig(
-        step_scale=args.step_scale,
-        step_exponent=args.step_exponent,
-        iterations=args.iterations,
-        seed=seed,
-    )
+    # Unset flags take the defaults of a config's inline two_factor "fit" object.
+    flags = ("iterations", "seed", "step_scale", "step_exponent", "activation")
+    fit = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+    config, activation = experiment._fit_settings(fit, scenario)
     weights = vfa.gmcl_fit(
         scenario,
         horizon=args.horizon,
         generator_policy=args.generator,
         config=config,
-        activation=args.activation,
+        activation=activation,
     )
     vfa.save_weights(weights, args.out, config=config)
     print("weights: " + ",".join(f"{x:.10g}" for x in weights.w))

@@ -165,10 +165,6 @@ class DiscreteState:
         if any(c < 0 for row in counts for c in row):
             raise ValueError("counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return sum(c for row in self.counts for c in row)
-
     def bump(self, i: int, j: int) -> "DiscreteState":
         row = list(self.counts[i])
         row[j] += 1
@@ -445,9 +441,9 @@ def brute_force_value(model: DiscreteModel, horizon: int, path_cap: int = 10**5)
 def state_space_size(t: int, k: int, supports: Sequence[int]) -> int:
     """Number of distinct count states after ``t`` samples over ``k`` alternatives.
 
-    Sums, over all splits of ``t`` among alternatives, the product of
-    per-alternative multiset counts C(s_i + t_i - 1, s_i - 1).  Exact
-    integer arithmetic throughout.
+    A state spreads ``t`` samples over the D (alternative, outcome) cells,
+    D the sum of the support sizes, so there are C(t + D - 1, D - 1) of
+    them.  Exact integer arithmetic.
     """
     if t < 0 or k < 0:
         raise ValueError("t and k must be >= 0")
@@ -456,15 +452,9 @@ def state_space_size(t: int, k: int, supports: Sequence[int]) -> int:
         raise ValueError("need one support size per alternative")
     if any(s < 2 for s in sizes):
         raise ValueError("support sizes must be >= 2")
-    ways = [1] + [0] * t
-    for s in sizes:
-        nxt = [0] * (t + 1)
-        for used, count in enumerate(ways):
-            if count:
-                for extra in range(t - used + 1):
-                    nxt[used + extra] += count * math.comb(s + extra - 1, s - 1)
-        ways = nxt
-    return ways[t]
+    if k == 0:
+        return int(t == 0)
+    return math.comb(t + sum(sizes) - 1, sum(sizes) - 1)
 
 
 def state_space_bounds(t: int, k: int, supports: Sequence[int]) -> tuple[Fraction, Fraction]:
@@ -548,77 +538,47 @@ def discretize_prior(
 
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    # Each family supplies its marginal prior ppfs, the outcome supports and
+    # outcome_pmf(i, x): the outcome pmf of alternative i at parameter x.
     if isinstance(spec, BernoulliPriorSpec):
-        k = len(spec.alphas)
-        grids = [
-            _quantile_grid(lambda u, a=a, b=b: stats.beta.ppf(u, a, b), grid_points)
-            for a, b in zip(spec.alphas, spec.betas)
-        ]
-        if grid_points**k > max_prior_points:
-            raise RuntimeError(f"product prior grid exceeds {max_prior_points} points")
-        prior_points = list(itertools.product(*grids))
-        prior_pmf = [1.0 / len(prior_points)] * len(prior_points)
-        support = [(0.0, 1.0)] * k
-        sampling_pmf = [
-            [(1.0 - p, p) for p in point] for point in prior_points
-        ]
-        return DiscreteModel(
-            support=support,
-            prior_points=prior_points,
-            prior_pmf=prior_pmf,
-            sampling_pmf=sampling_pmf,
-            reward=reward,
-        )
-    if isinstance(spec, NormalPriorSpec):
-        k = len(spec.prior_means)
+        ppfs = [stats.beta(a, b).ppf for a, b in zip(spec.alphas, spec.betas)]
+        support = [(0.0, 1.0)] * len(ppfs)
+
+        def outcome_pmf(i: int, p: float) -> tuple[float, float]:
+            return (1.0 - p, p)
+
+    elif isinstance(spec, NormalPriorSpec):
         obs_points = obs_grid_points or grid_points
         if obs_points < 2:
             raise ValueError("obs_grid_points must be >= 2")
-        grids = [
-            _quantile_grid(lambda u, m=m, s=s: stats.norm.ppf(u, m, s), grid_points)
-            for m, s in zip(spec.prior_means, spec.prior_stds)
-        ]
-        if grid_points**k > max_prior_points:
-            raise RuntimeError(f"product prior grid exceeds {max_prior_points} points")
-        prior_points = list(itertools.product(*grids))
-        prior_pmf = [1.0 / len(prior_points)] * len(prior_points)
+        ppfs = [stats.norm(m, s).ppf for m, s in zip(spec.prior_means, spec.prior_stds)]
         support = []
         boundaries = []
-        for i in range(k):
-            pred_std = math.hypot(spec.prior_stds[i], spec.sampling_stds[i])
-            support.append(
-                tuple(
-                    _quantile_grid(
-                        lambda u, m=spec.prior_means[i], s=pred_std: stats.norm.ppf(u, m, s),
-                        obs_points,
-                    )
-                )
-            )
-            edges = [-math.inf]
-            edges += [
-                float(stats.norm.ppf(j / obs_points, spec.prior_means[i], pred_std))
-                for j in range(1, obs_points)
-            ]
-            edges.append(math.inf)
-            boundaries.append(edges)
-        sampling_pmf = []
-        for point in prior_points:
-            per_alt = []
-            for i in range(k):
-                sd = spec.sampling_stds[i]
-                cdf = [
-                    float(stats.norm.cdf((b - point[i]) / sd)) for b in boundaries[i]
-                ]
-                per_alt.append(tuple(cdf[j + 1] - cdf[j] for j in range(obs_points)))
-            sampling_pmf.append(per_alt)
-        return DiscreteModel(
-            support=support,
-            prior_points=prior_points,
-            prior_pmf=prior_pmf,
-            sampling_pmf=sampling_pmf,
-            reward=reward,
-        )
-    raise ValueError(f"unsupported prior family: {type(spec).__name__}")
+        for m, s, sd in zip(spec.prior_means, spec.prior_stds, spec.sampling_stds):
+            # Observations are binned into equal-mass cells of the marginal predictive.
+            predictive = stats.norm(m, math.hypot(s, sd))
+            support.append(tuple(_quantile_grid(predictive.ppf, obs_points)))
+            inner = [float(predictive.ppf(j / obs_points)) for j in range(1, obs_points)]
+            boundaries.append([-math.inf, *inner, math.inf])
+
+        def outcome_pmf(i: int, mean: float) -> tuple[float, ...]:
+            sd = spec.sampling_stds[i]
+            cdf = [float(stats.norm.cdf((b - mean) / sd)) for b in boundaries[i]]
+            return tuple(cdf[j + 1] - cdf[j] for j in range(obs_points))
+
+    else:
+        raise ValueError(f"unsupported prior family: {type(spec).__name__}")
+    grids = [_quantile_grid(ppf, grid_points) for ppf in ppfs]
+    if grid_points ** len(grids) > max_prior_points:
+        raise RuntimeError(f"product prior grid exceeds {max_prior_points} points")
+    prior_points = list(itertools.product(*grids))
+    return DiscreteModel(
+        support=support,
+        prior_points=prior_points,
+        prior_pmf=[1.0 / len(prior_points)] * len(prior_points),
+        sampling_pmf=[[outcome_pmf(i, x) for i, x in enumerate(point)] for point in prior_points],
+        reward=reward,
+    )
 
 
 def save_model(model: DiscreteModel, path: str) -> None:

@@ -453,8 +453,11 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     scenario = scenario_from_config(config.get("scenario"))
+    entries = config.get("policies", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"config 'policies' must be a list, got {entries!r}")
     specs = []
-    for entry in config.get("policies", []):
+    for entry in entries:
         if not isinstance(entry, (str, dict)):
             raise ValueError(f"policy entry must be an id or an object: {entry!r}")
         spec = {"id": entry} if isinstance(entry, str) else dict(entry)
@@ -468,6 +471,9 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
                 _fit_settings(spec["fit"], scenario)
             else:
                 raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
+        spec["label"] = _field(spec, "policy", "label", _is_str, spec["id"])
+        if any(other["label"] == spec["label"] for other in specs):
+            raise ValueError(f"duplicate policy label {spec['label']!r}")
         specs.append(spec)
     if not specs:
         raise ValueError("config lists no policies")
@@ -481,7 +487,10 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
 
 def load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    return config
 
 
 def _resolve_weights(scenario: Scenario, spec: dict) -> VfaWeights | None:
@@ -498,10 +507,10 @@ def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
     if not isinstance(fit, dict):
         raise ValueError(f"two_factor 'fit' must be an object, got {fit!r}")
     config = SaConfig(
-        step_scale=_field(fit, "fit", "step_scale", _is_number, 10.0),
-        step_exponent=_field(fit, "fit", "step_exponent", _is_number, 2.0 / 3.0),
-        iterations=_field(fit, "fit", "iterations", _is_int, 10_000),
-        initial_w=tuple(_field(fit, "fit", "initial_w", _is_numbers, [1.0, 1.0])),
+        step_scale=_field(fit, "fit", "step_scale", _is_number, SaConfig.step_scale),
+        step_exponent=_field(fit, "fit", "step_exponent", _is_number, SaConfig.step_exponent),
+        iterations=_field(fit, "fit", "iterations", _is_int, SaConfig.iterations),
+        initial_w=tuple(_field(fit, "fit", "initial_w", _is_numbers, SaConfig.initial_w)),
         seed=_field(fit, "fit", "seed", _is_int, scenario.master_seed),
     )
     return config, _field(fit, "fit", "activation", _is_str, "linear")
@@ -513,10 +522,7 @@ def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:
     results: dict[str, IpcsCurve] = {}
     for spec in specs:
         weights = _resolve_weights(scenario, spec)
-        label = spec.get("label", spec["id"])
-        if label in results:
-            raise ValueError(f"duplicate policy label {label!r}")
-        results[label] = estimate_ipcs(scenario, spec["id"], weights, workers=workers)
+        results[spec["label"]] = estimate_ipcs(scenario, spec["id"], weights, workers=workers)
     return results
 
 

@@ -15,7 +15,7 @@ independent oracle for the stochastic iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,48 +172,37 @@ def gmcl_fit(
     config: SaConfig | None = None,
     activation: str = "linear",
     box_bound: float = DEFAULT_BOX_BOUND,
-    batch: int = 2048,
 ) -> VfaWeights:
     """Fit feature weights against fresh simulated histories.
 
-    Each iteration draws one new independent history: a ground truth
+    Each iteration uses one new independent history: a ground truth
     sampled from the scenario prior, a run of ``generator_policy`` (which
     must not depend on the weights) to the horizon, then the features and
     the correct-selection indicator of the final state.  Histories are
-    generated in deterministic batches keyed by the config seed.  A history
-    with a non-finite feature (zero posterior variances, as with zero prior
-    stds and known variances) raises ValueError: the weights are not
-    identified from it.
+    generated in deterministic blocks of 2048 keyed by the config seed, and
+    the SA pass runs once through the first ``iterations`` of them.  A
+    history with a non-finite feature (zero posterior variances, as with
+    zero prior stds and known variances) raises ValueError: the weights are
+    not identified from it.
     """
     from .experiment import replication_features
 
     config = config or SaConfig()
     if horizon is not None and horizon != scenario.horizon:
         scenario = replace(scenario, horizon=horizon)
-
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def sample(l: int) -> tuple[np.ndarray, float]:
-        idx = l - 1
-        block = idx // batch
-        if block not in cache:
-            cache.clear()
-            lo = block * batch
-            cache[block] = replication_features(
-                scenario,
-                generator_policy,
-                range(lo, lo + batch),
-                master_seed=config.seed,
-                namespace=1,
-            )
-        feats, inds = cache[block]
-        g = feats[idx - block * batch]
-        if not np.isfinite(g).all():
-            raise ValueError(f"history {l} has non-finite features {g.tolist()}: zero posterior "
-                             "variances leave the gap feature infinite or undefined")
-        return g, float(inds[idx - block * batch])
-
-    return sa_minimize(sample, config, activation, box_bound)
+    blocks = [
+        replication_features(scenario, generator_policy, range(lo, lo + 2048),
+                             master_seed=config.seed, namespace=1)
+        for lo in range(0, config.iterations, 2048)
+    ]
+    features = np.concatenate([g for g, _ in blocks])[:config.iterations]
+    indicators = np.concatenate([y for _, y in blocks])[:config.iterations]
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"history {bad[0] + 1} has non-finite features "
+                         f"{features[bad[0]].tolist()}: zero posterior "
+                         "variances leave the gap feature infinite or undefined")
+    return sa_fit_frozen(features, indicators, config, activation, box_bound)
 
 
 def linear_lsq_oracle(
@@ -249,13 +238,7 @@ def save_weights(weights: VfaWeights, path: str, config: SaConfig | None = None)
         "box_bound": weights.box_bound,
     }
     if config is not None:
-        payload["config"] = {
-            "step_scale": config.step_scale,
-            "step_exponent": config.step_exponent,
-            "iterations": config.iterations,
-            "initial_w": list(config.initial_w),
-            "seed": config.seed,
-        }
+        payload["config"] = asdict(config)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
 

@@ -1,12 +1,18 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 REPO = Path(__file__).resolve().parent.parent
 # Child interpreters import ranksel from this checkout, installed or not.
@@ -187,6 +193,16 @@ class TestSolveExact:
                       "--horizon", "9", "--state-cap", "3")
         assert res.returncode == 3
 
+    def test_huge_horizon_rejected_at_cap(self, tmp_path, capsys):
+        """The state count is closed-form, so a horizon far past the cap is
+        rejected at once instead of after an O(t^2) count."""
+        from ranksel import cli
+
+        assert cli.main(["solve-exact", "--model", str(self.model_file(tmp_path)),
+                         "--horizon", "1000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: state space too large") and err.count("\n") == 1, err
+
     def test_prints_state_count(self, tmp_path, capsys):
         from ranksel import cli
 
@@ -294,7 +310,7 @@ class TestConfigValidation:
 
         config = json.loads(small_config(tmp_path).read_text())
         config["scenario"].update(scenario or {})
-        config["policies"] = list(policies)
+        config["policies"] = list(policies) if isinstance(policies, tuple) else policies
         if output is not None:
             config["output"] = output
         path = tmp_path / "bad.json"
@@ -371,6 +387,39 @@ class TestConfigValidation:
         err = self.run_main(tmp_path, capsys, policies=("aoap", {"id": "two_factor", "fit": fit}))
         assert message in err
 
+    @pytest.mark.parametrize("policies", [5, None, "aoap", {"id": "aoap"}],
+                             ids=["number", "null", "string", "object"])
+    def test_policies_not_a_list(self, tmp_path, capsys, monkeypatch, policies):
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, policies=policies)
+        assert "config 'policies' must be a list" in err
+
+    @pytest.mark.parametrize("policies", [
+        ({"id": "aoap", "label": [1]},),
+        ({"id": "aoap", "label": 5}, {"id": "ea", "label": "x"}),
+    ], ids=["list-label", "number-label"])
+    def test_label_not_a_string(self, tmp_path, capsys, monkeypatch, policies):
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, policies=policies)
+        assert "policy 'label' must be a string" in err
+
+    def test_duplicate_label_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, policies=("aoap", {"id": "ea", "label": "aoap"}))
+        assert "duplicate policy label 'aoap'" in err
+
+    @pytest.mark.parametrize("command", ["run-experiment", "fit-vfa"])
+    @pytest.mark.parametrize("payload", [[1, 2], 3, "x"], ids=["list", "number", "string"])
+    def test_config_not_an_object(self, tmp_path, capsys, command, payload):
+        from ranksel import cli
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        flag = "--config" if command == "run-experiment" else "--scenario"
+        assert cli.main([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_null_weights_file(self, tmp_path, capsys):
         err = self.run_main(tmp_path, capsys,
                             policies=({"id": "two_factor", "weights_file": None},))
@@ -384,6 +433,77 @@ class TestConfigValidation:
     ], ids=["string-downsample", "zero-downsample", "numeric-path", "non-object"])
     def test_mistyped_output(self, tmp_path, capsys, output, message):
         assert message in self.run_main(tmp_path, capsys, output=output)
+
+
+# A tiny valid config: every field the config parser reads, at sizes that run fast.
+FUZZ_BASE = {
+    "scenario": {"k": 2, "prior_means": [0.0, 0.5], "prior_stds": [1.0, 1.0],
+                 "sampling_stds": [1.0, 1.0], "T": 8, "n0": 2, "macro_reps": 4,
+                 "master_seed": 3, "variance_mode": "plugin_refresh"},
+    "policies": ["aoap", {"id": "two_factor", "label": "tf",
+                          "fit": {"iterations": 2, "step_scale": 1.0, "step_exponent": 0.75,
+                                  "initial_w": [1.0, 1.0], "seed": 1, "activation": "linear"}}],
+    "output": {"path": "unused.csv", "downsample": 1},
+}
+WRONG_VALUES = [None, True, -1, 0.5, "x", [], {}]
+DELETE = object()
+
+
+def _field_paths(value, path=()):
+    """Path of every value in a JSON document, the document itself first."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _field_paths(child, path + (key,))
+
+
+def _mutate(config, path, value):
+    """A copy of ``config`` with the field at ``path`` replaced, or deleted if it is a key."""
+    if not path:
+        return value
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
+
+
+class TestConfigFuzz:
+    """One wrongly typed or missing field, at any depth, never ends in a traceback."""
+
+    @given(path=st.sampled_from(list(_field_paths(FUZZ_BASE))),
+           value=st.sampled_from(WRONG_VALUES + [DELETE]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_bad_field(self, path, value):
+        from ranksel import cli
+
+        if value is DELETE and not (path and isinstance(path[-1], str)):
+            value = None   # only object keys are deleted, so list sizes never change
+        config = _mutate(FUZZ_BASE, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(config))
+            for argv in (["run-experiment", "--config", str(cfg), "--out", f"{tmp}/out.csv"],
+                         ["fit-vfa", "--scenario", str(cfg), "--out", f"{tmp}/w.json",
+                          "--iterations", "2"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                err = err.getvalue()
+                assert code in (0, 2), (argv[0], path, value, code, err)
+                if code == 2:
+                    assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err)
+                else:
+                    assert err == "", (argv[0], err)
 
 
 class TestImport:

@@ -427,6 +427,13 @@ class TestStateSpaceSize:
         with pytest.raises(ValueError):
             state_space_size(2, 2, [1, 2])
 
+    def test_large_horizon_closed_form(self):
+        """C(t + D - 1, D - 1) with D = 9 cells; a per-level sum is O(t^2) here."""
+        assert state_space_size(10**6, 3, (2, 3, 4)) == math.comb(10**6 + 8, 8)
+
+    def test_no_alternatives(self):
+        assert [state_space_size(t, 0, ()) for t in range(3)] == [1, 0, 0]
+
 
 class TestDiscretizePrior:
     def test_rejects_single_point_grid(self):
@@ -469,6 +476,41 @@ class TestDiscretizePrior:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             discretize_prior(object(), 5)
+
+    def test_bernoulli_golden(self):
+        """Exact model of a small Beta prior, pinned bit for bit."""
+        model = discretize_prior(BernoulliPriorSpec((1.0, 2.0), (1.0, 1.0)), 2)
+        r3 = 0.8660254037844387
+        assert model == DiscreteModel(
+            support=((0.0, 1.0), (0.0, 1.0)),
+            prior_points=((0.25, 0.5), (0.25, r3), (0.75, 0.5), (0.75, r3)),
+            prior_pmf=(0.25,) * 4,
+            sampling_pmf=(
+                ((0.75, 0.25), (0.5, 0.5)),
+                ((0.75, 0.25), (0.1339745962155613, r3)),
+                ((0.25, 0.75), (0.5, 0.5)),
+                ((0.25, 0.75), (0.1339745962155613, r3)),
+            ),
+        )
+
+    def test_normal_golden(self):
+        """Exact model of a small normal prior with binned outcomes, pinned bit for bit."""
+        spec = NormalPriorSpec((0.0, 0.5), (1.0, 1.0), (1.0, 2.0))
+        model = discretize_prior(spec, 2, reward="EOC", obs_grid_points=3)
+        q = 0.6744897501960817
+        lo = (0.5260520793829009, 0.3743122210219536, 0.09963569959514551)
+        hi = (0.09963569959514557, 0.3743122210219535, 0.5260520793829009)
+        b_lo = (0.4426227537775316, 0.3509305858757812, 0.20644666034668724)
+        b_hi = b_lo[::-1]
+        assert model == DiscreteModel(
+            support=((-1.3681406993132454, 0.0, 1.3681406993132454),
+                     (-1.66322038470271, 0.5, 2.66322038470271)),
+            prior_points=((-q, -0.1744897501960817), (-q, 1.1744897501960816),
+                          (q, -0.1744897501960817), (q, 1.1744897501960816)),
+            prior_pmf=(0.25,) * 4,
+            sampling_pmf=((lo, b_lo), (lo, b_hi), (hi, b_lo), (hi, b_hi)),
+            reward="EOC",
+        )
 
 
 class TestModelIO:

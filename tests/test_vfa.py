@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ranksel.experiment import Scenario
+from ranksel.experiment import Scenario, replication_features
 from ranksel.vfa import (
     SaConfig,
     VfaWeights,
@@ -194,7 +194,36 @@ class TestSaMinimize:
             sa_minimize(sample, cfg)
 
 
+def reference_gmcl_fit(scenario, config, activation, batch=2048):
+    """Per-iteration sampler: history l is drawn when SA iteration l asks for it,
+    from a cached block of ``batch`` replications of namespace 1."""
+    cache = {}
+
+    def sample(l):
+        block, row = divmod(l - 1, batch)
+        if block not in cache:
+            cache.clear()
+            rows = range(block * batch, (block + 1) * batch)
+            cache[block] = replication_features(scenario, "ea", rows, master_seed=config.seed,
+                                                namespace=1)
+        feats, inds = cache[block]
+        return feats[row], float(inds[row])
+
+    return sa_minimize(sample, config, activation)
+
+
 class TestGmclFit:
+    @pytest.mark.parametrize("activation", ["linear", "expm"])
+    @pytest.mark.parametrize("iterations", [1, 2048, 2049])
+    def test_matches_per_iteration_sampler_bitwise(self, iterations, activation):
+        sc = Scenario(prior_means=(0.0, 0.1, 0.2), prior_stds=(1.0, 0.5, 1.0),
+                      sampling_stds=(1.0, 2.0, 1.0), horizon=12, n0=2, master_seed=5)
+        config = SaConfig(step_scale=1.0, iterations=iterations, seed=9)
+        got = gmcl_fit(sc, config=config, activation=activation)
+        want = reference_gmcl_fit(sc, config, activation)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got.activation == activation
+
     def test_infinite_feature_rejected(self):
         """Zero prior stds with known variances leave zero posterior variances,
         so the gap feature of every history is +inf; the fit must refuse it
