@@ -8,7 +8,7 @@ Subcommands:
 - ``optimal-ratios``: asymptotically optimal sampling ratios.
 - ``state-space-size``: number of count states after t samples.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O failure.
+Exit codes: 0 success, 2 usage error, 3 numerical failure or exhausted memory, 4 I/O failure.
 All randomness flows from seeds in flags or config files.
 """
 
@@ -21,18 +21,14 @@ from . import exact, experiment, policies, vfa
 from .beliefs import GroundTruth
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, noun: str):
+    """Argparse type of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",") if x != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="fit seed (default: scenario master seed)")
     p.add_argument("--step-scale", type=float)
     p.add_argument("--step-exponent", type=float)
-    p.add_argument("--activation", choices=("linear", "expm"))
+    p.add_argument("--activation", choices=tuple(policies.ACTIVATIONS))
     p.add_argument("--generator", default="ea", help="history-generating policy id")
 
     p = sub.add_parser("solve-exact", help="solve a finite-support model exactly")
@@ -68,13 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-cap", type=int, default=10**7)
 
     p = sub.add_parser("optimal-ratios", help="asymptotically optimal sampling ratios")
-    p.add_argument("--means", type=_float_list, required=True)
-    p.add_argument("--stds", type=_float_list, required=True)
+    p.add_argument("--means", type=_list_of(float, "numbers"), required=True)
+    p.add_argument("--stds", type=_list_of(float, "numbers"), required=True)
 
     p = sub.add_parser("state-space-size", help="count states after t samples")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--supports", type=_int_list, required=True,
+    p.add_argument("--supports", type=_list_of(int, "integers"), required=True,
                    help="per-alternative outcome-support sizes")
     return parser
 
@@ -165,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except (RuntimeError, ArithmeticError) as err:
+    except (RuntimeError, ArithmeticError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _PMF_TOL = 1e-12
+_PATH_CAP = 10**5  # most raw histories brute_force_value expands, (k * s_max)^T
+_MAX_PRIOR_POINTS = 10**5  # largest product grid discretize_prior builds
 
 
 @dataclass(frozen=True)
@@ -173,50 +175,41 @@ class DiscreteState:
         return DiscreteState(tuple(counts))
 
 
-def _posterior_weights(model: DiscreteModel, state: DiscreteState) -> list[float]:
-    """Unnormalized posterior weights: prior times likelihood of the counts."""
-    weights = []
-    for m in range(model.r):
-        w = model.prior_pmf[m]
-        for i in range(model.k):
-            for j, c in enumerate(state.counts[i]):
-                if c:
-                    w *= model.sampling_pmf[m][i][j] ** c
-        weights.append(w)
-    return weights
+def _outcome_matrix(model: DiscreteModel) -> np.ndarray:
+    """(r, D): column offset(i) + j holds each point's probability of outcome j of i."""
+    return np.array([[p for pmf in per_alt for p in pmf] for per_alt in model.sampling_pmf])
+
+
+def _reward_matrix(model: DiscreteModel) -> np.ndarray:
+    """(r, k): the terminal reward of selecting each alternative under each point."""
+    return np.array([[model.terminal_reward(m, i) for i in range(model.k)] for m in range(model.r)])
 
 
 def posterior_pmf(model: DiscreteModel, state: DiscreteState) -> np.ndarray:
     """Posterior over the prior support points given the observed counts."""
-    for i, row in enumerate(state.counts):
-        if len(row) != len(model.support[i]):
-            raise ValueError("state counts do not match the model support")
-    weights = _posterior_weights(model, state)
-    total = sum(weights)
+    if tuple(map(len, state.counts)) != model.support_sizes:
+        raise ValueError("state counts do not match the model support")
+    likelihoods = np.prod(_outcome_matrix(model) ** np.concatenate(state.counts), axis=1)
+    weights = np.array([model.prior_pmf]) * likelihoods
+    total = _sum_over_points(weights, np.ones((model.r, 1)))[0, 0]
     if total <= 0.0:
         raise ValueError("state has zero probability under every prior point")
-    return np.array(weights) / total
+    return weights[0] / total
 
 
 def predictive_pmf(model: DiscreteModel, state: DiscreteState, i: int) -> np.ndarray:
     """Predictive distribution of the next observation from alternative i."""
     if not 0 <= i < model.k:
         raise IndexError(f"alternative index {i} out of range")
-    post = posterior_pmf(model, state)
-    return np.array(
-        [
-            sum(model.sampling_pmf[m][i][j] * post[m] for m in range(model.r))
-            for j in range(len(model.support[i]))
-        ]
-    )
+    pred = _sum_over_points(posterior_pmf(model, state)[None], _outcome_matrix(model))[0]
+    return pred[np.repeat(np.arange(model.k), model.support_sizes) == i]
 
 
 def terminal_value(model: DiscreteModel, state: DiscreteState, i: int) -> float:
     """Expected terminal reward of selecting alternative i at this state."""
     if not 0 <= i < model.k:
         raise IndexError(f"alternative index {i} out of range")
-    post = posterior_pmf(model, state)
-    return float(sum(model.terminal_reward(m, i) * post[m] for m in range(model.r)))
+    return float(_sum_over_points(posterior_pmf(model, state)[None], _reward_matrix(model))[0, i])
 
 
 @dataclass(eq=False)
@@ -331,7 +324,7 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
         )
 
     # Column d = offset(i) + j of a level stands for outcome j of alternative i.
-    q = np.array([[p for pmf in per_alt for p in pmf] for per_alt in model.sampling_pmf])
+    q = _outcome_matrix(model)
     alternative = np.repeat(np.arange(model.k), model.support_sizes)
     n_cols = len(alternative)
     ones = np.ones((model.r, 1))
@@ -358,11 +351,8 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
         weights = weights[parent[first]] * q[:, col[first]].T
 
     # Terminal layer: optimal selection (np.argmax takes the lowest index on ties).
-    reward = np.array(
-        [[model.terminal_reward(m, i) for i in range(model.k)] for m in range(model.r)]
-    )
     post = weights / _sum_over_points(weights, ones)
-    scores = _sum_over_points(post, reward)
+    scores = _sum_over_points(post, _reward_matrix(model))
     selection_arr = np.argmax(scores, axis=1)
     level_values = [None] * horizon + [scores[np.arange(len(scores)), selection_arr]]
 
@@ -389,7 +379,7 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     )
 
 
-def brute_force_value(model: DiscreteModel, horizon: int, path_cap: int = 10**5) -> float:
+def brute_force_value(model: DiscreteModel, horizon: int) -> float:
     """Expectimax over raw observation histories; oracle for ``solve_bellman``.
 
     Histories are never collapsed to counts and nothing is memoized: each
@@ -400,10 +390,10 @@ def brute_force_value(model: DiscreteModel, horizon: int, path_cap: int = 10**5)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     s_max = max(model.support_sizes)
-    if (model.k * s_max) ** horizon > path_cap:
+    if (model.k * s_max) ** horizon > _PATH_CAP:
         raise RuntimeError(
             f"history tree too large: (k*s_max)^T = {(model.k * s_max) ** horizon} "
-            f"exceeds the cap of {path_cap}"
+            f"exceeds the cap of {_PATH_CAP}"
         )
 
     def history_posterior(history: tuple[tuple[int, int], ...]) -> list[float]:
@@ -524,7 +514,6 @@ def discretize_prior(
     grid_points: int,
     reward: str = "PCS",
     obs_grid_points: int | None = None,
-    max_prior_points: int = 10**5,
 ) -> DiscreteModel:
     """Approximate a continuous-prior model by a finite-support one.
 
@@ -569,8 +558,8 @@ def discretize_prior(
     else:
         raise ValueError(f"unsupported prior family: {type(spec).__name__}")
     grids = [_quantile_grid(ppf, grid_points) for ppf in ppfs]
-    if grid_points ** len(grids) > max_prior_points:
-        raise RuntimeError(f"product prior grid exceeds {max_prior_points} points")
+    if grid_points ** len(grids) > _MAX_PRIOR_POINTS:
+        raise RuntimeError(f"product prior grid exceeds {_MAX_PRIOR_POINTS} points")
     prior_points = list(itertools.product(*grids))
     return DiscreteModel(
         support=support,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 VARIANCE_MODES = ("known", "plugin_frozen", "plugin_refresh")
+_N_INIT = 2  # warmup observations per alternative of a fixed-truth run
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,12 @@ class Scenario:
         return np.arange(self.warmup, self.horizon + 1)
 
 
-def builtin_scenario(name: str, **overrides) -> Scenario:
-    """A named stock scenario, optionally with fields overridden."""
+def builtin_scenario(name: str) -> Scenario:
+    """A named stock scenario."""
     try:
-        base = BUILTIN_SCENARIOS[name]
+        return BUILTIN_SCENARIOS[name]
     except KeyError:
         raise ValueError(f"unknown scenario {name!r}; known: {sorted(BUILTIN_SCENARIOS)}")
-    return replace(base, **overrides) if overrides else base
 
 
 BUILTIN_SCENARIOS = {
@@ -304,6 +304,8 @@ def estimate_ipcs(
     Replication indices are split into fixed chunks whose rows carry their
     own generators, so estimates are identical for any worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     score_fn = pol.make_policy(policy_id, weights)
     n = scenario.macro_reps
     blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
@@ -355,7 +357,6 @@ def run_fixed_truths(
     policy_id: str,
     steps: int,
     seed: int = 0,
-    n_init: int = 2,
     weights: VfaWeights | None = None,
 ) -> FixedTruthRun:
     """Run a policy against fixed ground truths with flat priors and known variances.
@@ -369,10 +370,10 @@ def run_fixed_truths(
     if np.any(svars <= 0):
         raise ValueError("fixed-truth runs require strictly positive variances")
     k, n = means.shape
-    horizon = n_init * k + steps
+    horizon = _N_INIT * k + steps
     noise = np.stack([_row_normals(seed, 2, r, horizon) for r in range(n)])
     final = _last(_engine(score_fn, means, np.sqrt(svars), svars, noise, np.zeros(k),
-                          np.full(k, np.inf), "known", n_init, horizon))
+                          np.full(k, np.inf), "known", _N_INIT, horizon))
     return FixedTruthRun(
         counts=final.counts.T.copy(),
         post_means=final.means.T.copy(),
@@ -439,9 +440,10 @@ def scenario_from_config(raw) -> Scenario:
         sampling_stds=_field(raw, "scenario", "sampling_stds", _is_numbers),
         horizon=_field(raw, "scenario", "T", _is_int),
         n0=_field(raw, "scenario", "n0", _is_int),
-        macro_reps=_field(raw, "scenario", "macro_reps", _is_int, 10_000),
-        master_seed=_field(raw, "scenario", "master_seed", _is_int, 0),
-        variance_mode=raw.get("variance_mode", "plugin_refresh"),
+        # Absent optional keys take Scenario's defaults; Scenario checks the mode.
+        **{key: _field(raw, "scenario", key, _is_int) for key in ("macro_reps", "master_seed")
+           if key in raw},
+        **({"variance_mode": raw["variance_mode"]} if "variance_mode" in raw else {}),
     )
     if raw.get("k", scenario.k) != scenario.k:
         raise ValueError("scenario k does not match its vectors")
@@ -472,6 +474,8 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
             else:
                 raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
         spec["label"] = _field(spec, "policy", "label", _is_str, spec["id"])
+        if any(ch in spec["label"] for ch in ',"\r\n'):
+            raise ValueError(f"policy label {spec['label']!r} holds a comma, quote or line break")
         if any(other["label"] == spec["label"] for other in specs):
             raise ValueError(f"duplicate policy label {spec['label']!r}")
         specs.append(spec)
@@ -503,7 +507,7 @@ def _resolve_weights(scenario: Scenario, spec: dict) -> VfaWeights | None:
 
 
 def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
-    """SA schedule and activation of a two_factor policy's inline ``fit`` object."""
+    """SA schedule and activation of an inline ``fit`` object, checked as a two_factor policy."""
     if not isinstance(fit, dict):
         raise ValueError(f"two_factor 'fit' must be an object, got {fit!r}")
     config = SaConfig(
@@ -513,7 +517,9 @@ def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
         initial_w=tuple(_field(fit, "fit", "initial_w", _is_numbers, SaConfig.initial_w)),
         seed=_field(fit, "fit", "seed", _is_int, scenario.master_seed),
     )
-    return config, _field(fit, "fit", "activation", _is_str, "linear")
+    activation = _field(fit, "fit", "activation", _is_str, "linear")
+    pol.make_policy("two_factor", VfaWeights(config.initial_w, activation))
+    return config, activation
 
 
 def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:

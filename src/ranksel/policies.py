@@ -67,6 +67,7 @@ __all__ = [
     "distance_feature",
     "induced_correlation",
     "features",
+    "ACTIVATIONS",
     "apply_activation",
     "aoap_values",
     "aoap_allocate",
@@ -91,6 +92,10 @@ __all__ = [
     "ocba_deficits",
     "argmax_with_tiebreak",
 ]
+
+_MULTISTEP_CAP = 10**6  # most multisets aoap_multistep_values scores, C(k + depth - 1, depth)
+_QUAD_TOL, _QUAD_MAX_K = 1e-8, 16  # posterior-best quadrature: absolute tolerance, largest k
+_RATIO_TOL, _RATIO_MAX_ITERS = 1e-10, 10**5  # optimal_ratios: convergence, iteration limit
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,6 @@ def aoap_multistep_values(
     post_vars: np.ndarray,
     sampling_vars: np.ndarray,
     depth: int,
-    cap: int = 10**6,
 ) -> np.ndarray:
     """Look-ahead value of each first sample over ``depth`` samples.
 
@@ -337,15 +341,15 @@ def aoap_multistep_values(
     sampling sequence affects the final state only through how many times
     each alternative is sampled.  The value of sampling ``i`` first is the
     largest squared-gap feature over the multisets of size ``depth`` that
-    contain ``i``; ``cap`` bounds the number of multisets scored,
-    C(k + depth - 1, depth).  Depth 1 is ``aoap_candidate_values``.
+    contain ``i``; at most ``_MULTISTEP_CAP`` multisets are scored.  Depth
+    1 is ``aoap_candidate_values``.
     """
     k = means.shape[0]
     if depth < 1:
         raise ValueError("depth must be >= 1")
     size = math.comb(k + depth - 1, depth)
-    if size > cap:
-        raise RuntimeError(f"look-ahead tree of {size} multisets exceeds cap {cap}")
+    if size > _MULTISTEP_CAP:
+        raise RuntimeError(f"look-ahead tree of {size} multisets exceeds cap {_MULTISTEP_CAP}")
     if depth == 1:
         return aoap_candidate_values(means, post_vars, sampling_vars)
     extra = _multisets(k, depth).reshape((k, size) + (1,) * (means.ndim - 1))
@@ -498,8 +502,8 @@ POLICIES = {
         s.means, s.post_vars, s.sampling_vars,
         float(weights.w[0]), float(weights.w[1]), weights.activation,
     ),
-    "aoap_ms": lambda s, t, **depth_cap: aoap_multistep_values(
-        s.means, s.post_vars, s.sampling_vars, **depth_cap
+    "aoap_ms": lambda s, t, depth: aoap_multistep_values(
+        s.means, s.post_vars, s.sampling_vars, depth
     ),
 }
 
@@ -553,7 +557,7 @@ def select_max_posterior_mean(b: BeliefVector) -> int:
     return int(np.argmax(b.means))
 
 
-def _posterior_best_probability(means, stds, i, tol, x_moment=False):
+def _posterior_best_probability(means, stds, i, x_moment=False):
     """P(alternative i has the largest mean) under independent normal posteriors.
 
     With ``x_moment`` the integrand carries a factor x, which gives
@@ -578,30 +582,30 @@ def _posterior_best_probability(means, stds, i, tol, x_moment=False):
         return math.exp(-0.5 * z * z) / (stds[i] * math.sqrt(2 * math.pi)) * weight(x)
 
     lo, hi = means[i] - 8 * stds[i], means[i] + 8 * stds[i]
-    value, abserr = integrate.quad(integrand, lo, hi, epsabs=tol, limit=200)
-    if abserr > 100 * tol * max(1.0, abs(value)):
+    value, abserr = integrate.quad(integrand, lo, hi, epsabs=_QUAD_TOL, limit=200)
+    if abserr > 100 * _QUAD_TOL * max(1.0, abs(value)):
         raise RuntimeError(f"posterior quadrature did not converge (abserr={abserr})")
     return value
 
 
-def select_optimal_pcs(b: BeliefVector, max_k: int = 16, tol: float = 1e-8) -> int:
+def select_optimal_pcs(b: BeliefVector) -> int:
     """Select the alternative maximizing the posterior probability of being best.
 
     Unlike the max-mean rule this weighs the full posteriors, which
     matters when posterior variances are unequal.
     """
-    if b.k > max_k:
-        raise ValueError(f"k={b.k} exceeds the quadrature cap of {max_k}")
+    if b.k > _QUAD_MAX_K:
+        raise ValueError(f"k={b.k} exceeds the quadrature cap of {_QUAD_MAX_K}")
     stds = np.sqrt(b.post_vars)
-    probs = [_posterior_best_probability(b.means, stds, i, tol) for i in range(b.k)]
+    probs = [_posterior_best_probability(b.means, stds, i) for i in range(b.k)]
     return int(np.argmax(probs))
 
 
-def eoc_value(b: BeliefVector, tol: float = 1e-8) -> float:
+def eoc_value(b: BeliefVector) -> float:
     """Expected opportunity cost of selecting the max-mean alternative (<= 0)."""
     stds = np.sqrt(b.post_vars)
     expected_max = sum(
-        _posterior_best_probability(b.means, stds, i, tol, x_moment=True) for i in range(b.k)
+        _posterior_best_probability(b.means, stds, i, x_moment=True) for i in range(b.k)
     )
     return float(b.means.max() - expected_max)
 
@@ -650,13 +654,22 @@ def features(b: BeliefVector) -> tuple[float, float]:
     return float(g1), float(g2)
 
 
+ACTIVATIONS = {  # name: (K, K'), identity or saturating 1 - exp(-z)
+    "linear": (lambda z: z, lambda z: 1.0),
+    "expm": (lambda z: 1.0 - np.exp(-z), lambda z: np.exp(-z)),
+}
+
+
+def _activation(name: str):
+    """The (K, K') pair of an activation name."""
+    if not isinstance(name, str) or name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name]
+
+
 def apply_activation(z, activation: str):
-    """Activation for weighted feature scores: identity or saturating 1 - exp(-z)."""
-    if activation == "linear":
-        return z
-    if activation == "expm":
-        return 1.0 - np.exp(-z)
-    raise ValueError(f"unknown activation {activation!r}")
+    """Activation K of weighted feature scores (``ACTIVATIONS``)."""
+    return _activation(activation)[0](z)
 
 
 def _two_factor_score(g1, g2, w1, w2, activation: str):
@@ -675,13 +688,13 @@ def aoap_allocate(b: BeliefVector) -> int:
     return int(decide(POLICIES["aoap"], b, 0))
 
 
-def aoap_multistep(b: BeliefVector, depth: int, cap: int = 10**6) -> int:
+def aoap_multistep(b: BeliefVector, depth: int) -> int:
     """Allocate by maximizing the look-ahead value ``depth`` steps out.
 
-    Depth 1 reproduces ``aoap_allocate`` exactly; ``cap`` bounds the number of
-    multisets scored, C(k + depth - 1, depth).
+    Depth 1 reproduces ``aoap_allocate`` exactly; at most ``_MULTISTEP_CAP``
+    multisets are scored.
     """
-    return int(decide(functools.partial(POLICIES["aoap_ms"], depth=depth, cap=cap), b, 0))
+    return int(decide(functools.partial(POLICIES["aoap_ms"], depth=depth), b, 0))
 
 
 def two_factor_value(b: BeliefVector, weights: "VfaWeights") -> float:
@@ -747,8 +760,6 @@ def ea_allocate(t: int, k: int) -> int:
 
 def optimal_ratios(
     truth: GroundTruth,
-    tol: float = 1e-10,
-    max_iters: int = 10**5,
     initial_share: float | None = None,
 ) -> tuple[RatioVector, int]:
     """Sampling ratios equalizing the false-selection decay rate across challengers.
@@ -796,11 +807,10 @@ def optimal_ratios(
     if not 0.0 < x < 1.0:
         raise ValueError("initial_share must lie in (0, 1)")
     lo_x, hi_x = 1e-12, 1.0 - 1e-12
-    iters = 0
-    for iters in range(1, max_iters + 1):
+    for iters in range(1, _RATIO_MAX_ITERS + 1):
         r_o = challengers(x)
         target = math.sqrt(svar_b) * math.sqrt(float((r_o**2 / svar_o).sum()))
-        if abs(x - target) < tol:
+        if abs(x - target) < _RATIO_TOL:
             break
         # x - target(x) is increasing in x: every evaluation refines the bracket.
         if x < target:
@@ -812,7 +822,7 @@ def optimal_ratios(
     else:
         raise RuntimeError(
             f"ratio iteration did not converge: residual {abs(x - target):.3e} "
-            f"after {max_iters} iterations"
+            f"after {_RATIO_MAX_ITERS} iterations"
         )
 
     ratios = np.empty(k)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .policies import apply_activation
+from .policies import _activation, apply_activation
 
 __all__ = [
     "VfaWeights",
@@ -50,8 +50,7 @@ class VfaWeights:
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
-        if self.activation not in ("linear", "expm"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _activation(self.activation)
         if not self.box_bound > 0:
             raise ValueError("box_bound must be positive")
         if not np.all((w >= 0) & (w <= self.box_bound)):  # also rejects NaN
@@ -95,13 +94,9 @@ def vfa_eval(weights: VfaWeights, g: Sequence[float]) -> float:
 def gmcl_gradient(g: Sequence[float], indicator: float, weights: VfaWeights) -> np.ndarray:
     """Single-sample gradient estimate: residual times the score gradient."""
     g = np.asarray(g, dtype=float)
-    z = float(weights.w @ g)
+    z = float(weights.w @ g)  # a two-term sum could round differently from ``@``
     residual = apply_activation(z, weights.activation) - indicator
-    if weights.activation == "linear":
-        grad = g
-    else:
-        grad = np.exp(-z) * g
-    return residual * grad
+    return residual * (_activation(weights.activation)[1](z) * g)
 
 
 def sa_minimize(
@@ -122,9 +117,7 @@ def sa_minimize(
     """
     if not 0.0 <= average_tail < 1.0:
         raise ValueError("average_tail must lie in [0, 1)")
-    w = np.array(config.initial_w, dtype=float)
-    if np.any(w < 0) or np.any(w > box_bound):
-        raise ValueError("initial weights must lie in the projection box")
+    w = VfaWeights(config.initial_w, activation, box_bound).w  # checks the box and activation
     tail_start = config.iterations - int(config.iterations * average_tail)
     acc = np.zeros_like(w)
     tail_count = 0
@@ -171,7 +164,6 @@ def gmcl_fit(
     generator_policy: str = "ea",
     config: SaConfig | None = None,
     activation: str = "linear",
-    box_bound: float = DEFAULT_BOX_BOUND,
 ) -> VfaWeights:
     """Fit feature weights against fresh simulated histories.
 
@@ -202,17 +194,16 @@ def gmcl_fit(
         raise ValueError(f"history {bad[0] + 1} has non-finite features "
                          f"{features[bad[0]].tolist()}: zero posterior "
                          "variances leave the gap feature infinite or undefined")
-    return sa_fit_frozen(features, indicators, config, activation, box_bound)
+    return sa_fit_frozen(features, indicators, config, activation)
 
 
 def linear_lsq_oracle(
     features: np.ndarray,
     indicators: np.ndarray,
-    box_bound: float = DEFAULT_BOX_BOUND,
 ) -> np.ndarray:
     """Box-constrained least squares of indicators on features (linear activation).
 
-    Solves min ||G w - y||^2 subject to 0 <= w <= box_bound exactly via an
+    Solves min ||G w - y||^2 subject to 0 <= w <= DEFAULT_BOX_BOUND exactly via an
     active-set method; raises on a singular design.  Also checks that the
     sample Hessian 2 * mean(G' G) is positive semidefinite.
     """
@@ -224,7 +215,7 @@ def linear_lsq_oracle(
         raise AssertionError(f"sample Hessian not PSD: min eigenvalue {evals.min()}")
     if evals.min() <= 1e-12 * max(evals.max(), 1e-300):
         raise ValueError("singular feature design: least-squares weights not identified")
-    result = lsq_linear(G, y, bounds=(0.0, box_bound), method="bvls", tol=1e-14)
+    result = lsq_linear(G, y, bounds=(0.0, DEFAULT_BOX_BOUND), method="bvls", tol=1e-14)
     if not result.success:
         raise RuntimeError(f"bounded least squares failed: {result.message}")
     return result.x

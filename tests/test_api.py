@@ -1,0 +1,67 @@
+"""The public API's options: every defaulted parameter is a deliberate choice."""
+
+import ast
+from pathlib import Path
+
+import ranksel
+
+# Every defaulted parameter and ``**kwargs`` of a public function or method in
+# ranksel's modules, as ``module.function(parameter)``.  A new option fails
+# this test until it is added here on purpose.
+ALLOWED_OPTIONS = {
+    "cli.main(argv)",
+    "exact.solve_bellman(state_cap)",
+    "exact.discretize_prior(reward)",
+    "exact.discretize_prior(obs_grid_points)",
+    "experiment.run_macro_replication(weights)",
+    "experiment.run_macro_replication(rep_index)",
+    "experiment.estimate_ipcs(weights)",
+    "experiment.estimate_ipcs(workers)",
+    "experiment.estimate_ipcs(chunk)",
+    "experiment.replication_features(master_seed)",
+    "experiment.replication_features(namespace)",
+    "experiment.replication_features(weights)",
+    "experiment.run_fixed_truths(seed)",
+    "experiment.run_fixed_truths(weights)",
+    "experiment.run_experiment(workers)",
+    "experiment.write_results(downsample)",
+    "policies.shrunk_variance(n)",
+    "policies.two_factor_candidate_values(activation)",
+    "policies.make_policy(weights)",
+    "policies.optimal_ratios(initial_share)",
+    "vfa.sa_minimize(activation)",
+    "vfa.sa_minimize(box_bound)",
+    "vfa.sa_minimize(average_tail)",
+    "vfa.sa_fit_frozen(activation)",
+    "vfa.sa_fit_frozen(box_bound)",
+    "vfa.sa_fit_frozen(average_tail)",
+    "vfa.gmcl_fit(horizon)",
+    "vfa.gmcl_fit(generator_policy)",
+    "vfa.gmcl_fit(config)",
+    "vfa.gmcl_fit(activation)",
+    "vfa.save_weights(config)",
+}
+
+
+def _options(node, prefix):
+    """Optional parameters of the public functions and classes directly under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if getattr(child, "name", "_").startswith("_"):
+            continue
+        if isinstance(child, ast.ClassDef):
+            yield from _options(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+            names += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            names += [f"**{args.kwarg.arg}"] if args.kwarg else []
+            yield from (f"{prefix}{child.name}({name})" for name in names)
+
+
+def test_optional_parameters_match_allowlist():
+    found = []
+    for path in sorted(Path(ranksel.__file__).parent.glob("*.py")):
+        found += _options(ast.parse(path.read_text()), f"{path.stem}.")
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(ALLOWED_OPTIONS)

@@ -341,13 +341,13 @@ class TestConfigValidation:
         assert "macro_reps" in self.run_main(tmp_path, capsys, {"macro_reps": True})
 
     @staticmethod
-    def forbid_runs(monkeypatch):
+    def forbid_runs(monkeypatch, name="estimate_ipcs"):
         from ranksel import experiment
 
         def no_runs(*args, **kwargs):
             raise AssertionError("a policy ran before the config was validated")
 
-        monkeypatch.setattr(experiment, "estimate_ipcs", no_runs)
+        monkeypatch.setattr(experiment, name, no_runs)
 
     def test_unknown_policy_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         self.forbid_runs(monkeypatch)
@@ -403,6 +403,32 @@ class TestConfigValidation:
         err = self.run_main(tmp_path, capsys, policies=policies)
         assert "policy 'label' must be a string" in err
 
+    @pytest.mark.parametrize("label", ["a,b\nc", "a,b", 'a"b', "a\rb", "a\nb"])
+    def test_label_that_breaks_the_csv(self, tmp_path, capsys, monkeypatch, label):
+        """A label is written unquoted as the CSV's first field."""
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, policies=({"id": "aoap", "label": label},))
+        assert "holds a comma, quote or line break" in err
+
+    @pytest.mark.parametrize("fit, message", [
+        ({"initial_w": [1, 1, 1]}, "exactly two weights"),
+        ({"initial_w": []}, "exactly two weights"),
+        ({"initial_w": [200, 1]}, "[0, box_bound]"),
+        ({"activation": "x"}, "unknown activation 'x'"),
+    ], ids=["three-weights", "no-weights", "outside-box", "unknown-activation"])
+    def test_bad_fit_value_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, fit,
+                                                   message):
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, policies=("aoap", {"id": "two_factor", "fit": fit}))
+        assert message in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                       workers):
+        self.forbid_runs(monkeypatch, "_correct_counts")  # the check is in estimate_ipcs
+        err = self.run_main(tmp_path, capsys, flags=("--workers", workers))
+        assert f"workers must be >= 1, got {workers}" in err
+
     def test_duplicate_label_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         self.forbid_runs(monkeypatch)
         err = self.run_main(tmp_path, capsys, policies=("aoap", {"id": "ea", "label": "aoap"}))
@@ -433,6 +459,31 @@ class TestConfigValidation:
     ], ids=["string-downsample", "zero-downsample", "numeric-path", "non-object"])
     def test_mistyped_output(self, tmp_path, capsys, output, message):
         assert message in self.run_main(tmp_path, capsys, output=output)
+
+
+@pytest.mark.parametrize("command, horizon, code", [
+    ("run-experiment", 10**15, 3),  # one replication: 7.1 PiB of noise
+    ("fit-vfa", 10**12, 3),  # a 2,048-history block: 14.6 PiB
+    ("fit-vfa", 10**15, 2),  # more bytes than an array can index: NumPy's ValueError
+])
+def test_huge_horizon_fails_in_one_line(tmp_path, capsys, command, horizon, code):
+    """Requests far beyond the 128 TiB address space fail at once, whatever the
+    overcommit setting: one error line, no traceback, no output file."""
+    from ranksel import cli
+
+    config = {"scenario": {"prior_means": [0.0, 0.5], "prior_stds": [1.0, 1.0],
+                           "sampling_stds": [1.0, 1.0], "T": horizon, "n0": 2,
+                           "macro_reps": 1},
+              "policies": ["ea"]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = (["run-experiment", "--config", str(path)] if command == "run-experiment" else
+            ["fit-vfa", "--scenario", str(path), "--horizon", str(horizon), "--iterations", "2"])
+    assert cli.main([*argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 # A tiny valid config: every field the config parser reads, at sizes that run fast.

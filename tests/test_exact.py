@@ -175,6 +175,58 @@ class TestTerminalValue:
                 assert terminal_value(model, model.empty_state(), i) <= 1e-15
 
 
+class TestPerStateFunctionsMatchPointLoops:
+    """The per-state functions, which run the solver's kernels, against a
+    scalar loop over prior points.  The likelihood is now multiplied out in
+    another order, so they agree to a few ulps: every term is one-signed, so
+    64 machine epsilons of relative error is ample."""
+
+    RTOL = 64 * np.finfo(float).eps
+
+    @staticmethod
+    def loop_posterior(model, state):
+        weights = []
+        for m in range(model.r):
+            w = model.prior_pmf[m]
+            for i in range(model.k):
+                for j, c in enumerate(state.counts[i]):
+                    if c:
+                        w *= model.sampling_pmf[m][i][j] ** c
+            weights.append(w)
+        return [w / sum(weights) for w in weights]
+
+    def test_random_models_and_states(self):
+        rng = np.random.default_rng(21)
+        for reward in ("PCS", "EOC"):
+            for _ in range(30):
+                model = random_model(rng, reward=reward)
+                state = DiscreteState(
+                    tuple(tuple(int(rng.integers(0, 4)) for _ in s) for s in model.support)
+                )
+                post = self.loop_posterior(model, state)
+                np.testing.assert_allclose(posterior_pmf(model, state), post, rtol=self.RTOL)
+                for i in range(model.k):
+                    pred = [sum(model.sampling_pmf[m][i][j] * post[m] for m in range(model.r))
+                            for j in range(len(model.support[i]))]
+                    np.testing.assert_allclose(predictive_pmf(model, state, i), pred,
+                                               rtol=self.RTOL)
+                    value = sum(model.terminal_reward(m, i) * post[m] for m in range(model.r))
+                    assert terminal_value(model, state, i) == pytest.approx(value, rel=self.RTOL)
+
+    @pytest.mark.parametrize("counts", [((0, 1),), ((0, 1), (0, 0), (1, 0)), ((0, 1), (0,))],
+                             ids=["too-few", "too-many", "short-row"])
+    def test_state_shape_checked(self, counts):
+        with pytest.raises(ValueError, match="do not match the model support"):
+            posterior_pmf(two_point_model(), DiscreteState(counts))
+
+    @pytest.mark.parametrize("fn", [predictive_pmf, terminal_value])
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_alternative_index_checked(self, fn, i):
+        model = two_point_model()
+        with pytest.raises(IndexError):
+            fn(model, model.empty_state(), i)
+
+
 def enumerate_policy_trees(model, horizon):
     """Literal maximum over all deterministic adaptive policy trees.
 
@@ -337,9 +389,10 @@ class TestSolver:
             solve_bellman(model, 10, state_cap=5)
 
     def test_path_cap_enforced(self):
+        """Two binary alternatives at horizon 9 have 4^9 = 262,144 > 10^5 histories."""
         model = two_point_model()
-        with pytest.raises(RuntimeError, match="cap"):
-            brute_force_value(model, 10, path_cap=10)
+        with pytest.raises(RuntimeError, match="262144 exceeds the cap of 100000"):
+            brute_force_value(model, 9)
 
     def test_allocation_covers_reachable_states(self):
         model = two_point_model()

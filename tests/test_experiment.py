@@ -138,6 +138,13 @@ class TestEstimateIpcs:
         many = estimate_ipcs(sc, "aoap", workers=4, chunk=16)
         np.testing.assert_array_equal(one.ipcs, many.ipcs)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("chunk", [16, 4])  # one block, then several
+    def test_workers_below_one_rejected(self, workers, chunk):
+        sc = small_scenario(macro_reps=16)
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            estimate_ipcs(sc, "ea", workers=workers, chunk=chunk)
+
     def test_chunk_invariance(self):
         sc = small_scenario(macro_reps=50)
         a = estimate_ipcs(sc, "kg", chunk=7)

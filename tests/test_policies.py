@@ -173,14 +173,14 @@ class TestSelectionRules:
 
         stds = np.sqrt(b.post_vars)
         for i in range(3):
-            quad = _posterior_best_probability(b.means, stds, i, 1e-8)
+            quad = _posterior_best_probability(b.means, stds, i)
             assert abs(quad - mc[i]) < 3 * max(se[i], 1e-5)
         assert select_optimal_pcs(b) == int(np.argmax(mc))
 
     def test_optimal_pcs_k_cap(self):
-        b = random_belief_vector(np.random.default_rng(4), k=5)
-        with pytest.raises(ValueError):
-            select_optimal_pcs(b, max_k=3)
+        b = random_belief_vector(np.random.default_rng(4), k=17)
+        with pytest.raises(ValueError, match="k=17 exceeds the quadrature cap of 16"):
+            select_optimal_pcs(b)
 
 
 class TestEocValue:
@@ -373,12 +373,16 @@ class TestAoapMultistep:
         shifted = belief_vector(b.means - 2.2, b.post_vars, b.sampling_vars, b.counts)
         assert aoap_multistep(shifted, 3) == aoap_multistep(b, 3)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         """The cap bounds the multisets scored: C(4 + 10 - 1, 10) = 286 at k=4, depth 10."""
+        from ranksel import policies
+
         b = random_belief_vector(np.random.default_rng(11), k=4)
+        monkeypatch.setattr(policies, "_MULTISTEP_CAP", 285)
         with pytest.raises(RuntimeError, match="286 multisets exceeds cap 285"):
-            aoap_multistep(b, 10, cap=285)
-        assert aoap_multistep(b, 10, cap=286) in range(4)
+            aoap_multistep(b, 10)
+        monkeypatch.setattr(policies, "_MULTISTEP_CAP", 286)
+        assert aoap_multistep(b, 10) in range(4)
 
 
 class TestTwoFactor:
