@@ -76,15 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run_experiment(args) -> int:
-    config = experiment.load_config(args.config)
-    _, _, output = experiment.parse_config(config)
+    scenario, specs, output = experiment.parse_config(experiment.load_config(args.config))
     out = args.out or output.get("path")
     if not out:
         raise ValueError("no output path: give --out or config output.path")
     downsample = output.get("downsample", 1) if args.downsample is None else args.downsample
     if downsample < 1:
         raise ValueError(f"--downsample must be >= 1, got {downsample}")
-    results = experiment.run_experiment(config, workers=args.workers)
+    results = experiment.run_specs(scenario, specs, args.workers)
     experiment.write_results(results, out, downsample=downsample)
     print(f"wrote {out}")
     return 0

@@ -14,8 +14,10 @@ C-ordered ``(k, n)`` array with one column per row, the layout of
 once.  A step samples one alternative per row, so it updates one entry
 per column: O(n) work outside the policy, not O(n k).  Fixed-truth runs
 (``run_fixed_truths``) use the same engine with given truths, a flat prior
-and known variances.  Each row's randomness comes from its own generator
-keyed by ``(master_seed, namespace, index)``, so results are independent
+and known variances.  Each row's randomness is the stream of
+``PCG64(SeedSequence([master_seed, namespace, index]))``, computed per
+block: one vectorized pass of the SeedSequence hash seeds every row, and
+one generator takes each row's state in turn.  So results are independent
 of batch boundaries and worker counts, and any single replication can be
 reproduced in isolation.
 """
@@ -45,6 +47,7 @@ __all__ = [
     "replication_features",
     "run_fixed_truths",
     "run_experiment",
+    "run_specs",
     "write_results",
     "load_config",
     "parse_config",
@@ -188,9 +191,77 @@ class IpcsCurve:
 # ---------------------------------------------------------------------------
 
 
-def _row_normals(master_seed: int, namespace: int, index: int, n: int) -> np.ndarray:
-    seq = np.random.SeedSequence([int(master_seed), int(namespace), int(index)])
-    return np.random.Generator(np.random.PCG64(seq)).standard_normal(n)
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _uint32_words(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """SeedSequence's 32-bit words of non-negative integers as columns, low first, and counts."""
+    if (values < 0).any():
+        raise ValueError("expected non-negative integer")  # as SeedSequence
+    columns, counts = [(values & _MASK32).astype(np.uint32)], np.ones(len(values), dtype=int)
+    while (values := values >> 32).any():
+        columns.append((values & _MASK32).astype(np.uint32))
+        counts += values > 0
+    return columns, counts
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 columns; successive calls advance one shared constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)  # uint32 arithmetic wraps, as the hash requires
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return result ^ result >> np.uint32(16)
+
+
+def _seed_states(entropy: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for rows of uint32 word columns.
+
+    Row r's entropy is its first ``lengths[r]`` words; the rest are zeros.
+    """
+    pool_hash, out_hash = _hashmix(0x43B0D7E5, 0x931E8875), _hashmix(0x8B51F9DD, 0x58F38DED)
+    zero = np.zeros_like(entropy[0])  # a zero word hashes as the pool's padding does
+    pool = [pool_hash(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+        pool[dst] = _mix(pool[dst], pool_hash(pool[src]))
+    for i in range(4, len(entropy)):  # words beyond the pool are mixed into every pool word
+        for dst in range(4):
+            pool[dst] = np.where(lengths > i, _mix(pool[dst], pool_hash(entropy[i])), pool[dst])
+    state = np.stack([out_hash(pool[j % 4]) for j in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.ndarray:
+    """Row r: the first ``width`` normals of ``PCG64(SeedSequence([master_seed, namespace, i_r]))``.
+
+    One vectorized SeedSequence pass seeds every row, and one generator, made per call
+    because blocks run in threads, takes each row's PCG64 state in turn.
+    """
+    prefix = [column[0] for value in (master_seed, namespace)
+              for column in _uint32_words(np.array([int(value)], dtype=object))[0]]
+    columns, counts = _uint32_words(np.array([int(i) for i in indices], dtype=object))
+    seeds = _seed_states([np.full(len(counts), word) for word in prefix] + columns,
+                         len(prefix) + counts)
+    bitgen = np.random.PCG64(0)  # its state is replaced row by row
+    gen, pcg = np.random.Generator(bitgen), {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    z = np.empty((len(counts), width))
+    for row, words in zip(z, seeds):
+        seed_hi, seed_lo, inc_hi, inc_lo = words.tolist()
+        # PCG64's seeding: inc = 2 * seed_inc + 1, state = ((inc + seed) * mult + inc) mod 2^128
+        pcg["inc"] = inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        pcg["state"] = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return z
 
 
 def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,
@@ -260,9 +331,7 @@ def _replications(scenario: Scenario, score_fn, indices, master_seed=None, names
     n, k, horizon = len(idx), scenario.k, scenario.horizon
     seed = scenario.master_seed if master_seed is None else master_seed
 
-    z = np.empty((n, k + horizon))
-    for r, i in enumerate(idx):
-        z[r] = _row_normals(seed, namespace, i, k + horizon)
+    z = _block_normals(seed, namespace, idx, k + horizon)
 
     prior_means = np.array(scenario.prior_means)
     prior_vars = np.array(scenario.prior_stds) ** 2
@@ -371,7 +440,7 @@ def run_fixed_truths(
         raise ValueError("fixed-truth runs require strictly positive variances")
     k, n = means.shape
     horizon = _N_INIT * k + steps
-    noise = np.stack([_row_normals(seed, 2, r, horizon) for r in range(n)])
+    noise = _block_normals(seed, 2, range(n), horizon)
     final = _last(_engine(score_fn, means, np.sqrt(svars), svars, noise, np.zeros(k),
                           np.full(k, np.inf), "known", _N_INIT, horizon))
     return FixedTruthRun(
@@ -451,7 +520,10 @@ def scenario_from_config(raw) -> Scenario:
 
 
 def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
-    """Validate a config mapping into (scenario, policy specs, output options)."""
+    """Validate a config mapping into (scenario, policy specs, output options).
+
+    An inline ``fit`` object becomes its ``(SaConfig, activation)`` pair.
+    """
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     scenario = scenario_from_config(config.get("scenario"))
@@ -470,7 +542,7 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
             if "weights_file" in spec:
                 _field(spec, "two_factor", "weights_file", _is_str)
             elif "fit" in spec:
-                _fit_settings(spec["fit"], scenario)
+                spec["fit"] = _fit_settings(spec["fit"], scenario)
             else:
                 raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
         spec["label"] = _field(spec, "policy", "label", _is_str, spec["id"])
@@ -502,7 +574,7 @@ def _resolve_weights(scenario: Scenario, spec: dict) -> VfaWeights | None:
         return None
     if "weights_file" in spec:
         return load_weights(spec["weights_file"])
-    config, activation = _fit_settings(spec["fit"], scenario)
+    config, activation = spec["fit"]
     return gmcl_fit(scenario, config=config, activation=activation)
 
 
@@ -525,6 +597,13 @@ def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
 def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:
     """Run every policy in the config on its scenario; returns curves by label."""
     scenario, specs, _ = parse_config(config)
+    return run_specs(scenario, specs, workers)
+
+
+def run_specs(scenario: Scenario, specs: list[dict], workers: int) -> dict[str, IpcsCurve]:
+    """Run policy specs parsed by ``parse_config`` on the scenario; returns curves by label."""
+    if workers < 1:  # before an inline fit runs
+        raise ValueError(f"workers must be >= 1, got {workers}")
     results: dict[str, IpcsCurve] = {}
     for spec in specs:
         weights = _resolve_weights(scenario, spec)

@@ -78,6 +78,8 @@ class SaConfig:
             raise ValueError("step_exponent must lie in (0.5, 1]")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"fit seed must be >= 0, got {self.seed}")
 
     def step(self, l: int) -> float:
         return self.step_scale * l ** (-self.step_exponent)
@@ -93,10 +95,13 @@ def vfa_eval(weights: VfaWeights, g: Sequence[float]) -> float:
 
 def gmcl_gradient(g: Sequence[float], indicator: float, weights: VfaWeights) -> np.ndarray:
     """Single-sample gradient estimate: residual times the score gradient."""
+    return _gradient(weights.w, g, indicator, *_activation(weights.activation))
+
+
+def _gradient(w, g, indicator, K, K_prime):
     g = np.asarray(g, dtype=float)
-    z = float(weights.w @ g)  # a two-term sum could round differently from ``@``
-    residual = apply_activation(z, weights.activation) - indicator
-    return residual * (_activation(weights.activation)[1](z) * g)
+    z = float(w @ g)  # a two-term sum could round differently from ``@``
+    return (K(z) - indicator) * (K_prime(z) * g)
 
 
 def sa_minimize(
@@ -118,14 +123,14 @@ def sa_minimize(
     if not 0.0 <= average_tail < 1.0:
         raise ValueError("average_tail must lie in [0, 1)")
     w = VfaWeights(config.initial_w, activation, box_bound).w  # checks the box and activation
+    K, K_prime = _activation(activation)
     tail_start = config.iterations - int(config.iterations * average_tail)
     acc = np.zeros_like(w)
     tail_count = 0
-    for l in range(1, config.iterations + 1):
+    for l in range(1, config.iterations + 1):  # w stays in the box: no VfaWeights per step
         g, y = sample_fn(l)
-        d = gmcl_gradient(g, y, VfaWeights(w, activation, box_bound))
-        w = np.clip(w - config.step(l) * d, 0.0, box_bound)
-        if not np.all(np.isfinite(w)):
+        w = (w - config.step(l) * _gradient(w, g, y, K, K_prime)).clip(0.0, box_bound)
+        if not np.isfinite(w).all():
             raise RuntimeError(
                 f"stochastic approximation diverged at iteration {l}: w={w!r}, "
                 f"features={np.asarray(g)!r}, indicator={y!r}"

@@ -98,6 +98,37 @@ class TestRunExperiment:
                        "--workers", "4").returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_two_workers_match_one_across_blocks(self, tmp_path):
+        """8,200 replications make three 4,096-row blocks, so two threads seed and draw
+        blocks at the same time."""
+        from ranksel import cli
+
+        config = small_config(tmp_path, reps=8200)
+        outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+        for out, workers in zip(outs, ("1", "2")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["run-experiment", "--config", str(config), "--out", str(out),
+                                 "--workers", workers]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_config_parsed_once(self, tmp_path, monkeypatch):
+        from ranksel import cli, experiment
+
+        calls = {"parse_config": 0, "_fit_settings": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(experiment, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(experiment, name, counted)
+        config = json.loads(small_config(tmp_path, reps=4).read_text())
+        config["policies"] = ["aoap", {"id": "two_factor", "fit": {"iterations": 2}}]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run-experiment", "--config", str(path),
+                             "--out", str(tmp_path / "fit.csv")]) == 0
+        assert calls == {"parse_config": 1, "_fit_settings": 1}
+
     def test_bundled_example_config_full_run(self, tmp_path):
         config_path = REPO / "configs" / "example1.json"
         config = json.loads(config_path.read_text())
@@ -278,6 +309,17 @@ class TestFitVfa:
         assert res.returncode == 0, res.stderr
         assert len(json.loads(out.read_text())["weights"]) == 2
 
+    def test_negative_seed_rejected_before_fit(self, tmp_path, capsys, monkeypatch):
+        from ranksel import cli, vfa
+
+        monkeypatch.setattr(vfa, "gmcl_fit", lambda *a, **kw: pytest.fail("fit ran"))
+        out = tmp_path / "w.json"
+        assert cli.main(["fit-vfa", "--scenario", str(small_config(tmp_path)),
+                         "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: fit seed must be >= 0, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit-vfa", "run-experiment"])
     def test_infinite_feature_is_usage_error(self, tmp_path, capsys, command):
         """Zero prior stds with known variances make every fitted history's gap
@@ -415,7 +457,9 @@ class TestConfigValidation:
         ({"initial_w": []}, "exactly two weights"),
         ({"initial_w": [200, 1]}, "[0, box_bound]"),
         ({"activation": "x"}, "unknown activation 'x'"),
-    ], ids=["three-weights", "no-weights", "outside-box", "unknown-activation"])
+        ({"seed": -1}, "fit seed must be >= 0, got -1"),
+    ], ids=["three-weights", "no-weights", "outside-box", "unknown-activation",
+            "negative-seed"])
     def test_bad_fit_value_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, fit,
                                                    message):
         self.forbid_runs(monkeypatch)
@@ -428,6 +472,16 @@ class TestConfigValidation:
         self.forbid_runs(monkeypatch, "_correct_counts")  # the check is in estimate_ipcs
         err = self.run_main(tmp_path, capsys, flags=("--workers", workers))
         assert f"workers must be >= 1, got {workers}" in err
+
+    def test_workers_below_one_rejected_before_inline_fit(self, tmp_path, capsys, monkeypatch):
+        from ranksel import experiment
+
+        fits = []
+        monkeypatch.setattr(experiment, "gmcl_fit", lambda *a, **kw: fits.append(a))
+        err = self.run_main(tmp_path, capsys, flags=("--workers", "0"),
+                            policies=({"id": "two_factor", "fit": {"iterations": 2}}, "aoap"))
+        assert "workers must be >= 1, got 0" in err
+        assert fits == []
 
     def test_duplicate_label_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         self.forbid_runs(monkeypatch)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from ranksel.beliefs import GaussianBelief, posterior_arrays, sample_variances
+from ranksel.beliefs import GaussianBelief, GroundTruth, posterior_arrays, sample_variances
 from ranksel.experiment import (
     BUILTIN_SCENARIOS,
     VARIANCE_MODES,
@@ -387,6 +387,44 @@ class TestScaleInvariance:
             b = estimate_ipcs(scaled, pid, w)
             assert a.ipcs.tobytes() == b.ipcs.tobytes(), pid
             assert a.stderr.tobytes() == b.stderr.tobytes(), pid
+
+
+def reference_row(master_seed, namespace, index, width):
+    seq = np.random.SeedSequence([master_seed, namespace, index])
+    return np.random.Generator(np.random.PCG64(seq)).standard_normal(width)
+
+
+class TestBlockNormals:
+    """Each row of a block is the stream of its own seeded generator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**70 - 1),
+        namespace=st.sampled_from([0, 1, 2]),
+        indices=st.lists(st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]),
+                                   st.integers(0, 2**33)), min_size=1, max_size=6),
+        width=st.integers(1, 40),
+    )
+    def test_rows_match_per_row_generators(self, master_seed, namespace, indices, width):
+        block = experiment._block_normals(master_seed, namespace, indices, width)
+        want = np.stack([reference_row(master_seed, namespace, i, width) for i in indices])
+        assert block.tobytes() == want.tobytes()
+
+    def test_row_independent_of_block_size(self):
+        block = experiment._block_normals(20260802, 1, range(4096), 12)
+        for i in (0, 1, 2047, 4095):
+            alone = experiment._block_normals(20260802, 1, [i], 12)
+            assert alone.tobytes() == block[i].tobytes()
+
+    @pytest.mark.parametrize("master_seed, indices", [(-1, [0]), (0, [-1]), (0, [3, -2])])
+    def test_negative_entropy_rejected(self, master_seed, indices):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            experiment._block_normals(master_seed, 0, indices, 4)
+
+    def test_negative_fixed_truth_seed_rejected(self):
+        truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 1.0])
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            experiment.run_fixed_truths([truth], "aoap", steps=2, seed=-1)
 
 
 class TestReplicationFeatures:

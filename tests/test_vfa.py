@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ranksel.experiment import Scenario, replication_features
+from ranksel.policies import ACTIVATIONS, apply_activation
 from ranksel.vfa import (
     SaConfig,
     VfaWeights,
@@ -192,6 +193,71 @@ class TestSaMinimize:
         cfg = SaConfig(step_scale=1.0, iterations=10, initial_w=(1.0, 0.0))
         with pytest.raises(RuntimeError, match="diverged"):
             sa_minimize(sample, cfg)
+
+
+def reference_sa_minimize(sample_fn, config, activation="linear", box_bound=100.0,
+                          average_tail=0.0):
+    """The SA loop with a checked ``VfaWeights`` and a public gradient call per iteration."""
+    w = VfaWeights(config.initial_w, activation, box_bound).w
+    tail_start = config.iterations - int(config.iterations * average_tail)
+    acc = np.zeros_like(w)
+    tail_count = 0
+    for l in range(1, config.iterations + 1):
+        g, y = sample_fn(l)
+        weights = VfaWeights(w, activation, box_bound)
+        g = np.asarray(g, dtype=float)
+        z = float(weights.w @ g)
+        d = (apply_activation(z, activation) - y) * (ACTIVATIONS[activation][1](z) * g)
+        w = np.clip(w - config.step(l) * d, 0.0, box_bound)
+        if not np.all(np.isfinite(w)):
+            raise RuntimeError(
+                f"stochastic approximation diverged at iteration {l}: w={w!r}, "
+                f"features={np.asarray(g)!r}, indicator={y!r}"
+            )
+        if l > tail_start:
+            acc += w
+            tail_count += 1
+    if tail_count:
+        w = acc / tail_count
+    return VfaWeights(w, activation, box_bound)
+
+
+class TestSaMatchesReferenceLoop:
+    """``sa_minimize`` reproduces the per-iteration-object loop bit for bit."""
+
+    @staticmethod
+    def frozen_sampler(seed, n=500):
+        rng = np.random.default_rng(seed)
+        G = rng.exponential(size=(n, 2))
+        y = (rng.uniform(size=n) < 0.6).astype(float)
+        return lambda l: (G[(l - 1) % n], float(y[(l - 1) % n]))
+
+    @pytest.mark.parametrize("activation", ["linear", "expm"])
+    @pytest.mark.parametrize("average_tail", [0.0, 0.3])
+    def test_weights_bitwise(self, activation, average_tail):
+        sample = self.frozen_sampler(11)
+        cfg = SaConfig(step_scale=3.0, step_exponent=0.7, iterations=3000,
+                       initial_w=(0.5, 2.0))
+        got = sa_minimize(sample, cfg, activation, box_bound=4.0, average_tail=average_tail)
+        want = reference_sa_minimize(sample, cfg, activation, 4.0, average_tail)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert (got.activation, got.box_bound) == (activation, 4.0)
+
+    @pytest.mark.parametrize("activation", ["linear", "expm"])
+    def test_divergence_at_same_iteration_with_same_message(self, activation):
+        clean = self.frozen_sampler(12)
+
+        def sample(l):
+            g, y = clean(l)
+            return (np.array([g[0], math.nan]) if l == 37 else g), y
+
+        cfg = SaConfig(step_scale=1.0, iterations=100, initial_w=(1.0, 1.0))
+        with pytest.raises(RuntimeError) as got:
+            sa_minimize(sample, cfg, activation)
+        with pytest.raises(RuntimeError) as want:
+            reference_sa_minimize(sample, cfg, activation)
+        assert "diverged at iteration 37" in str(got.value)
+        assert str(got.value) == str(want.value)
 
 
 def reference_gmcl_fit(scenario, config, activation, batch=2048):
