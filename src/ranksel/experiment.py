@@ -56,6 +56,7 @@ __all__ = [
 
 VARIANCE_MODES = ("known", "plugin_frozen", "plugin_refresh")
 _N_INIT = 2  # warmup observations per alternative of a fixed-truth run
+_CHUNK = 4096  # replications per block of estimate_ipcs
 
 
 @dataclass(frozen=True)
@@ -366,18 +367,17 @@ def estimate_ipcs(
     policy_id: str,
     weights: VfaWeights | None = None,
     workers: int = 1,
-    chunk: int = 4096,
 ) -> IpcsCurve:
     """Estimate the correct-selection curve over the scenario's replications.
 
-    Replication indices are split into fixed chunks whose rows carry their
-    own generators, so estimates are identical for any worker count.
+    Replication indices are split into fixed blocks of ``_CHUNK`` whose rows
+    carry their own generators, so estimates are identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     score_fn = pol.make_policy(policy_id, weights)
     n = scenario.macro_reps
-    blocks = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    blocks = [range(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
     def count(block):
         return _correct_counts(scenario, score_fn, block)
@@ -404,6 +404,7 @@ def replication_features(
     squared-correlation) features at the horizon of replication l and
     ``y[l]`` is its correct-selection indicator.
     """
+    _check_policy(scenario, policy_id)
     score_fn = pol.make_policy(policy_id, weights)
     true_best, states = _replications(scenario, score_fn, indices, master_seed, namespace)
     final = _last(states)
@@ -537,7 +538,7 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
         spec = {"id": entry} if isinstance(entry, str) else dict(entry)
         if "id" not in spec:
             raise ValueError(f"policy entry missing 'id': {entry!r}")
-        pol.lookup_policy(spec["id"])
+        _check_policy(scenario, spec["id"])
         if spec["id"] == "two_factor":
             if "weights_file" in spec:
                 _field(spec, "two_factor", "weights_file", _is_str)
@@ -559,6 +560,16 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     _field(output, "output", "path", _is_str, None)
     _field(output, "output", "downsample", _is_positive_int, 1)
     return scenario, specs, dict(output)
+
+
+def _check_policy(scenario: Scenario, policy_id) -> None:
+    """Reject an unknown policy id, and an ``aoap_ms<d>`` id whose look-ahead d exceeds
+    the samples after warmup: no decision has more left, and each costs O(d^2)."""
+    _, depth = pol.lookup_policy(policy_id)
+    budget = scenario.horizon - scenario.warmup
+    if depth is not None and depth > budget:
+        raise ValueError(f"policy {policy_id!r} looks {depth} samples ahead, but only "
+                         f"{budget} follow the warmup (T - k*n0)")
 
 
 def load_config(path: str) -> dict:

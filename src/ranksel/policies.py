@@ -36,7 +36,6 @@ the belief-level ``*_allocate`` functions are ``decide`` on one state.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -93,7 +92,6 @@ __all__ = [
     "argmax_with_tiebreak",
 ]
 
-_MULTISTEP_CAP = 10**6  # most multisets aoap_multistep_values scores, C(k + depth - 1, depth)
 _QUAD_TOL, _QUAD_MAX_K = 1e-8, 16  # posterior-best quadrature: absolute tolerance, largest k
 _RATIO_TOL, _RATIO_MAX_ITERS = 1e-10, 10**5  # optimal_ratios: convergence, iteration limit
 
@@ -320,15 +318,6 @@ def aoap_candidate_values(
                           shrunk_variance(post_vars, sampling_vars))
 
 
-@functools.lru_cache(maxsize=None)
-def _multisets(k: int, size: int) -> np.ndarray:
-    """Count vectors of every multiset of ``size`` alternatives, as a (k, M) matrix."""
-    combos = itertools.combinations_with_replacement(range(k), size)
-    out = np.array([np.bincount(c, minlength=k) for c in combos]).T.copy()
-    out.setflags(write=False)
-    return out
-
-
 def aoap_multistep_values(
     means: np.ndarray,
     post_vars: np.ndarray,
@@ -337,26 +326,50 @@ def aoap_multistep_values(
 ) -> np.ndarray:
     """Look-ahead value of each first sample over ``depth`` samples.
 
-    Under certainty equivalence the posterior means never move, so a
-    sampling sequence affects the final state only through how many times
-    each alternative is sampled.  The value of sampling ``i`` first is the
-    largest squared-gap feature over the multisets of size ``depth`` that
-    contain ``i``; at most ``_MULTISTEP_CAP`` multisets are scored.  Depth
-    1 is ``aoap_candidate_values``.
+    Under certainty equivalence the posterior means never move, so the value
+    of sampling ``i`` first is the largest squared-gap feature over the
+    multisets of ``depth`` samples holding ``i``.  For each incumbent count
+    that feature is a min of challenger terms, each set by its own count, so
+    water-filling, giving each further sample to the least term, attains the
+    max (Ibaraki & Katoh, *Resource Allocation Problems*, 1988).  In floating
+    point a first sample can raise a variance by an ulp, so an unsampled
+    challenger's variance caps its sampled one: the multiset that leaves it
+    unsampled attains that term.  If some multiset makes a term NaN (tied
+    means, zero variances), the value is NaN.  Each value is the float one
+    multiset scores, for any depth >= 1, at O(depth^2 k^2) work per state.
     """
-    k = means.shape[0]
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    size = math.comb(k + depth - 1, depth)
-    if size > _MULTISTEP_CAP:
-        raise RuntimeError(f"look-ahead tree of {size} multisets exceeds cap {_MULTISTEP_CAP}")
     if depth == 1:
         return aoap_candidate_values(means, post_vars, sampling_vars)
-    extra = _multisets(k, depth).reshape((k, size) + (1,) * (means.ndim - 1))
-    vars_new = shrunk_variance(post_vars[:, None], sampling_vars[:, None], extra)
-    vars_new = np.where(extra > 0, vars_new, post_vars[:, None])
-    vals = distance_squared(np.broadcast_to(means[:, None], vars_new.shape), vars_new)
-    return np.where(extra > 0, vals, -np.inf).max(axis=1)
+    # (alternative, candidate, ...) arrays; each candidate holds its own first sample
+    k = means.shape[0]
+    shape = (k,) + means.shape
+    at_b, gaps = _incumbent_geometry(np.broadcast_to(means[:, None], shape))
+    sq = np.square(gaps, out=gaps)
+    p, s = (np.broadcast_to(x[:, None], shape) for x in (post_vars, sampling_vars))
+    first = np.zeros(shape)
+    first[range(k), range(k)] = 1.0
+    cap = np.where(first > 0, np.inf, p)  # challengers may stay unsampled, the candidate not
+
+    def levels(counts, v_b):
+        v = np.where(counts > 0, np.minimum(shrunk_variance(p, s, counts), cap), p)
+        return _gap_terms(at_b, sq, v_b, v)
+
+    best = np.full(means.shape, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for extra_b in range(depth):  # incumbent samples besides the candidate's own
+            c_b, p_b = first.take(at_b) + extra_b, p.take(at_b)
+            v_b = np.where(c_b > 0, shrunk_variance(p_b, s.take(at_b), c_b), p_b)
+            counts, free = first.copy(), depth - 1 - extra_b
+            for _ in range(free):
+                level = levels(counts, v_b)
+                counts.reshape(-1)[_offsets(_index_of(level, level.min(axis=0)))] += 1
+            # a term turns NaN only as its count grows: try each at the most it can get
+            reach = levels(first + free, v_b).min(axis=0)
+            value = levels(counts, v_b).min(axis=0)
+            np.maximum(best, np.where(np.isnan(reach), reach, value), out=best)
+    return best
 
 
 def two_factor_candidate_values(
@@ -691,8 +704,9 @@ def aoap_allocate(b: BeliefVector) -> int:
 def aoap_multistep(b: BeliefVector, depth: int) -> int:
     """Allocate by maximizing the look-ahead value ``depth`` steps out.
 
-    Depth 1 reproduces ``aoap_allocate`` exactly; at most ``_MULTISTEP_CAP``
-    multisets are scored.
+    Depth 1 reproduces ``aoap_allocate`` exactly.  The values come from
+    ``aoap_multistep_values``' water-filling, which equals the best multiset
+    of ``depth`` samples at O(depth^2 k^2) operations, for any depth >= 1.
     """
     return int(decide(functools.partial(POLICIES["aoap_ms"], depth=depth), b, 0))
 

@@ -51,6 +51,11 @@ def small_config(tmp_path, out_name="out.csv", seed=11, reps=24):
     return path
 
 
+# Ten alternatives at T = 120, n0 = 10: 20 samples follow the warmup.
+TEN_ALTERNATIVES = {"k": 10, "prior_means": [0.0] * 10, "prior_stds": [1.0] * 10,
+                    "sampling_stds": [1.0] * 10, "T": 120, "n0": 10}
+
+
 class TestHelp:
     def test_top_level_help(self):
         res = run_cli("--help")
@@ -320,6 +325,23 @@ class TestFitVfa:
             "error: fit seed must be >= 0, got -1\n")
         assert not out.exists()
 
+    def test_lookahead_generator_beyond_budget_rejected(self, tmp_path, capsys, monkeypatch):
+        """Ten alternatives at T = 120, n0 = 10 leave 20 samples after warmup, so an
+        aoap_ms30 generator exits 2 before any history is simulated."""
+        from ranksel import cli, experiment
+
+        monkeypatch.setattr(experiment, "_replications",
+                            lambda *a, **kw: pytest.fail("a history was simulated"))
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps({"scenario": TEN_ALTERNATIVES}))
+        out = tmp_path / "w.json"
+        assert cli.main(["fit-vfa", "--scenario", str(path), "--out", str(out),
+                         "--generator", "aoap_ms30"]) == 2
+        assert capsys.readouterr().err == (
+            "error: policy 'aoap_ms30' looks 30 samples ahead, but only 20 follow the warmup "
+            "(T - k*n0)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit-vfa", "run-experiment"])
     def test_infinite_feature_is_usage_error(self, tmp_path, capsys, command):
         """Zero prior stds with known variances make every fitted history's gap
@@ -390,6 +412,13 @@ class TestConfigValidation:
             raise AssertionError("a policy ran before the config was validated")
 
         monkeypatch.setattr(experiment, name, no_runs)
+
+    def test_lookahead_beyond_budget_rejected_before_any_run(self, tmp_path, capsys,
+                                                             monkeypatch):
+        self.forbid_runs(monkeypatch)
+        err = self.run_main(tmp_path, capsys, TEN_ALTERNATIVES, policies=("aoap", "aoap_ms30"))
+        assert err == ("error: policy 'aoap_ms30' looks 30 samples ahead, but only 20 follow "
+                       "the warmup (T - k*n0)\n")
 
     def test_unknown_policy_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         self.forbid_runs(monkeypatch)

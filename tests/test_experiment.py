@@ -1,6 +1,7 @@
 """Harness determinism, warmup behavior, estimator correctness, config round-trips."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -132,23 +133,27 @@ class TestEstimateIpcs:
         expected = np.sqrt(curve.ipcs * (1 - curve.ipcs) / sc.macro_reps)
         np.testing.assert_allclose(curve.stderr, expected, rtol=1e-12)
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
         sc = small_scenario(macro_reps=70)
-        one = estimate_ipcs(sc, "aoap", workers=1, chunk=16)
-        many = estimate_ipcs(sc, "aoap", workers=4, chunk=16)
+        monkeypatch.setattr(experiment, "_CHUNK", 16)
+        one = estimate_ipcs(sc, "aoap", workers=1)
+        many = estimate_ipcs(sc, "aoap", workers=4)
         np.testing.assert_array_equal(one.ipcs, many.ipcs)
 
     @pytest.mark.parametrize("workers", [0, -3])
     @pytest.mark.parametrize("chunk", [16, 4])  # one block, then several
-    def test_workers_below_one_rejected(self, workers, chunk):
+    def test_workers_below_one_rejected(self, workers, chunk, monkeypatch):
         sc = small_scenario(macro_reps=16)
+        monkeypatch.setattr(experiment, "_CHUNK", chunk)
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
-            estimate_ipcs(sc, "ea", workers=workers, chunk=chunk)
+            estimate_ipcs(sc, "ea", workers=workers)
 
-    def test_chunk_invariance(self):
+    def test_chunk_invariance(self, monkeypatch):
         sc = small_scenario(macro_reps=50)
-        a = estimate_ipcs(sc, "kg", chunk=7)
-        b = estimate_ipcs(sc, "kg", chunk=50)
+        monkeypatch.setattr(experiment, "_CHUNK", 7)
+        a = estimate_ipcs(sc, "kg")
+        monkeypatch.setattr(experiment, "_CHUNK", 50)
+        b = estimate_ipcs(sc, "kg")
         np.testing.assert_array_equal(a.ipcs, b.ipcs)
 
     def test_two_alternative_post_warmup_pcs_matches_integration(self):
@@ -487,6 +492,20 @@ class TestConfigAndResults:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             make_policy("sobol")
+
+    def test_lookahead_depth_bounded_by_post_warmup_budget(self, tmp_path):
+        """T = 24 and 3 x 4 warmup samples leave 12: aoap_ms12 parses, aoap_ms13 does not,
+        and the generator path of a fit checks the same rule."""
+        config = self.config_dict(tmp_path)
+        config["policies"] = ["aoap_ms12"]
+        scenario, specs, _ = parse_config(config)
+        assert [s["id"] for s in specs] == ["aoap_ms12"]
+        message = "policy 'aoap_ms13' looks 13 samples ahead, but only 12 follow the warmup"
+        config["policies"] = ["ea", "aoap_ms13"]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(config)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replication_features(scenario, "aoap_ms13", range(4))
 
     def test_run_experiment_and_write(self, tmp_path):
         config = self.config_dict(tmp_path)

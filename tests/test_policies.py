@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,7 +16,9 @@ from ranksel.policies import (
     _argmax,
     _sum_alternatives,
     aoap_allocate,
+    aoap_candidate_values,
     aoap_multistep,
+    aoap_multistep_values,
     aoap_values,
     apply_activation,
     argmax_with_tiebreak,
@@ -340,6 +342,50 @@ class TestAoap:
         assert aoap_allocate(moved) == aoap_allocate(b)
 
 
+def multiset_counts(k, size):
+    """Count vectors of every multiset of ``size`` alternatives, as a (k, M) matrix:
+    the k - 1 bar positions among size + k - 1 stars-and-bars slots."""
+    slots = size + k - 1
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(slots), k - 1)),
+                       dtype=np.int64).reshape(-1, k - 1)
+    edges = np.column_stack([np.full(len(bars), -1), bars, np.full(len(bars), slots)])
+    return (np.diff(edges, axis=1) - 1).T.copy()
+
+
+def multiset_values(means, post_vars, sampling_vars, depth):
+    """Reference look-ahead values: the largest squared-gap feature over every multiset of
+    ``depth`` samples holding the candidate, scored by the formulas the policy uses."""
+    if depth == 1:
+        return aoap_candidate_values(means, post_vars, sampling_vars)
+    counts = multiset_counts(means.shape[0], depth)
+    extra = counts.reshape(counts.shape + (1,) * (means.ndim - 1))
+    with np.errstate(invalid="ignore"):  # 0/0 where a zero sampling variance meets no sample
+        vars_new = shrunk_variance(post_vars[:, None], sampling_vars[:, None], extra)
+    vars_new = np.where(extra > 0, vars_new, post_vars[:, None])
+    vals = distance_squared(np.broadcast_to(means[:, None], vars_new.shape), vars_new)
+    return np.where(extra > 0, vals, -np.inf).max(axis=1)
+
+
+_VARIANCES = st.sampled_from([0.0, np.inf, 1.0, 49.0]) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def multistep_states(draw):
+    """Belief states, one (k,) state or a (k, n) batch, with tied top means, zero and
+    infinite variances (so NaN values: tied means with zero variances), and
+    sampling-to-posterior variance ratios above 2^53."""
+    k = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from([(k,), (k, draw(st.integers(1, 5)))]))
+    means = draw(hnp.arrays(float, shape, elements=st.sampled_from([-1.0, 0.0, 0.5])
+                            | st.floats(-3.0, 3.0)))
+    post_vars = draw(hnp.arrays(float, shape, elements=_VARIANCES))
+    ratios = draw(hnp.arrays(float, shape, elements=st.just(0.0) | st.floats(2.0**53, 1e300)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = post_vars * ratios
+    sampling_vars = np.where(ratios > 0, scaled, draw(hnp.arrays(float, shape, elements=_VARIANCES)))
+    return means, post_vars, sampling_vars
+
+
 class TestAoapMultistep:
     def test_depth_one_reproduces_single_step(self):
         rng = np.random.default_rng(8)
@@ -373,16 +419,55 @@ class TestAoapMultistep:
         shifted = belief_vector(b.means - 2.2, b.post_vars, b.sampling_vars, b.counts)
         assert aoap_multistep(shifted, 3) == aoap_multistep(b, 3)
 
-    def test_cap_enforced(self, monkeypatch):
-        """The cap bounds the multisets scored: C(4 + 10 - 1, 10) = 286 at k=4, depth 10."""
-        from ranksel import policies
+    @given(state=multistep_states(), depth=st.integers(1, 4))
+    @settings(max_examples=400, deadline=None)
+    # Found with the plain greedy, which pours every sample into the least current term:
+    # - a NaN reachable only through the later of two tied challengers;
+    @example(state=(np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 1.0]),
+                    np.array([1.0, 1.0, 0.0])), depth=2)
+    # - a first sample that lowers a term by an ulp (sampling/posterior ratio ~1e48).
+    @example(state=(np.array([-0.6777386180580328, 0.6565102470319913, -1.8812158404175985]),
+                    np.array([0.0, 0.050516717409154366, 0.7727760415529281]),
+                    np.array([0.16808048042727336, 9.167678346940528e+46, 9.788175821155597e+116])),
+             depth=2)
+    def test_matches_multiset_enumeration_bitwise(self, state, depth):
+        means, post_vars, sampling_vars = state
+        expected = multiset_values(means, post_vars, sampling_vars, depth)
+        got = aoap_multistep_values(means, post_vars, sampling_vars, depth)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_multiset_enumeration_on_wide_batches(self, k):
+        """Seeded (k, 2048) batches of the same kinds of states reach corners that a few
+        hundred hypothesis examples rarely do: each greedy failure pinned above shows
+        up here too."""
+        rng = np.random.default_rng(k)
+        shape = (k, 2048)
+
+        def variances():
+            u = rng.random(shape)
+            return np.select([u < 0.15, u < 0.3], [0.0, np.inf], rng.exponential(size=shape))
+
+        means = np.where(rng.random(shape) < 0.5, rng.integers(0, 2, shape), rng.normal(size=shape))
+        post_vars = variances()
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = post_vars * 2.0 ** rng.uniform(53, 1000, shape)
+        sampling_vars = np.where(rng.random(shape) < 0.5, scaled, variances())
+        for depth in (2, 3, 4):
+            expected = multiset_values(means, post_vars, sampling_vars, depth)
+            got = aoap_multistep_values(means, post_vars, sampling_vars, depth)
+            assert np.array_equal(got, expected, equal_nan=True), depth
+
+    def test_depth_beyond_the_former_multiset_cap(self):
+        """Depth 180 at k=4 spans C(183, 3) = 1,004,731 multisets, more than the 10^6
+        the enumeration would score."""
         b = random_belief_vector(np.random.default_rng(11), k=4)
-        monkeypatch.setattr(policies, "_MULTISTEP_CAP", 285)
-        with pytest.raises(RuntimeError, match="286 multisets exceeds cap 285"):
-            aoap_multistep(b, 10)
-        monkeypatch.setattr(policies, "_MULTISTEP_CAP", 286)
-        assert aoap_multistep(b, 10) in range(4)
+        args = (b.means, b.post_vars, b.sampling_vars, 180)
+        assert math.comb(4 + 180 - 1, 180) == 1_004_731
+        expected = multiset_values(*args)
+        assert np.array_equal(aoap_multistep_values(*args), expected)
+        assert aoap_multistep(b, 180) == int(np.argmax(expected))
 
 
 class TestTwoFactor:
