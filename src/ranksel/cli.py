@@ -15,6 +15,7 @@ All randomness flows from seeds in flags or config files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import exact, experiment, policies, vfa
@@ -128,9 +129,9 @@ def _cmd_optimal_ratios(args) -> int:
         raise ValueError("--means and --stds must have the same length")
     if len(args.means) < 2:
         raise ValueError("need at least two alternatives")
-    if not all(s > 0 for s in args.stds):
-        raise ValueError("--stds must be positive")
-    truth = GroundTruth(means=args.means, variances=[s**2 for s in args.stds])
+    if not all(s > 0 and 0 < s * s < math.inf for s in args.stds):
+        raise ValueError("--stds must be positive, with squares in the float range")
+    truth = GroundTruth(means=args.means, variances=[s * s for s in args.stds])
     ratios, iters = policies.optimal_ratios(truth)
     spread, defect = policies.ratio_residuals(truth, ratios)
     print("ratios: " + ",".join(f"{r:.10g}" for r in ratios.ratios))

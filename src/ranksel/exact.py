@@ -316,6 +316,8 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if state_cap < 1:
+        raise ValueError(f"state cap must be >= 1, got {state_cap}")
     n_states = state_space_size(horizon, model.k, model.support_sizes)
     if n_states > state_cap:
         raise RuntimeError(

@@ -93,7 +93,6 @@ __all__ = [
 ]
 
 _QUAD_TOL, _QUAD_MAX_K = 1e-8, 16  # posterior-best quadrature: absolute tolerance, largest k
-_RATIO_TOL, _RATIO_MAX_ITERS = 1e-10, 10**5  # optimal_ratios: convergence, iteration limit
 
 
 @dataclass(frozen=True)
@@ -772,90 +771,63 @@ def ea_allocate(t: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def optimal_ratios(
-    truth: GroundTruth,
-    initial_share: float | None = None,
-) -> tuple[RatioVector, int]:
-    """Sampling ratios equalizing the false-selection decay rate across challengers.
-
-    Solves the coupled system: all challenger rate terms equal, the
-    incumbent's ratio equal to sigma_best * sqrt(sum r_i^2 / sigma_i^2),
-    ratios summing to one.  Given the incumbent ratio the challenger
-    subsystem is solved exactly by one-dimensional root finding on the
-    common rate level; the incumbent ratio is then iterated with damping
-    0.5 under a bracketing safeguard (the defect is monotone, so the
-    bracket always shrinks).
-
-    ``initial_share`` seeds the incumbent's ratio (default 1/k); the
-    solution is unique, so any interior start converges to the same point.
-    Returns the ratio vector and the number of outer iterations.
-    """
+def _ratio_terms(truth: GroundTruth) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Incumbent, challengers, q_i = (gap_i / gap_min)^2 and sig_i = sigma_i / sigma_best."""
     means, svars = truth.means, truth.variances
     if np.any(svars <= 0):
         raise ValueError("optimal ratios require strictly positive variances")
-    k = len(means)
-    order = np.lexsort((np.arange(k), -means))
-    best = int(order[0])
-    others = order[1:]
-    gaps = means[best] - means[others]
-    if np.any(gaps <= 0):
-        raise ValueError("optimal ratios require a strictly largest mean")
-    svar_b = svars[best]
-    svar_o = svars[others]
+    order = np.lexsort((np.arange(len(means)), -means))
+    best, others = int(order[0]), order[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = means[best] - means[others]
+        if np.any(gaps <= 0):
+            raise ValueError("optimal ratios require a strictly largest mean")
+        q = (gaps / gaps.min()) ** 2
+        sig = np.sqrt(svars[others]) / math.sqrt(svars[best])
+        if not (np.all(np.isfinite(q)) and math.isfinite(sig.sum())):
+            raise ValueError("optimal ratios need gap and std ratios within the float range")
+    return best, others, q, sig
 
-    def challengers(x: float) -> np.ndarray:
-        """Challenger ratios with equal rate terms summing to 1 - x."""
-        # Parametrize by the common rate z: r_i = svar_i / (gap_i^2/z - svar_b/x).
-        z_max = float(x * np.min(gaps**2) / svar_b)
 
-        def total(z: float) -> float:
-            r = svar_o / (gaps**2 / z - svar_b / x)
-            return float(r.sum()) - (1.0 - x)
+def optimal_ratios(truth: GroundTruth) -> tuple[RatioVector, int]:
+    """Sampling ratios equalizing the false-selection decay rate across challengers.
 
-        lo = z_max * 1e-18
-        hi = z_max * (1.0 - 1e-13)
-        z = brentq(total, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
-        return svar_o / (gaps**2 / z - svar_b / x)
+    With the terms of ``_ratio_terms`` and a slack t > 0, the ratios
+    r_i / r_b = sig_i * w_i, w_i = sig_i / ((q_i - 1) + q_i * t), make every
+    rate term gap_i^2 / (sigma_i^2/r_i + sigma_b^2/r_b) equal, and the
+    incumbent condition r_b = sigma_b * sqrt(sum r_i^2 / sigma_i^2) becomes
+    sum w_i^2 = 1.  That sum strictly decreases in t, so one root find
+    solves it, bracketed by the slack at which the largest w_i is 1 and by
+    ||sig||_2 (equal for k = 2: r_b = sigma_b / (sigma_b + sigma_1)).  Only
+    ratios of means and of stds enter, so common scaling changes nothing.
+    Returns the ratio vector and the root finder's iteration count (0 when
+    the root is a bracket end).
+    """
+    best, others, q, sig = _ratio_terms(truth)
 
-    x = 1.0 / k if initial_share is None else float(initial_share)
-    if not 0.0 < x < 1.0:
-        raise ValueError("initial_share must lie in (0, 1)")
-    lo_x, hi_x = 1e-12, 1.0 - 1e-12
-    for iters in range(1, _RATIO_MAX_ITERS + 1):
-        r_o = challengers(x)
-        target = math.sqrt(svar_b) * math.sqrt(float((r_o**2 / svar_o).sum()))
-        if abs(x - target) < _RATIO_TOL:
-            break
-        # x - target(x) is increasing in x: every evaluation refines the bracket.
-        if x < target:
-            lo_x = max(lo_x, x)
-        else:
-            hi_x = min(hi_x, x)
-        proposal = x + 0.5 * (target - x)
-        x = proposal if lo_x < proposal < hi_x else 0.5 * (lo_x + hi_x)
+    def w(t: float) -> np.ndarray:
+        # (q - 1) + q*t, not q*(1 + t) - 1: a tiny slack keeps its digits.
+        return sig / ((q - 1.0) + q * t)
+
+    def excess(t: float) -> float:
+        return float(np.square(w(t)).sum()) - 1.0
+
+    lo, hi = float(np.max((sig - (q - 1.0)) / q)), math.hypot(*sig)
+    if excess(lo) <= 0.0:
+        t, iters = lo, 0
+    elif excess(hi) >= 0.0:
+        t, iters = hi, 0
     else:
-        raise RuntimeError(
-            f"ratio iteration did not converge: residual {abs(x - target):.3e} "
-            f"after {_RATIO_MAX_ITERS} iterations"
-        )
-
-    ratios = np.empty(k)
-    ratios[best] = x
-    ratios[others] = r_o
-    ratios /= ratios.sum()
-    return RatioVector(ratios), iters
+        t, info = brentq(excess, lo, hi, xtol=math.ulp(lo), full_output=True)
+        iters = info.iterations
+    ratios = np.ones(len(truth.means))
+    ratios[others] = sig * w(t)
+    return RatioVector(ratios / ratios.sum()), iters
 
 
 def ratio_residuals(truth: GroundTruth, ratios: RatioVector) -> tuple[float, float]:
-    """Defects of a candidate ratio vector against the optimality conditions.
-
-    Returns (largest spread among challenger rate terms, defect of the
-    incumbent-ratio equation).
-    """
-    means, svars, r = truth.means, truth.variances, ratios.ratios
-    order = np.lexsort((np.arange(len(means)), -means))
-    best, others = int(order[0]), order[1:]
-    rates = (means[best] - means[others]) ** 2 / (svars[others] / r[others] + svars[best] / r[best])
-    spread = float(rates.max() - rates.min()) if len(rates) > 1 else 0.0
-    target = math.sqrt(svars[best]) * math.sqrt(float((r[others] ** 2 / svars[others]).sum()))
-    return spread, abs(float(r[best]) - target)
+    """Relative spread of the challenger rate terms, and |sum w_i^2 - 1| (see optimal_ratios)."""
+    best, others, q, sig = _ratio_terms(truth)
+    w = ratios.ratios[others] / ratios.ratios[best] / sig
+    rates = q * w / (sig + w)  # rate_i * sigma_b^2 / (gap_min^2 * r_b)
+    return float((rates.max() - rates.min()) / rates.max()), abs(float(np.square(w).sum()) - 1.0)

@@ -27,7 +27,6 @@ ALLOWED_OPTIONS = {
     "policies.shrunk_variance(n)",
     "policies.two_factor_candidate_values(activation)",
     "policies.make_policy(weights)",
-    "policies.optimal_ratios(initial_share)",
     "vfa.sa_minimize(activation)",
     "vfa.sa_minimize(box_bound)",
     "vfa.sa_minimize(average_tail)",

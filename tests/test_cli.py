@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,7 +176,35 @@ class TestOptimalRatios:
         res = run_cli("optimal-ratios", "--means", "1,0,-1", "--stds=-1,2,1")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.splitlines() == ["error: --stds must be positive"]
+        assert res.stderr.splitlines() == [
+            "error: --stds must be positive, with squares in the float range"]
+
+    @pytest.mark.parametrize("means,stds", [
+        ("1,0", "1e7,1e-7"),
+        ("1,0", "1e-160,1"),    # sigma_b^2 is subnormal
+        ("1e300,0", "1,1"),
+        ("1e-300,0", "1,1"),
+    ])
+    def test_extreme_two_alternatives_match_closed_form(self, means, stds):
+        """k = 2: r_b = sigma_b / (sigma_b + sigma_1), from the variances the CLI forms."""
+        res = run_cli("optimal-ratios", "--means", means, "--stds", stds)
+        assert res.returncode == 0 and res.stderr.splitlines() == []
+        s_b, s_1 = (math.sqrt(float(s) * float(s)) for s in stds.split(","))
+        expected = [s_b / (s_b + s_1), s_1 / (s_b + s_1)]
+        assert res.stdout.splitlines() == [
+            "ratios: " + ",".join(f"{r:.10g}" for r in expected),
+            "residuals: rate_spread=0.000e+00 incumbent_defect=0.000e+00",
+            "iterations: 0",
+        ]
+
+    @pytest.mark.parametrize("means,stds,message", [
+        ("1,0", "1e200,1", "--stds must be positive, with squares in the float range"),
+        ("1,0,-1e200", "1,1,1", "optimal ratios need gap and std ratios within the float range"),
+    ])
+    def test_out_of_range_is_one_line_usage_error(self, means, stds, message):
+        res = run_cli("optimal-ratios", "--means", means, "--stds", stds)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: {message}"]
 
 
 class TestStateSpaceSize:
@@ -228,6 +257,13 @@ class TestSolveExact:
         res = run_cli("solve-exact", "--model", str(self.model_file(tmp_path)),
                       "--horizon", "9", "--state-cap", "3")
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_usage_error(self, tmp_path, cap):
+        res = run_cli("solve-exact", "--model", str(self.model_file(tmp_path)),
+                      "--horizon", "3", "--state-cap", cap)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: state cap must be >= 1, got {cap}"]
 
     def test_huge_horizon_rejected_at_cap(self, tmp_path, capsys):
         """The state count is closed-form, so a horizon far past the cap is

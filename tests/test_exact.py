@@ -388,6 +388,10 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="state space"):
             solve_bellman(model, 10, state_cap=5)
 
+    def test_state_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="state cap must be >= 1, got 0"):
+            solve_bellman(two_point_model(), 2, state_cap=0)
+
     def test_path_cap_enforced(self):
         """Two binary alternatives at horizon 9 have 4^9 = 262,144 > 10^5 histories."""
         model = two_point_model()

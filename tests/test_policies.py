@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import brentq
 
 from ranksel.beliefs import GaussianBelief, GroundTruth
 from ranksel.policies import (
@@ -583,6 +585,56 @@ class TestTwoFactor:
             assert same_bits(two_factor_candidate_values(*args), reference_two_factor_values(*args))
 
 
+def reference_optimal_ratios(truth):
+    """The damped fixed-point solver optimal_ratios replaced: the incumbent's
+    share is iterated to 1e-10, each step solving the challenger subsystem by
+    a root find on the common rate level."""
+    means, svars = truth.means, truth.variances
+    k = len(means)
+    order = np.lexsort((np.arange(k), -means))
+    best, others = int(order[0]), order[1:]
+    gaps = means[best] - means[others]
+    svar_b, svar_o = svars[best], svars[others]
+
+    def challengers(x):
+        z_max = float(x * np.min(gaps**2) / svar_b)
+
+        def total(z):
+            return float((svar_o / (gaps**2 / z - svar_b / x)).sum()) - (1.0 - x)
+
+        z = brentq(total, z_max * 1e-18, z_max * (1.0 - 1e-13), xtol=1e-300, rtol=8.9e-16,
+                   maxiter=300)
+        return svar_o / (gaps**2 / z - svar_b / x)
+
+    x, lo_x, hi_x = 1.0 / k, 1e-12, 1.0 - 1e-12
+    for _ in range(10**5):
+        r_o = challengers(x)
+        target = math.sqrt(svar_b) * math.sqrt(float((r_o**2 / svar_o).sum()))
+        if abs(x - target) < 1e-10:
+            break
+        if x < target:
+            lo_x = max(lo_x, x)
+        else:
+            hi_x = min(hi_x, x)
+        proposal = x + 0.5 * (target - x)
+        x = proposal if lo_x < proposal < hi_x else 0.5 * (lo_x + hi_x)
+    else:
+        raise RuntimeError("reference ratio iteration did not converge")
+    ratios = np.empty(k)
+    ratios[best], ratios[others] = x, r_o
+    return ratios / ratios.sum()
+
+
+@st.composite
+def ratio_truths(draw, max_k=10):
+    """k = 2..max_k distinct means in [-10, 10], at least 1e-3 apart, and stds in e^[-6, 6]."""
+    k = draw(st.integers(2, max_k))
+    means = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k, unique=True)
+                 .filter(lambda m: np.diff(np.sort(m)).min() >= 1e-3))
+    log_stds = draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))
+    return GroundTruth(means=means, variances=np.exp(2.0 * np.array(log_stds)))
+
+
 class TestOptimalRatios:
     def test_equal_stds_split_evenly(self):
         truth = GroundTruth(means=[1.0, 0.0], variances=[1.0, 1.0])
@@ -605,19 +657,64 @@ class TestOptimalRatios:
             spread, defect = ratio_residuals(truth, ratios)
             assert spread < 1e-8 and defect < 1e-8
 
-    def test_unique_solution_across_restarts(self):
-        truth = GroundTruth(
-            means=[3.0, 2.0, 1.0, 0.0], variances=[2.0, 1.0, 4.0, 1.5]
-        )
-        rng = np.random.default_rng(17)
-        base, _ = optimal_ratios(truth)
-        for _ in range(5):
-            again, _ = optimal_ratios(truth, initial_share=rng.uniform(0.05, 0.95))
-            np.testing.assert_allclose(again.ratios, base.ratios, atol=1e-6)
+    @given(truth=ratio_truths())
+    @settings(max_examples=200, deadline=None)
+    # Tied challenger gaps: the root is the bracket's upper end ||sig||_2.
+    @example(truth=GroundTruth(means=[1.0, 0.0, 0.0, 0.0], variances=[1.0, 1.0, 4.0, 9.0]))
+    # Gaps tied in rounding and one dominant challenger std: the bracket
+    # collapses to a point.
+    @example(truth=GroundTruth(means=[1e50, 1.0, 0.0], variances=[1.0, 1.0, 1e-18]))
+    def test_matches_damped_reference(self, truth):
+        ratios, _ = optimal_ratios(truth)
+        np.testing.assert_allclose(ratios.ratios, reference_optimal_ratios(truth), rtol=0,
+                                   atol=1e-9)
+        spread, defect = ratio_residuals(truth, ratios)
+        assert spread < 1e-12 and defect < 1e-12
+
+    @given(truth=ratio_truths(), mean_exp=st.integers(-60, 60), std_exp=st.integers(-60, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_power_of_two_scaling_is_byte_identical(self, truth, mean_exp, std_exp):
+        scaled = GroundTruth(means=truth.means * 2.0**mean_exp,
+                             variances=truth.variances * 4.0**std_exp)
+        ratios, scaled_ratios = optimal_ratios(truth)[0].ratios, optimal_ratios(scaled)[0].ratios
+        assert scaled_ratios.tobytes() == ratios.tobytes()
+
+    @given(truth=ratio_truths(), shift=st.floats(-1e6, 1e6))
+    @settings(max_examples=150, deadline=None)
+    def test_location_shift(self, truth, shift):
+        shifted = GroundTruth(means=truth.means + shift, variances=truth.variances)
+        np.testing.assert_allclose(optimal_ratios(shifted)[0].ratios,
+                                   optimal_ratios(truth)[0].ratios, rtol=0, atol=1e-8)
+
+    @given(log_stds=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+           log_gap=st.floats(-100.0, 100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_two_alternatives_closed_form(self, log_stds, log_gap):
+        """k = 2: r_b = sigma_b / (sigma_b + sigma_1), for stds and gaps in [1e-100, 1e100]."""
+        variances = [10.0 ** (2.0 * x) for x in log_stds]
+        truth = GroundTruth(means=[10.0**log_gap, 0.0], variances=variances)
+        s_b, s_1 = (math.sqrt(v) for v in variances)
+        np.testing.assert_allclose(optimal_ratios(truth)[0].ratios,
+                                   [s_b / (s_b + s_1), s_1 / (s_b + s_1)], rtol=1e-12, atol=0)
+
+    def test_no_overflow_when_stds_span_1e300(self):
+        """Tied gaps, sig = (1e-150, 1e150): a bracket starting at the first
+        challenger's sig would square w_2 = 1e300 there."""
+        truth = GroundTruth(means=[1.0, 0.0, 0.0], variances=[1.0, 1e-300, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratios, _ = optimal_ratios(truth)
+        np.testing.assert_allclose(ratios.ratios, [1e-150, 0.0, 1.0], rtol=1e-12, atol=0)
 
     def test_tied_best_rejected(self):
         truth = GroundTruth(means=[1.0, 1.0, 0.0], variances=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
+            optimal_ratios(truth)
+
+    def test_overflowing_gap_ratio_rejected(self):
+        """(gap_2 / gap_1)^2 = 1e400 is not a float."""
+        truth = GroundTruth(means=[1.0, 0.0, -1e200], variances=[1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="within the float range"):
             optimal_ratios(truth)
 
 
