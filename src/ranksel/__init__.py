@@ -85,7 +85,6 @@ from .vfa import (
     gmcl_gradient,
     linear_lsq_oracle,
     load_weights,
-    sa_fit_frozen,
     sa_minimize,
     save_weights,
     vfa_eval,

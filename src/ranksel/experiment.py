@@ -83,10 +83,10 @@ class Scenario:
         for name in ("prior_means", "prior_stds", "sampling_stds"):
             if not all(math.isfinite(x) for x in getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if any(s < 0 for s in self.prior_stds):
-            raise ValueError("prior stds must be nonnegative")
-        if any(s <= 0 for s in self.sampling_stds):
-            raise ValueError("sampling stds must be positive")
+        if not all(s >= 0 and s * s < math.inf for s in self.prior_stds):
+            raise ValueError("prior_stds must be nonnegative, with finite squares")
+        if not all(s > 0 and 0 < s * s < math.inf for s in self.sampling_stds):
+            raise ValueError("sampling_stds must be positive, with squares in the float range")
         if self.variance_mode not in VARIANCE_MODES:
             raise ValueError(f"variance_mode must be one of {VARIANCE_MODES}")
         min_n0 = 1 if self.variance_mode == "known" else 2

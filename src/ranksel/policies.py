@@ -143,6 +143,8 @@ class RatioVector:
     def __post_init__(self) -> None:
         ratios = np.asarray(self.ratios, dtype=float)
         object.__setattr__(self, "ratios", ratios)
+        if not np.all(np.isfinite(ratios)):
+            raise ValueError(f"ratios must be finite, got {ratios!r}")
         if np.any(ratios < 0):
             raise ValueError("ratios must be nonnegative")
         if abs(float(ratios.sum()) - 1.0) > 1e-10:
@@ -826,8 +828,15 @@ def optimal_ratios(truth: GroundTruth) -> tuple[RatioVector, int]:
 
 
 def ratio_residuals(truth: GroundTruth, ratios: RatioVector) -> tuple[float, float]:
-    """Relative spread of the challenger rate terms, and |sum w_i^2 - 1| (see optimal_ratios)."""
+    """Relative spread of the challenger rate terms, and |sum w_i^2 - 1| (see optimal_ratios).
+
+    A challenger whose ratio is below the smallest normal float is left out of the
+    spread (which is 0 if none is left): its ratio underflowed, so its rate term
+    cannot be formed.
+    """
     best, others, q, sig = _ratio_terms(truth)
     w = ratios.ratios[others] / ratios.ratios[best] / sig
-    rates = q * w / (sig + w)  # rate_i * sigma_b^2 / (gap_min^2 * r_b)
-    return float((rates.max() - rates.min()) / rates.max()), abs(float(np.square(w).sum()) - 1.0)
+    formed = ratios.ratios[others] >= np.finfo(float).tiny
+    rates = (q * w / (sig + w))[formed]  # rate_i * sigma_b^2 / (gap_min^2 * r_b)
+    spread = float((rates.max() - rates.min()) / rates.max()) if rates.size else 0.0
+    return spread, abs(float(np.square(w).sum()) - 1.0)

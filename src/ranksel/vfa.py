@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -29,7 +29,6 @@ __all__ = [
     "vfa_eval",
     "gmcl_gradient",
     "sa_minimize",
-    "sa_fit_frozen",
     "gmcl_fit",
     "linear_lsq_oracle",
     "save_weights",
@@ -72,8 +71,8 @@ class SaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+        if not 0 < self.step_scale < np.inf:
+            raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
         if not 0.5 < self.step_exponent <= 1.0:
             raise ValueError("step_exponent must lie in (0.5, 1]")
         if self.iterations < 1:
@@ -105,62 +104,46 @@ def _gradient(w, g, indicator, K, K_prime):
 
 
 def sa_minimize(
-    sample_fn: Callable[[int], tuple[np.ndarray, float]],
-    config: SaConfig,
-    activation: str = "linear",
-    box_bound: float = DEFAULT_BOX_BOUND,
-    average_tail: float = 0.0,
-) -> VfaWeights:
-    """Projected stochastic gradient descent on the least-squares objective.
-
-    ``sample_fn(l)`` supplies the l-th (features, indicator) pair; iterates
-    are clipped to [0, box_bound] after every step.  By default the final
-    iterate is returned; ``average_tail=q`` returns instead the average of
-    the last ``q`` fraction of iterates (Polyak-style averaging, which
-    suppresses the oscillation of the final iterate on ill-conditioned
-    objectives without changing the limit).
-    """
-    if not 0.0 <= average_tail < 1.0:
-        raise ValueError("average_tail must lie in [0, 1)")
-    w = VfaWeights(config.initial_w, activation, box_bound).w  # checks the box and activation
-    K, K_prime = _activation(activation)
-    tail_start = config.iterations - int(config.iterations * average_tail)
-    acc = np.zeros_like(w)
-    tail_count = 0
-    for l in range(1, config.iterations + 1):  # w stays in the box: no VfaWeights per step
-        g, y = sample_fn(l)
-        w = (w - config.step(l) * _gradient(w, g, y, K, K_prime)).clip(0.0, box_bound)
-        if not np.isfinite(w).all():
-            raise RuntimeError(
-                f"stochastic approximation diverged at iteration {l}: w={w!r}, "
-                f"features={np.asarray(g)!r}, indicator={y!r}"
-            )
-        if l > tail_start:
-            acc += w
-            tail_count += 1
-    if tail_count:
-        w = acc / tail_count
-    return VfaWeights(w, activation, box_bound)
-
-
-def sa_fit_frozen(
     features: np.ndarray,
     indicators: np.ndarray,
     config: SaConfig,
     activation: str = "linear",
-    box_bound: float = DEFAULT_BOX_BOUND,
     average_tail: float = 0.0,
 ) -> VfaWeights:
-    """Run the stochastic iteration cycling deterministically over a frozen set."""
+    """Projected stochastic gradient descent on the least-squares objective.
+
+    Iteration l uses row (l - 1) mod n of the n frozen (features, indicator)
+    pairs; iterates are clipped to [0, DEFAULT_BOX_BOUND] after every step.
+    By default the final iterate is returned; ``average_tail=q`` returns
+    instead the average of the last ``q`` fraction of iterates (Polyak-style
+    averaging, which suppresses the oscillation of the final iterate on
+    ill-conditioned objectives without changing the limit).
+    """
     features = np.asarray(features, dtype=float)
     indicators = np.asarray(indicators, dtype=float)
     n = len(indicators)
-
-    def sample(l: int) -> tuple[np.ndarray, float]:
-        row = (l - 1) % n
-        return features[row], float(indicators[row])
-
-    return sa_minimize(sample, config, activation, box_bound, average_tail)
+    if len(features) != n or n == 0:
+        raise ValueError(f"need one indicator per feature row and at least one row, "
+                         f"got {len(features)} rows and {n} indicators")
+    if not 0.0 <= average_tail < 1.0:
+        raise ValueError("average_tail must lie in [0, 1)")
+    w = VfaWeights(config.initial_w, activation).w  # checks the box and activation
+    K, K_prime = _activation(activation)
+    tail = int(config.iterations * average_tail)
+    acc = np.zeros_like(w)
+    for l in range(1, config.iterations + 1):  # w stays in the box: no VfaWeights per step
+        g, y = features[(l - 1) % n], float(indicators[(l - 1) % n])
+        w = (w - config.step(l) * _gradient(w, g, y, K, K_prime)).clip(0.0, DEFAULT_BOX_BOUND)
+        if not np.isfinite(w).all():
+            raise RuntimeError(
+                f"stochastic approximation diverged at iteration {l}: w={w!r}, "
+                f"features={g!r}, indicator={y!r}"
+            )
+        if l > config.iterations - tail:
+            acc += w
+    if tail:
+        w = acc / tail
+    return VfaWeights(w, activation)
 
 
 def gmcl_fit(
@@ -175,9 +158,9 @@ def gmcl_fit(
     Each iteration uses one new independent history: a ground truth
     sampled from the scenario prior, a run of ``generator_policy`` (which
     must not depend on the weights) to the horizon, then the features and
-    the correct-selection indicator of the final state.  Histories are
-    generated in deterministic blocks of 2048 keyed by the config seed, and
-    the SA pass runs once through the first ``iterations`` of them.  A
+    the correct-selection indicator of the final state.  Exactly
+    ``iterations`` histories are simulated, in deterministic blocks of 2048
+    keyed by the config seed, and the SA pass runs once through them.  A
     history with a non-finite feature (zero posterior variances, as with
     zero prior stds and known variances) raises ValueError: the weights are
     not identified from it.
@@ -187,19 +170,20 @@ def gmcl_fit(
     config = config or SaConfig()
     if horizon is not None and horizon != scenario.horizon:
         scenario = replace(scenario, horizon=horizon)
+    n = config.iterations
     blocks = [
-        replication_features(scenario, generator_policy, range(lo, lo + 2048),
+        replication_features(scenario, generator_policy, range(lo, min(lo + 2048, n)),
                              master_seed=config.seed, namespace=1)
-        for lo in range(0, config.iterations, 2048)
+        for lo in range(0, n, 2048)
     ]
-    features = np.concatenate([g for g, _ in blocks])[:config.iterations]
-    indicators = np.concatenate([y for _, y in blocks])[:config.iterations]
+    features = np.concatenate([g for g, _ in blocks])
+    indicators = np.concatenate([y for _, y in blocks])
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"history {bad[0] + 1} has non-finite features "
                          f"{features[bad[0]].tolist()}: zero posterior "
                          "variances leave the gap feature infinite or undefined")
-    return sa_fit_frozen(features, indicators, config, activation)
+    return sa_minimize(features, indicators, config, activation)
 
 
 def linear_lsq_oracle(

@@ -29,7 +29,7 @@ from ranksel.exact import (
 from ranksel.experiment import builtin_scenario, estimate_ipcs, replication_features, \
     run_fixed_truths
 from ranksel.policies import optimal_ratios, ratio_residuals
-from ranksel.vfa import SaConfig, VfaWeights, gmcl_fit, linear_lsq_oracle, sa_fit_frozen
+from ranksel.vfa import SaConfig, VfaWeights, gmcl_fit, linear_lsq_oracle, sa_minimize
 
 # Child interpreters import ranksel from this checkout, installed or not.
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -265,7 +265,7 @@ class TestAcceptance:
         # so the run uses a heavier schedule plus tail averaging; both stay
         # within the admissible step family and the oracle is untouched.
         config = SaConfig(step_scale=800.0, step_exponent=0.78, iterations=100_000)
-        fitted = sa_fit_frozen(G, y, config, average_tail=0.3)
+        fitted = sa_minimize(G, y, config, average_tail=0.3)
         err = float(np.abs(fitted.w - oracle).max())
         elapsed = gen_elapsed + time.time() - start
         verdict(

@@ -28,11 +28,7 @@ ALLOWED_OPTIONS = {
     "policies.two_factor_candidate_values(activation)",
     "policies.make_policy(weights)",
     "vfa.sa_minimize(activation)",
-    "vfa.sa_minimize(box_bound)",
     "vfa.sa_minimize(average_tail)",
-    "vfa.sa_fit_frozen(activation)",
-    "vfa.sa_fit_frozen(box_bound)",
-    "vfa.sa_fit_frozen(average_tail)",
     "vfa.gmcl_fit(horizon)",
     "vfa.gmcl_fit(generator_policy)",
     "vfa.gmcl_fit(config)",

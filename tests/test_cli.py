@@ -197,6 +197,19 @@ class TestOptimalRatios:
             "iterations: 0",
         ]
 
+    @pytest.mark.parametrize("means,stds,ratios", [
+        ("1,0,-1e150", "1,1,1e-100", "0.5,0.5,0"),    # the third ratio is ~1e-500
+        ("1,0,0", "1,1e-150,1e150", "1e-150,0,1"),    # the second ratio is ~1e-450
+    ])
+    def test_underflowed_ratio_is_not_a_rate_spread(self, means, stds, ratios):
+        res = run_cli("optimal-ratios", "--means", means, "--stds", stds)
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.splitlines() == [
+            f"ratios: {ratios}",
+            "residuals: rate_spread=0.000e+00 incumbent_defect=0.000e+00",
+            "iterations: 0",
+        ]
+
     @pytest.mark.parametrize("means,stds,message", [
         ("1,0", "1e200,1", "--stds must be positive, with squares in the float range"),
         ("1,0,-1e200", "1,1,1", "optimal ratios need gap and std ratios within the float range"),
@@ -523,8 +536,9 @@ class TestConfigValidation:
         ({"initial_w": [200, 1]}, "[0, box_bound]"),
         ({"activation": "x"}, "unknown activation 'x'"),
         ({"seed": -1}, "fit seed must be >= 0, got -1"),
+        ({"step_scale": math.inf}, "step_scale must be positive and finite, got inf"),
     ], ids=["three-weights", "no-weights", "outside-box", "unknown-activation",
-            "negative-seed"])
+            "negative-seed", "infinite-step-scale"])
     def test_bad_fit_value_rejected_before_any_run(self, tmp_path, capsys, monkeypatch, fit,
                                                    message):
         self.forbid_runs(monkeypatch)
@@ -580,6 +594,70 @@ class TestConfigValidation:
         assert message in self.run_main(tmp_path, capsys, output=output)
 
 
+# Scenarios whose std squares leave the float range, at k = 2 or 3, T = 20, n0 = 2 and
+# 50 replications of aoap.
+OUT_OF_RANGE_STDS = [
+    ({"prior_stds": [1e200, 1]}, "prior_stds"),
+    ({"prior_stds": [1e200, 1], "variance_mode": "known"}, "prior_stds"),
+    ({"sampling_stds": [1e-200, 1, 1]}, "sampling_stds"),
+    ({"sampling_stds": [1, 1, 1e200]}, "sampling_stds"),
+    ({"sampling_stds": [1e200, 1], "variance_mode": "known"}, "sampling_stds"),
+]
+
+
+def _probe_config(tmp_path, scenario, policies=("aoap",)):
+    k = len(scenario.get("prior_stds", scenario.get("sampling_stds", [])))
+    base = {"k": k, "prior_means": [0.0, 0.5, 1.0][:k], "prior_stds": [1.0] * k,
+            "sampling_stds": [1.0] * k, "T": 20, "n0": 2, "macro_reps": 50}
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"scenario": {**base, **scenario}, "policies": list(policies),
+                                "output": {"path": str(tmp_path / "probe.csv")}}))
+    return path
+
+
+class TestOutOfRangeInputsExitInOneLine:
+    """Exit 2, nothing on stdout, one stderr line (no warnings), and no output file."""
+
+    @staticmethod
+    def assert_one_line_usage_error(tmp_path, res, message):
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1 and message in res.stderr, res.stderr
+        assert not (tmp_path / "probe.csv").exists() and not (tmp_path / "w.json").exists()
+
+    @pytest.mark.parametrize("scenario, field", OUT_OF_RANGE_STDS,
+                             ids=["prior-1e200", "prior-1e200-known", "sampling-1e-200",
+                                  "sampling-1e200", "sampling-1e200-known"])
+    def test_run_experiment_stds(self, tmp_path, scenario, field):
+        res = run_cli("run-experiment", "--config", str(_probe_config(tmp_path, scenario)))
+        self.assert_one_line_usage_error(tmp_path, res, field)
+
+    def test_fit_vfa_stds(self, tmp_path):
+        path = _probe_config(tmp_path, {"prior_stds": [1e200, 1]})
+        res = run_cli("fit-vfa", "--scenario", str(path), "--out", str(tmp_path / "w.json"),
+                      "--iterations", "20")
+        self.assert_one_line_usage_error(tmp_path, res, "prior_stds")
+
+    def test_underflowing_prior_std_is_a_point_mass(self, tmp_path):
+        res = run_cli("run-experiment", "--config",
+                      str(_probe_config(tmp_path, {"prior_means": [0.0, 1.0],
+                                                   "prior_stds": [1e-170, 1e-170]})))
+        assert res.returncode == 0 and res.stderr == ""
+
+    def test_fit_vfa_infinite_step_scale(self, tmp_path):
+        res = run_cli("fit-vfa", "--scenario", "example1", "--out", str(tmp_path / "w.json"),
+                      "--iterations", "3", "--step-scale", "inf")
+        self.assert_one_line_usage_error(tmp_path, res, "step_scale must be positive and finite")
+
+    def test_inline_fit_overflowing_step_scale(self, tmp_path):
+        """JSON reads 1e400 as inf."""
+        path = _probe_config(tmp_path, {"prior_stds": [1, 1]},
+                             ("aoap", {"id": "two_factor", "fit": {"iterations": 2,
+                                                                  "step_scale": 7}}))
+        path.write_text(path.read_text().replace('"step_scale": 7', '"step_scale": 1e400'))
+        res = run_cli("run-experiment", "--config", str(path))
+        self.assert_one_line_usage_error(tmp_path, res, "step_scale must be positive and finite")
+
+
 @pytest.mark.parametrize("command, horizon, code", [
     ("run-experiment", 10**15, 3),  # one replication: 7.1 PiB of noise
     ("fit-vfa", 10**12, 3),  # a 2,048-history block: 14.6 PiB
@@ -598,7 +676,8 @@ def test_huge_horizon_fails_in_one_line(tmp_path, capsys, command, horizon, code
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     argv = (["run-experiment", "--config", str(path)] if command == "run-experiment" else
-            ["fit-vfa", "--scenario", str(path), "--horizon", str(horizon), "--iterations", "2"])
+            ["fit-vfa", "--scenario", str(path), "--horizon", str(horizon), "--iterations",
+             "2048"])
     assert cli.main([*argv, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err

@@ -15,6 +15,7 @@ from ranksel.beliefs import GaussianBelief, GroundTruth
 from ranksel.policies import (
     BatchState,
     BeliefVector,
+    RatioVector,
     _argmax,
     _sum_alternatives,
     aoap_allocate,
@@ -706,6 +707,18 @@ class TestOptimalRatios:
             ratios, _ = optimal_ratios(truth)
         np.testing.assert_allclose(ratios.ratios, [1e-150, 0.0, 1.0], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("means, stds, ratios", [
+        ([1.0, 0.0, -1e150], [1.0, 1.0, 1e-100], [0.5, 0.5, 0.0]),
+        ([1.0, 0.0, 0.0], [1.0, 1e-150, 1e150], [1e-150, 0.0, 1.0]),
+    ])
+    def test_underflowed_ratio_left_out_of_rate_spread(self, means, stds, ratios):
+        """A challenger whose true ratio is ~1e-500 gets 0; its rate term is not
+        formed, so the spread is not read as a solver failure."""
+        truth = GroundTruth(means=means, variances=[s * s for s in stds])
+        got, _ = optimal_ratios(truth)
+        np.testing.assert_allclose(got.ratios, ratios, rtol=1e-12, atol=0)
+        assert ratio_residuals(truth, got) == (0.0, 0.0)
+
     def test_tied_best_rejected(self):
         truth = GroundTruth(means=[1.0, 1.0, 0.0], variances=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -731,6 +744,21 @@ class TestOcba:
             means[0] += 2.0
             ratios = ocba_ratios(means, rng.uniform(0.2, 3.0, size=k))
             assert abs(ratios.ratios.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("means, stds", [
+        ([1.0, 0.0], [1e200, 1.0]),             # the incumbent's variance overflows
+        ([1.0, 0.0, -1.0], [1e-200, 1.0, 1.0]),  # its variance underflows to 0
+    ])
+    def test_non_finite_ratios_rejected(self, means, stds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="ratios must be finite"):
+                ocba_ratios(means, stds)
+
+    @pytest.mark.parametrize("ratios", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_ratio_vector_rejects_non_finite(self, ratios):
+        with pytest.raises(ValueError, match="ratios must be finite"):
+            RatioVector(np.array(ratios))
 
     def test_zero_gap_guard_warns(self):
         with pytest.warns(RuntimeWarning):

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from ranksel import experiment
 from ranksel.experiment import Scenario, replication_features
 from ranksel.policies import ACTIVATIONS, apply_activation
 from ranksel.vfa import (
+    DEFAULT_BOX_BOUND,
     SaConfig,
     VfaWeights,
     gmcl_fit,
     gmcl_gradient,
     linear_lsq_oracle,
     load_weights,
-    sa_fit_frozen,
     sa_minimize,
     save_weights,
     vfa_eval,
@@ -134,6 +135,11 @@ class TestSaConfig:
         with pytest.raises(ValueError):
             SaConfig(step_exponent=1.01)
 
+    @pytest.mark.parametrize("step_scale", [0.0, -1.0, math.inf, math.nan])
+    def test_step_scale_positive_and_finite(self, step_scale):
+        with pytest.raises(ValueError, match="step_scale must be positive and finite"):
+            SaConfig(step_scale=step_scale)
+
     def test_weight_box_validation(self):
         with pytest.raises(ValueError):
             VfaWeights(np.array([-0.1, 0.0]))
@@ -147,18 +153,16 @@ class TestSaMinimize:
         approach 1."""
         cfg = SaConfig(step_scale=1.0, step_exponent=2 / 3, iterations=10_000,
                        initial_w=(0.0, 0.0))
-        w = sa_minimize(lambda l: (np.array([1.0, 0.0]), 1.0), cfg)
+        w = sa_minimize(np.array([[1.0, 0.0]]), np.array([1.0]), cfg)
         assert abs(w.w[0] - 1.0) < 0.05
         assert w.w[1] == 0.0
 
     def test_iterates_stay_in_box(self):
-        def sample(l):
-            return np.array([1.0, 1.0]), 5.0  # large target pushes weights up
-
+        """A target far above the box pushes both weights onto its upper face."""
         cfg = SaConfig(step_scale=50.0, step_exponent=0.6, iterations=500,
                        initial_w=(1.0, 1.0))
-        w = sa_minimize(sample, cfg, box_bound=2.0)
-        assert np.all(w.w >= 0.0) and np.all(w.w <= 2.0)
+        w = sa_minimize(np.array([[1.0, 1.0]]), np.array([500.0]), cfg)
+        assert w.w.tolist() == [100.0, 100.0]
 
     def test_objective_trend_decreases(self):
         """Running-average squared error late in the run is below the early one."""
@@ -181,23 +185,26 @@ class TestSaMinimize:
         w_true = np.array([0.6, 0.5])
         y = (rng.uniform(size=1000) < np.clip(G @ w_true, 0, 1)).astype(float)
         oracle = linear_lsq_oracle(G, y)
-        w = sa_fit_frozen(
+        w = sa_minimize(
             G, y, SaConfig(step_scale=2.0, iterations=50_000), average_tail=0.25
         )
         np.testing.assert_allclose(w.w, oracle, atol=0.05)
 
     def test_non_finite_iterate_detected(self):
-        def sample(l):
-            return np.array([math.nan, 0.0]), 0.0
-
         cfg = SaConfig(step_scale=1.0, iterations=10, initial_w=(1.0, 0.0))
         with pytest.raises(RuntimeError, match="diverged"):
-            sa_minimize(sample, cfg)
+            sa_minimize(np.array([[math.nan, 0.0]]), np.array([0.0]), cfg)
+
+    @pytest.mark.parametrize("rows, indicators", [(3, 2), (2, 3), (0, 0)])
+    def test_rows_must_match_and_be_nonempty(self, rows, indicators):
+        with pytest.raises(ValueError, match="one indicator per feature row"):
+            sa_minimize(np.ones((rows, 2)), np.ones(indicators), SaConfig(iterations=5))
 
 
 def reference_sa_minimize(sample_fn, config, activation="linear", box_bound=100.0,
-                          average_tail=0.0):
-    """The SA loop with a checked ``VfaWeights`` and a public gradient call per iteration."""
+                          average_tail=0.0, path=None):
+    """The SA loop with a checked ``VfaWeights`` and a public gradient call per
+    iteration, over a callback ``sample_fn(l)``; appends each iterate to ``path``."""
     w = VfaWeights(config.initial_w, activation, box_bound).w
     tail_start = config.iterations - int(config.iterations * average_tail)
     acc = np.zeros_like(w)
@@ -209,6 +216,8 @@ def reference_sa_minimize(sample_fn, config, activation="linear", box_bound=100.
         z = float(weights.w @ g)
         d = (apply_activation(z, activation) - y) * (ACTIVATIONS[activation][1](z) * g)
         w = np.clip(w - config.step(l) * d, 0.0, box_bound)
+        if path is not None:
+            path.append(w)
         if not np.all(np.isfinite(w)):
             raise RuntimeError(
                 f"stochastic approximation diverged at iteration {l}: w={w!r}, "
@@ -223,39 +232,45 @@ def reference_sa_minimize(sample_fn, config, activation="linear", box_bound=100.
 
 
 class TestSaMatchesReferenceLoop:
-    """``sa_minimize`` reproduces the per-iteration-object loop bit for bit."""
+    """``sa_minimize`` over frozen arrays reproduces the per-iteration-object
+    loop over the same rows bit for bit."""
 
     @staticmethod
-    def frozen_sampler(seed, n=500):
+    def frozen(seed, n=500):
+        """Targets far outside [0, 1] on exponential features, so that with a large
+        step the iterates hit both faces of the box."""
         rng = np.random.default_rng(seed)
-        G = rng.exponential(size=(n, 2))
-        y = (rng.uniform(size=n) < 0.6).astype(float)
+        return rng.exponential(size=(n, 2)), rng.uniform(-1000.0, 1000.0, size=n)
+
+    @staticmethod
+    def sampler(G, y):
+        n = len(y)
         return lambda l: (G[(l - 1) % n], float(y[(l - 1) % n]))
 
     @pytest.mark.parametrize("activation", ["linear", "expm"])
     @pytest.mark.parametrize("average_tail", [0.0, 0.3])
     def test_weights_bitwise(self, activation, average_tail):
-        sample = self.frozen_sampler(11)
-        cfg = SaConfig(step_scale=3.0, step_exponent=0.7, iterations=3000,
+        G, y = self.frozen(11)
+        cfg = SaConfig(step_scale=30.0, step_exponent=0.7, iterations=3000,
                        initial_w=(0.5, 2.0))
-        got = sa_minimize(sample, cfg, activation, box_bound=4.0, average_tail=average_tail)
-        want = reference_sa_minimize(sample, cfg, activation, 4.0, average_tail)
+        got = sa_minimize(G, y, cfg, activation, average_tail=average_tail)
+        path = []
+        want = reference_sa_minimize(self.sampler(G, y), cfg, activation, DEFAULT_BOX_BOUND,
+                                     average_tail, path)
         assert got.w.tobytes() == want.w.tobytes()
-        assert (got.activation, got.box_bound) == (activation, 4.0)
+        assert (got.activation, got.box_bound) == (activation, DEFAULT_BOX_BOUND)
+        path = np.array(path)
+        assert (path == 0.0).any() and (path == DEFAULT_BOX_BOUND).any()
 
     @pytest.mark.parametrize("activation", ["linear", "expm"])
     def test_divergence_at_same_iteration_with_same_message(self, activation):
-        clean = self.frozen_sampler(12)
-
-        def sample(l):
-            g, y = clean(l)
-            return (np.array([g[0], math.nan]) if l == 37 else g), y
-
+        G, y = self.frozen(12)
+        G[36, 1] = math.nan
         cfg = SaConfig(step_scale=1.0, iterations=100, initial_w=(1.0, 1.0))
         with pytest.raises(RuntimeError) as got:
-            sa_minimize(sample, cfg, activation)
+            sa_minimize(G, y, cfg, activation)
         with pytest.raises(RuntimeError) as want:
-            reference_sa_minimize(sample, cfg, activation)
+            reference_sa_minimize(self.sampler(G, y), cfg, activation)
         assert "diverged at iteration 37" in str(got.value)
         assert str(got.value) == str(want.value)
 
@@ -275,20 +290,38 @@ def reference_gmcl_fit(scenario, config, activation, batch=2048):
         feats, inds = cache[block]
         return feats[row], float(inds[row])
 
-    return sa_minimize(sample, config, activation)
+    return reference_sa_minimize(sample, config, activation)
 
 
 class TestGmclFit:
+    SCENARIO = Scenario(prior_means=(0.0, 0.1, 0.2), prior_stds=(1.0, 0.5, 1.0),
+                        sampling_stds=(1.0, 2.0, 1.0), horizon=12, n0=2, master_seed=5)
+
     @pytest.mark.parametrize("activation", ["linear", "expm"])
-    @pytest.mark.parametrize("iterations", [1, 2048, 2049])
+    @pytest.mark.parametrize("iterations", [1, 2, 2047, 2048, 2049, 4097])
     def test_matches_per_iteration_sampler_bitwise(self, iterations, activation):
-        sc = Scenario(prior_means=(0.0, 0.1, 0.2), prior_stds=(1.0, 0.5, 1.0),
-                      sampling_stds=(1.0, 2.0, 1.0), horizon=12, n0=2, master_seed=5)
         config = SaConfig(step_scale=1.0, iterations=iterations, seed=9)
-        got = gmcl_fit(sc, config=config, activation=activation)
-        want = reference_gmcl_fit(sc, config, activation)
+        got = gmcl_fit(self.SCENARIO, config=config, activation=activation)
+        want = reference_gmcl_fit(self.SCENARIO, config, activation)
         assert got.w.tobytes() == want.w.tobytes()
         assert got.activation == activation
+
+    @pytest.mark.parametrize("iterations, blocks", [
+        (1, [range(0, 1)]),
+        (2048, [range(0, 2048)]),
+        (2049, [range(0, 2048), range(2048, 2049)]),
+    ])
+    def test_simulates_exactly_the_histories_it_uses(self, monkeypatch, iterations, blocks):
+        requested = []
+
+        def spy(scenario, policy_id, indices, **kwargs):
+            requested.append(indices)
+            return replication_features(scenario, policy_id, indices, **kwargs)
+
+        monkeypatch.setattr(experiment, "replication_features", spy)
+        gmcl_fit(self.SCENARIO, config=SaConfig(step_scale=1.0, iterations=iterations))
+        assert requested == blocks
+        assert sum(len(r) for r in requested) == iterations
 
     def test_infinite_feature_rejected(self):
         """Zero prior stds with known variances leave zero posterior variances,
