@@ -599,6 +599,9 @@ def load_model(path: str) -> DiscreteModel:
     missing = [key for key in _MODEL_KEYS if key not in payload]
     if missing:
         raise ValueError(f"model file is missing {', '.join(map(repr, missing))}")
+    unexpected = [key for key in payload if key not in (*_MODEL_KEYS, "reward")]
+    if unexpected:
+        raise ValueError(f"model file has unexpected key {unexpected[0]!r}")
     try:
         model = DiscreteModel(
             support=payload["support"],

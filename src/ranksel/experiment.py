@@ -15,11 +15,12 @@ once.  A step samples one alternative per row, so it updates one entry
 per column: O(n) work outside the policy, not O(n k).  Fixed-truth runs
 (``run_fixed_truths``) use the same engine with given truths, a flat prior
 and known variances.  Each row's randomness is the stream of
-``PCG64(SeedSequence([master_seed, namespace, index]))``, computed per
-block: one vectorized pass of the SeedSequence hash seeds every row, and
-one generator takes each row's state in turn.  So results are independent
-of batch boundaries and worker counts, and any single replication can be
-reproduced in isolation.
+``PCG64(SeedSequence([master_seed, namespace, index]))``: one vectorized
+SeedSequence pass computes every row's seed words, and NumPy seeds the
+row's own PCG64 from them.  Replications, ``gmcl_fit``'s histories too,
+run in batches of at most ``_CHUNK`` rows; results do not depend on batch
+boundaries or worker counts, so any replication can be reproduced alone.
+A config object with a key that nothing reads is rejected, by name.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
 
 VARIANCE_MODES = ("known", "plugin_frozen", "plugin_refresh")
 _N_INIT = 2  # warmup observations per alternative of a fixed-truth run
-_CHUNK = 4096  # replications per block of estimate_ipcs
+_CHUNK = 4096  # replications per engine batch
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,7 @@ class IpcsCurve:
 # ---------------------------------------------------------------------------
 
 
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK32 = 2**32 - 1
 
 
 def _uint32_words(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -240,28 +240,30 @@ def _seed_states(entropy: list[np.ndarray], lengths: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One row's precomputed ``SeedSequence.generate_state(4, np.uint64)`` words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.ndarray:
     """Row r: the first ``width`` normals of ``PCG64(SeedSequence([master_seed, namespace, i_r]))``.
 
-    One vectorized SeedSequence pass seeds every row, and one generator, made per call
-    because blocks run in threads, takes each row's PCG64 state in turn.
+    One vectorized SeedSequence pass computes every row's seed words, and NumPy seeds
+    the row's own PCG64 from them.
     """
     prefix = [column[0] for value in (master_seed, namespace)
               for column in _uint32_words(np.array([int(value)], dtype=object))[0]]
     columns, counts = _uint32_words(np.array([int(i) for i in indices], dtype=object))
     seeds = _seed_states([np.full(len(counts), word) for word in prefix] + columns,
                          len(prefix) + counts)
-    bitgen = np.random.PCG64(0)  # its state is replaced row by row
-    gen, pcg = np.random.Generator(bitgen), {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     z = np.empty((len(counts), width))
     for row, words in zip(z, seeds):
-        seed_hi, seed_lo, inc_hi, inc_lo = words.tolist()
-        # PCG64's seeding: inc = 2 * seed_inc + 1, state = ((inc + seed) * mult + inc) mod 2^128
-        pcg["inc"] = inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        pcg["state"] = (((seed_hi << 64 | seed_lo) + inc) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = state
-        gen.standard_normal(out=row)
+        np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(out=row)
     return z
 
 
@@ -326,13 +328,16 @@ def _last(states):
     return state
 
 
-def _replications(scenario: Scenario, score_fn, indices, master_seed=None, namespace=0):
-    """Engine run of a batch of macro replications: (true best per row, state stream)."""
+def _blocks(indices) -> list[list]:
+    """Replication indices in consecutive engine batches of at most ``_CHUNK`` rows."""
     idx = list(indices)
-    n, k, horizon = len(idx), scenario.k, scenario.horizon
-    seed = scenario.master_seed if master_seed is None else master_seed
+    return [idx[lo:lo + _CHUNK] for lo in range(0, len(idx), _CHUNK)]
 
-    z = _block_normals(seed, namespace, idx, k + horizon)
+
+def _replications(scenario: Scenario, score_fn, indices, namespace=0):
+    """Engine run of a batch of macro replications: (true best per row, state stream)."""
+    n, k, horizon = len(indices), scenario.k, scenario.horizon
+    z = _block_normals(scenario.master_seed, namespace, indices, k + horizon)
 
     prior_means = np.array(scenario.prior_means)
     prior_vars = np.array(scenario.prior_stds) ** 2
@@ -370,14 +375,14 @@ def estimate_ipcs(
 ) -> IpcsCurve:
     """Estimate the correct-selection curve over the scenario's replications.
 
-    Replication indices are split into fixed blocks of ``_CHUNK`` whose rows
+    Replication indices are split into fixed batches of ``_CHUNK`` whose rows
     carry their own generators, so estimates are identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     score_fn = pol.make_policy(policy_id, weights)
     n = scenario.macro_reps
-    blocks = [range(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    blocks = _blocks(range(n))
 
     def count(block):
         return _correct_counts(scenario, score_fn, block)
@@ -394,23 +399,24 @@ def replication_features(
     scenario: Scenario,
     policy_id: str,
     indices: Iterable[int],
-    master_seed: int | None = None,
     namespace: int = 0,
     weights: VfaWeights | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Features and correctness indicators of the final states of a batch.
+    """Features and correctness indicators of the final states of replications.
 
     Returns ``(G, y)`` where row l of ``G`` holds the (squared-gap,
-    squared-correlation) features at the horizon of replication l and
+    squared-correlation) features at the horizon of the l-th index and
     ``y[l]`` is its correct-selection indicator.
     """
     _check_policy(scenario, policy_id)
     score_fn = pol.make_policy(policy_id, weights)
-    true_best, states = _replications(scenario, score_fn, indices, master_seed, namespace)
-    final = _last(states)
-    g1, g2 = pol.state_features(final.means, final.post_vars)
-    correct = pol._argmax(final.means) == true_best
-    return np.column_stack([g1, g2]), correct.astype(float)
+    rows = []
+    for block in _blocks(indices):
+        true_best, states = _replications(scenario, score_fn, block, namespace)
+        final = _last(states)
+        g1, g2 = pol.state_features(final.means, final.post_vars)
+        rows.append((np.column_stack([g1, g2]), pol._argmax(final.means) == true_best))
+    return np.concatenate([G for G, _ in rows]), np.concatenate([y for _, y in rows]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -418,7 +424,6 @@ class FixedTruthRun:
     """Terminal state of policy runs against known ground truths."""
 
     counts: np.ndarray
-    post_means: np.ndarray
     selections: np.ndarray
 
 
@@ -446,7 +451,6 @@ def run_fixed_truths(
                           np.full(k, np.inf), "known", _N_INIT, horizon))
     return FixedTruthRun(
         counts=final.counts.T.copy(),
-        post_means=final.means.T.copy(),
         selections=pol._argmax(final.means),
     )
 
@@ -496,6 +500,18 @@ def _field(raw: dict, where: str, key: str, valid, *default):
     return raw[key]
 
 
+def _check_keys(raw: dict, where: str, allowed) -> None:
+    """Reject a key that nothing reads, such as a misspelt one."""
+    for key in raw:
+        if key not in allowed:
+            raise ValueError(f"{where} has unexpected key {key!r}")
+
+
+_SCENARIO_KEYS = ("k", "prior_means", "prior_stds", "sampling_stds", "T", "n0", "macro_reps",
+                  "master_seed", "variance_mode")
+_FIT_KEYS = ("iterations", "seed", "step_scale", "step_exponent", "initial_w", "activation")
+
+
 def scenario_from_config(raw) -> Scenario:
     """Build a Scenario from a config value: a built-in name or a mapping."""
     if raw is None:
@@ -504,6 +520,7 @@ def scenario_from_config(raw) -> Scenario:
         return builtin_scenario(raw)
     if not isinstance(raw, dict):
         raise ValueError(f"scenario must be a name or an object, got {raw!r}")
+    _check_keys(raw, "scenario", _SCENARIO_KEYS)
     scenario = Scenario(
         prior_means=_field(raw, "scenario", "prior_means", _is_numbers),
         prior_stds=_field(raw, "scenario", "prior_stds", _is_numbers),
@@ -527,6 +544,7 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     """
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
+    _check_keys(config, "config", ("scenario", "policies", "output"))
     scenario = scenario_from_config(config.get("scenario"))
     entries = config.get("policies", [])
     if not isinstance(entries, list):
@@ -539,7 +557,11 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
         if "id" not in spec:
             raise ValueError(f"policy entry missing 'id': {entry!r}")
         _check_policy(scenario, spec["id"])
+        sources = ("weights_file", "fit") if spec["id"] == "two_factor" else ()
+        _check_keys(spec, f"policy {spec['id']!r}", ("id", "label", *sources))
         if spec["id"] == "two_factor":
+            if all(key in spec for key in sources):
+                raise ValueError("two_factor policy has both 'weights_file' and 'fit'")
             if "weights_file" in spec:
                 _field(spec, "two_factor", "weights_file", _is_str)
             elif "fit" in spec:
@@ -557,6 +579,7 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     output = config.get("output", {})
     if not isinstance(output, dict):
         raise ValueError(f"config 'output' must be an object, got {output!r}")
+    _check_keys(output, "output", ("path", "downsample"))
     _field(output, "output", "path", _is_str, None)
     _field(output, "output", "downsample", _is_positive_int, 1)
     return scenario, specs, dict(output)
@@ -593,6 +616,7 @@ def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
     """SA schedule and activation of an inline ``fit`` object, checked as a two_factor policy."""
     if not isinstance(fit, dict):
         raise ValueError(f"two_factor 'fit' must be an object, got {fit!r}")
+    _check_keys(fit, "two_factor 'fit'", _FIT_KEYS)
     config = SaConfig(
         step_scale=_field(fit, "fit", "step_scale", _is_number, SaConfig.step_scale),
         step_exponent=_field(fit, "fit", "step_exponent", _is_number, SaConfig.step_exponent),

@@ -159,25 +159,19 @@ def gmcl_fit(
     sampled from the scenario prior, a run of ``generator_policy`` (which
     must not depend on the weights) to the horizon, then the features and
     the correct-selection indicator of the final state.  Exactly
-    ``iterations`` histories are simulated, in deterministic blocks of 2048
-    keyed by the config seed, and the SA pass runs once through them.  A
-    history with a non-finite feature (zero posterior variances, as with
-    zero prior stds and known variances) raises ValueError: the weights are
-    not identified from it.
+    ``iterations`` histories are simulated, as replications 0 to
+    ``iterations - 1`` of namespace 1 under the config seed, and the SA pass
+    runs once through them.  A history with a non-finite feature (zero
+    posterior variances, as with zero prior stds and known variances)
+    raises ValueError: the weights are not identified from it.
     """
     from .experiment import replication_features
 
     config = config or SaConfig()
-    if horizon is not None and horizon != scenario.horizon:
-        scenario = replace(scenario, horizon=horizon)
-    n = config.iterations
-    blocks = [
-        replication_features(scenario, generator_policy, range(lo, min(lo + 2048, n)),
-                             master_seed=config.seed, namespace=1)
-        for lo in range(0, n, 2048)
-    ]
-    features = np.concatenate([g for g, _ in blocks])
-    indicators = np.concatenate([y for _, y in blocks])
+    scenario = replace(scenario, horizon=scenario.horizon if horizon is None else horizon,
+                       master_seed=config.seed)
+    features, indicators = replication_features(scenario, generator_policy,
+                                                range(config.iterations), namespace=1)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"history {bad[0] + 1} has non-finite features "
@@ -229,6 +223,10 @@ def load_weights(path: str) -> VfaWeights:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"weights file must hold a JSON object, got {type(payload).__name__}")
+    unexpected = [key for key in payload if key not in ("weights", "activation", "box_bound",
+                                                        "config")]
+    if unexpected:
+        raise ValueError(f"weights file has unexpected key {unexpected[0]!r}")
     w = payload.get("weights")
     if not isinstance(w, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in w

@@ -90,9 +90,7 @@ def example2_curves():
 def frozen_replications():
     sc = builtin_scenario("example2-lowconf")
     start = time.time()
-    G, y = replication_features(
-        sc, "ea", range(10_000), master_seed=sc.master_seed, namespace=1
-    )
+    G, y = replication_features(sc, "ea", range(10_000), namespace=1)
     return sc, G, y, time.time() - start
 
 

@@ -17,7 +17,6 @@ ALLOWED_OPTIONS = {
     "experiment.run_macro_replication(rep_index)",
     "experiment.estimate_ipcs(weights)",
     "experiment.estimate_ipcs(workers)",
-    "experiment.replication_features(master_seed)",
     "experiment.replication_features(namespace)",
     "experiment.replication_features(weights)",
     "experiment.run_fixed_truths(seed)",

@@ -658,6 +658,85 @@ class TestOutOfRangeInputsExitInOneLine:
         self.assert_one_line_usage_error(tmp_path, res, "step_scale must be positive and finite")
 
 
+# Each config or file names one key that nothing reads; k = 2, T = 8, n0 = 2, 4 replications.
+PROBE_SCENARIO = {"k": 2, "prior_means": [0.0, 0.5], "prior_stds": [1.0, 1.0],
+                  "sampling_stds": [1.0, 1.0], "T": 8, "n0": 2, "macro_reps": 4}
+WEIGHTS = {"weights": [1.0, 1.0], "activation": "linear", "box_bound": 100.0}
+UNEXPECTED_KEYS = [
+    ({"scenario": {**PROBE_SCENARIO, "macro_rep": 7}, "policies": ["aoap"]},
+     "scenario has unexpected key 'macro_rep'"),
+    ({"scenario": {**PROBE_SCENARIO, "variance_mod": "known"}, "policies": ["aoap"]},
+     "scenario has unexpected key 'variance_mod'"),
+    ({"scenario": PROBE_SCENARIO, "policies": [{"id": "aoap", "lable": "x"}]},
+     "policy 'aoap' has unexpected key 'lable'"),
+    ({"scenario": PROBE_SCENARIO, "policies": [{"id": "two_factor", "fit": {"iteration": 2}}]},
+     "two_factor 'fit' has unexpected key 'iteration'"),
+    ({"scenario": PROBE_SCENARIO, "policies": ["aoap"], "outputs": {"downsample": 2}},
+     "config has unexpected key 'outputs'"),
+    ({"scenario": PROBE_SCENARIO, "policies": [{"id": "aoap", "fit": {"iterations": 2}}]},
+     "policy 'aoap' has unexpected key 'fit'"),
+    ({"scenario": PROBE_SCENARIO, "policies": [
+        {"id": "two_factor", "weights_file": "WEIGHTS", "fit": {"iterations": 2}}]},
+     "two_factor policy has both 'weights_file' and 'fit'"),
+    ({"scenario": PROBE_SCENARIO, "policies": ["aoap"], "output": {"path": "x", "downsmaple": 2}},
+     "output has unexpected key 'downsmaple'"),
+    ({"scenario": PROBE_SCENARIO, "policies": [{"id": "two_factor", "weights_file": "WEIGHTS"}],
+      "weights": {**WEIGHTS, "activaton": "expm"}},
+     "weights file has unexpected key 'activaton'"),
+]
+
+
+class TestUnexpectedKeysExitInOneLine:
+    """A key nothing reads is a usage error that names it: exit 2, nothing on
+    stdout, one stderr line, and no output file."""
+
+    @staticmethod
+    def run_main(capsys, argv, out):
+        from ranksel import cli
+
+        code = cli.main([*argv, str(out)])
+        captured = capsys.readouterr()
+        assert not out.exists()
+        return code, captured.out, captured.err.splitlines()
+
+    @pytest.mark.parametrize("config, message", UNEXPECTED_KEYS,
+                             ids=["scenario-macro_rep", "scenario-variance_mod", "policy-lable",
+                                  "fit-iteration", "top-level-outputs", "aoap-fit",
+                                  "weights_file-and-fit", "output-downsmaple",
+                                  "weights-file-activaton"])
+    def test_run_experiment(self, tmp_path, capsys, config, message):
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(config.pop("weights", WEIGHTS)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"WEIGHTS"', json.dumps(str(weights))))
+        got = self.run_main(capsys, ["run-experiment", "--config", str(path), "--out"],
+                            tmp_path / "out.csv")
+        assert got == (2, "", [f"error: {message}"])
+
+    def test_model_file(self, tmp_path, capsys):
+        path = TestSolveExact().model_file(tmp_path)
+        payload = {**json.loads(path.read_text()), "rewrd": "EOC"}
+        path.write_text(json.dumps(payload))
+        got = self.run_main(capsys, ["solve-exact", "--model", str(path), "--horizon", "2",
+                                     "--table"], tmp_path / "table.tsv")
+        assert got == (2, "", ["error: model file has unexpected key 'rewrd'"])
+
+    def test_fit_vfa_checks_the_scenario(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": {**PROBE_SCENARIO, "macro_rep": 7}}))
+        got = self.run_main(capsys, ["fit-vfa", "--scenario", str(path), "--iterations", "2",
+                                     "--out"], tmp_path / "w.json")
+        assert got == (2, "", ["error: scenario has unexpected key 'macro_rep'"])
+
+    def test_fit_vfa_reads_only_the_scenario(self, tmp_path, capsys):
+        from ranksel import cli
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": PROBE_SCENARIO, "notes": "ignored by fit-vfa"}))
+        assert cli.main(["fit-vfa", "--scenario", str(path), "--iterations", "2",
+                         "--out", str(tmp_path / "w.json")]) == 0
+
+
 @pytest.mark.parametrize("command, horizon, code", [
     ("run-experiment", 10**15, 3),  # one replication: 7.1 PiB of noise
     ("fit-vfa", 10**12, 3),  # a 2,048-history block: 14.6 PiB

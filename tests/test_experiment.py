@@ -447,6 +447,28 @@ class TestReplicationFeatures:
         curve = estimate_ipcs(sc, "ea")
         assert curve.ipcs[-1] == pytest.approx(y.mean())
 
+    def test_runs_in_engine_batches_matching_single_rows(self, monkeypatch):
+        sc = small_scenario()
+        rows = []
+        block_normals = experiment._block_normals
+
+        def spy(master_seed, namespace, indices, width):
+            rows.append(len(indices))
+            return block_normals(master_seed, namespace, indices, width)
+
+        monkeypatch.setattr(experiment, "_block_normals", spy)
+        G, y = replication_features(sc, "ea", range(5000))
+        assert sum(rows) == 5000 and max(rows) <= experiment._CHUNK
+        for i in (0, 4095, 4096, 4999):
+            g1, y1 = replication_features(sc, "ea", [i])
+            assert G[i].tobytes() == g1[0].tobytes() and y[i] == y1[0]
+
+    def test_accepts_any_iterable_of_indices(self):
+        sc = small_scenario()
+        G, y = replication_features(sc, "ea", iter(range(3, 9)))
+        g, z = replication_features(sc, "ea", range(3, 9))
+        assert G.tobytes() == g.tobytes() and y.tobytes() == z.tobytes()
+
     def test_namespace_separates_streams(self):
         sc = small_scenario(macro_reps=8)
         g0, y0 = replication_features(sc, "ea", range(8), namespace=0)

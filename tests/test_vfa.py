@@ -1,6 +1,7 @@
 """Weight fitting: gradient identities, projection, oracle agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,7 @@ class TestSaMatchesReferenceLoop:
 def reference_gmcl_fit(scenario, config, activation, batch=2048):
     """Per-iteration sampler: history l is drawn when SA iteration l asks for it,
     from a cached block of ``batch`` replications of namespace 1."""
+    scenario = replace(scenario, master_seed=config.seed)
     cache = {}
 
     def sample(l):
@@ -285,8 +287,7 @@ def reference_gmcl_fit(scenario, config, activation, batch=2048):
         if block not in cache:
             cache.clear()
             rows = range(block * batch, (block + 1) * batch)
-            cache[block] = replication_features(scenario, "ea", rows, master_seed=config.seed,
-                                                namespace=1)
+            cache[block] = replication_features(scenario, "ea", rows, namespace=1)
         feats, inds = cache[block]
         return feats[row], float(inds[row])
 
@@ -298,7 +299,7 @@ class TestGmclFit:
                         sampling_stds=(1.0, 2.0, 1.0), horizon=12, n0=2, master_seed=5)
 
     @pytest.mark.parametrize("activation", ["linear", "expm"])
-    @pytest.mark.parametrize("iterations", [1, 2, 2047, 2048, 2049, 4097])
+    @pytest.mark.parametrize("iterations", [1, 2, 2047, 2048, 2049, 4096, 4097])
     def test_matches_per_iteration_sampler_bitwise(self, iterations, activation):
         config = SaConfig(step_scale=1.0, iterations=iterations, seed=9)
         got = gmcl_fit(self.SCENARIO, config=config, activation=activation)
@@ -306,22 +307,27 @@ class TestGmclFit:
         assert got.w.tobytes() == want.w.tobytes()
         assert got.activation == activation
 
-    @pytest.mark.parametrize("iterations, blocks", [
-        (1, [range(0, 1)]),
-        (2048, [range(0, 2048)]),
-        (2049, [range(0, 2048), range(2048, 2049)]),
-    ])
-    def test_simulates_exactly_the_histories_it_uses(self, monkeypatch, iterations, blocks):
-        requested = []
+    @pytest.mark.parametrize("iterations", [1, 4096, 4097])
+    def test_simulates_exactly_the_histories_it_uses(self, monkeypatch, iterations):
+        """The engine draws exactly one stream per SA iteration, in batches of at
+        most ``_CHUNK`` rows."""
+        rows = []
+        block_normals = experiment._block_normals
 
-        def spy(scenario, policy_id, indices, **kwargs):
-            requested.append(indices)
-            return replication_features(scenario, policy_id, indices, **kwargs)
+        def spy(master_seed, namespace, indices, width):
+            rows.append(len(indices))
+            return block_normals(master_seed, namespace, indices, width)
 
-        monkeypatch.setattr(experiment, "replication_features", spy)
+        monkeypatch.setattr(experiment, "_block_normals", spy)
         gmcl_fit(self.SCENARIO, config=SaConfig(step_scale=1.0, iterations=iterations))
-        assert requested == blocks
-        assert sum(len(r) for r in requested) == iterations
+        assert sum(rows) == iterations
+        assert max(rows) <= experiment._CHUNK
+
+    @pytest.mark.parametrize("horizon", [0, 5])
+    def test_horizon_below_warmup_rejected(self, horizon):
+        """A given horizon, 0 included, replaces the scenario's and meets its checks."""
+        with pytest.raises(ValueError, match="horizon must cover the warmup"):
+            gmcl_fit(self.SCENARIO, horizon=horizon, config=SaConfig(iterations=2))
 
     def test_infinite_feature_rejected(self):
         """Zero prior stds with known variances leave zero posterior variances,
