@@ -19,6 +19,7 @@ import math
 import sys
 
 from . import exact, experiment, policies, vfa
+from ._json import anything, field, read_object
 from .beliefs import GroundTruth
 
 
@@ -77,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run_experiment(args) -> int:
-    scenario, specs, output = experiment.parse_config(experiment.load_config(args.config))
-    out = args.out or output.get("path")
+    scenario, specs, output = experiment.parse_config(read_object(args.config, "config"))
+    out = args.out or output["path"]
     if not out:
         raise ValueError("no output path: give --out or config output.path")
-    downsample = output.get("downsample", 1) if args.downsample is None else args.downsample
+    downsample = output["downsample"] if args.downsample is None else args.downsample
     if downsample < 1:
         raise ValueError(f"--downsample must be >= 1, got {downsample}")
     results = experiment.run_specs(scenario, specs, args.workers)
@@ -94,20 +95,15 @@ def _cmd_fit_vfa(args) -> int:
     if args.scenario in experiment.BUILTIN_SCENARIOS:
         scenario = experiment.builtin_scenario(args.scenario)
     else:
-        config = experiment.load_config(args.scenario)
-        scenario = experiment.scenario_from_config(config.get("scenario"))
+        config = read_object(args.scenario, "config")
+        scenario = experiment.scenario_from_config(field(config, "config", "scenario", anything))
     # Unset flags take the defaults of a config's inline two_factor "fit" object.
     flags = ("iterations", "seed", "step_scale", "step_exponent", "activation")
     fit = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
-    config, activation = experiment._fit_settings(fit, scenario)
-    weights = vfa.gmcl_fit(
-        scenario,
-        horizon=args.horizon,
-        generator_policy=args.generator,
-        config=config,
-        activation=activation,
-    )
-    vfa.save_weights(weights, args.out, config=config)
+    settings = experiment._fit_settings(fit, scenario)
+    weights = vfa.gmcl_fit(scenario, horizon=args.horizon, generator_policy=args.generator,
+                           **settings)
+    vfa.save_weights(weights, args.out, config=settings["config"])
     print("weights: " + ",".join(f"{x:.10g}" for x in weights.w))
     print(f"wrote {args.out}")
     return 0
@@ -125,10 +121,6 @@ def _cmd_solve_exact(args) -> int:
 
 
 def _cmd_optimal_ratios(args) -> int:
-    if len(args.means) != len(args.stds):
-        raise ValueError("--means and --stds must have the same length")
-    if len(args.means) < 2:
-        raise ValueError("need at least two alternatives")
     if not all(s > 0 and 0 < s * s < math.inf for s in args.stds):
         raise ValueError("--stds must be positive, with squares in the float range")
     truth = GroundTruth(means=args.means, variances=[s * s for s in args.stds])

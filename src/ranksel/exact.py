@@ -38,6 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import anything, fields, read_object
+
 __all__ = [
     "DiscreteModel",
     "DiscreteState",
@@ -587,21 +589,11 @@ def save_model(model: DiscreteModel, path: str) -> None:
         json.dump(payload, fh, indent=2)
 
 
-_MODEL_KEYS = ("k", "support", "prior_support", "prior_pmf", "sampling_pmf")
-
-
 def load_model(path: str) -> DiscreteModel:
     """Read a model file written by ``save_model``; malformed files raise ValueError."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"model file must hold a JSON object, got {type(payload).__name__}")
-    missing = [key for key in _MODEL_KEYS if key not in payload]
-    if missing:
-        raise ValueError(f"model file is missing {', '.join(map(repr, missing))}")
-    unexpected = [key for key in payload if key not in (*_MODEL_KEYS, "reward")]
-    if unexpected:
-        raise ValueError(f"model file has unexpected key {unexpected[0]!r}")
+    payload = fields(read_object(path, "model file"), "model file", {
+        "k": (anything,), "support": (anything,), "prior_support": (anything,),
+        "prior_pmf": (anything,), "sampling_pmf": (anything,), "reward": (anything, "PCS")})
     try:
         model = DiscreteModel(
             support=payload["support"],
@@ -610,7 +602,7 @@ def load_model(path: str) -> DiscreteModel:
             ],
             prior_pmf=payload["prior_pmf"],
             sampling_pmf=payload["sampling_pmf"],
-            reward=payload.get("reward", "PCS"),
+            reward=payload["reward"],
         )
     except TypeError as err:
         raise ValueError(f"malformed model file: {err}") from None

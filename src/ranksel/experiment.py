@@ -20,12 +20,13 @@ SeedSequence pass computes every row's seed words, and NumPy seeds the
 row's own PCG64 from them.  Replications, ``gmcl_fit``'s histories too,
 run in batches of at most ``_CHUNK`` rows; results do not depend on batch
 boundaries or worker counts, so any replication can be reproduced alone.
-A config object with a key that nothing reads is rejected, by name.
+Configs are checked by the one JSON input reader (``_json``), which rejects
+a key that nothing reads, by name; ``parse_config`` also reads every weights
+file, so every input is checked before the first simulation.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import policies as pol
+from ._json import (anything, field, fields, is_int, is_list, is_number, is_numbers, is_object,
+                    is_positive_int, is_str)
 from .beliefs import GroundTruth, posterior_arrays, sample_variances
 from .vfa import SaConfig, VfaWeights, gmcl_fit, load_weights
 
@@ -50,7 +53,6 @@ __all__ = [
     "run_experiment",
     "run_specs",
     "write_results",
-    "load_config",
     "parse_config",
     "scenario_from_config",
 ]
@@ -400,7 +402,6 @@ def replication_features(
     policy_id: str,
     indices: Iterable[int],
     namespace: int = 0,
-    weights: VfaWeights | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Features and correctness indicators of the final states of replications.
 
@@ -409,7 +410,7 @@ def replication_features(
     ``y[l]`` is its correct-selection indicator.
     """
     _check_policy(scenario, policy_id)
-    score_fn = pol.make_policy(policy_id, weights)
+    score_fn = pol.make_policy(policy_id)
     rows = []
     for block in _blocks(indices):
         true_best, states = _replications(scenario, score_fn, block, namespace)
@@ -460,79 +461,22 @@ def run_fixed_truths(
 # ---------------------------------------------------------------------------
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_positive_int(x) -> bool:
-    return _is_int(x) and x > 0
-
-
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
-
-
-def _is_numbers(x) -> bool:
-    return isinstance(x, list) and all(_is_number(v) for v in x)
-
-
-def _is_str(x) -> bool:
-    return isinstance(x, str)
-
-
-_KINDS = {
-    _is_int: "an integer",
-    _is_positive_int: "a positive integer",
-    _is_number: "a number",
-    _is_numbers: "a list of numbers",
-    _is_str: "a string",
-}
-
-
-def _field(raw: dict, where: str, key: str, valid, *default):
-    """``raw[key]``, or the default if one is given and the key is absent."""
-    if key not in raw:
-        if default:
-            return default[0]
-        raise ValueError(f"{where} is missing {key!r}")
-    if not valid(raw[key]):
-        raise ValueError(f"{where} {key!r} must be {_KINDS[valid]}, got {raw[key]!r}")
-    return raw[key]
-
-
-def _check_keys(raw: dict, where: str, allowed) -> None:
-    """Reject a key that nothing reads, such as a misspelt one."""
-    for key in raw:
-        if key not in allowed:
-            raise ValueError(f"{where} has unexpected key {key!r}")
-
-
-_SCENARIO_KEYS = ("k", "prior_means", "prior_stds", "sampling_stds", "T", "n0", "macro_reps",
-                  "master_seed", "variance_mode")
-_FIT_KEYS = ("iterations", "seed", "step_scale", "step_exponent", "initial_w", "activation")
-
-
 def scenario_from_config(raw) -> Scenario:
     """Build a Scenario from a config value: a built-in name or a mapping."""
-    if raw is None:
-        raise ValueError("config is missing 'scenario'")
     if isinstance(raw, str):
         return builtin_scenario(raw)
-    if not isinstance(raw, dict):
+    if not is_object(raw):
         raise ValueError(f"scenario must be a name or an object, got {raw!r}")
-    _check_keys(raw, "scenario", _SCENARIO_KEYS)
-    scenario = Scenario(
-        prior_means=_field(raw, "scenario", "prior_means", _is_numbers),
-        prior_stds=_field(raw, "scenario", "prior_stds", _is_numbers),
-        sampling_stds=_field(raw, "scenario", "sampling_stds", _is_numbers),
-        horizon=_field(raw, "scenario", "T", _is_int),
-        n0=_field(raw, "scenario", "n0", _is_int),
+    values = fields(raw, "scenario", {
+        "k": (anything, None), "T": (is_int,), "n0": (is_int,),
+        **{key: (is_numbers,) for key in ("prior_means", "prior_stds", "sampling_stds")},
         # Absent optional keys take Scenario's defaults; Scenario checks the mode.
-        **{key: _field(raw, "scenario", key, _is_int) for key in ("macro_reps", "master_seed")
-           if key in raw},
-        **({"variance_mode": raw["variance_mode"]} if "variance_mode" in raw else {}),
-    )
-    if raw.get("k", scenario.k) != scenario.k:
+        "macro_reps": (is_int, Scenario.macro_reps), "master_seed": (is_int, Scenario.master_seed),
+        "variance_mode": (anything, Scenario.variance_mode),
+    })
+    k = values.pop("k")
+    scenario = Scenario(horizon=values.pop("T"), **values)
+    if k not in (None, scenario.k):
         raise ValueError("scenario k does not match its vectors")
     return scenario
 
@@ -540,35 +484,36 @@ def scenario_from_config(raw) -> Scenario:
 def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     """Validate a config mapping into (scenario, policy specs, output options).
 
-    An inline ``fit`` object becomes its ``(SaConfig, activation)`` pair.
+    A two_factor spec holds either the ``weights`` of its ``weights_file``, read
+    here so that every input is checked before anything runs, or the ``fit``
+    arguments (``config`` and ``activation``) of ``gmcl_fit``.
     """
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
-    _check_keys(config, "config", ("scenario", "policies", "output"))
-    scenario = scenario_from_config(config.get("scenario"))
-    entries = config.get("policies", [])
-    if not isinstance(entries, list):
-        raise ValueError(f"config 'policies' must be a list, got {entries!r}")
+    top = fields(config, "config", {
+        "scenario": (anything,), "policies": (is_list, []), "output": (is_object, {})})
+    scenario = scenario_from_config(top["scenario"])
     specs = []
-    for entry in entries:
-        if not isinstance(entry, (str, dict)):
+    for entry in top["policies"]:
+        if isinstance(entry, str):
+            entry = {"id": entry}
+        if not is_object(entry):
             raise ValueError(f"policy entry must be an id or an object: {entry!r}")
-        spec = {"id": entry} if isinstance(entry, str) else dict(entry)
-        if "id" not in spec:
-            raise ValueError(f"policy entry missing 'id': {entry!r}")
-        _check_policy(scenario, spec["id"])
-        sources = ("weights_file", "fit") if spec["id"] == "two_factor" else ()
-        _check_keys(spec, f"policy {spec['id']!r}", ("id", "label", *sources))
-        if spec["id"] == "two_factor":
-            if all(key in spec for key in sources):
+        pid = field(entry, "policy", "id", anything)
+        _check_policy(scenario, pid)
+        sources = {"weights_file": (is_str, None), "fit": (is_object, None)}
+        spec = fields(entry, "policy", {
+            "id": (anything,), "label": (is_str, pid), **(sources if pid == "two_factor" else {})
+        }, f"policy {pid!r}")
+        if pid == "two_factor":
+            path, fit = spec.pop("weights_file"), spec.pop("fit")
+            if path is not None and fit is not None:
                 raise ValueError("two_factor policy has both 'weights_file' and 'fit'")
-            if "weights_file" in spec:
-                _field(spec, "two_factor", "weights_file", _is_str)
-            elif "fit" in spec:
-                spec["fit"] = _fit_settings(spec["fit"], scenario)
-            else:
+            if path is None and fit is None:
                 raise ValueError("two_factor policy needs 'weights_file' or 'fit'")
-        spec["label"] = _field(spec, "policy", "label", _is_str, spec["id"])
+            if path is None:
+                spec["fit"] = _fit_settings(fit, scenario)
+            else:
+                spec["weights"] = load_weights(path)
+                pol.make_policy("two_factor", spec["weights"])  # checked as a fit's initial_w is
         if any(ch in spec["label"] for ch in ',"\r\n'):
             raise ValueError(f"policy label {spec['label']!r} holds a comma, quote or line break")
         if any(other["label"] == spec["label"] for other in specs):
@@ -576,13 +521,9 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
         specs.append(spec)
     if not specs:
         raise ValueError("config lists no policies")
-    output = config.get("output", {})
-    if not isinstance(output, dict):
-        raise ValueError(f"config 'output' must be an object, got {output!r}")
-    _check_keys(output, "output", ("path", "downsample"))
-    _field(output, "output", "path", _is_str, None)
-    _field(output, "output", "downsample", _is_positive_int, 1)
-    return scenario, specs, dict(output)
+    output = fields(top["output"], "output",
+                    {"path": (is_str, None), "downsample": (is_positive_int, 1)})
+    return scenario, specs, output
 
 
 def _check_policy(scenario: Scenario, policy_id) -> None:
@@ -595,38 +536,21 @@ def _check_policy(scenario: Scenario, policy_id) -> None:
                          f"{budget} follow the warmup (T - k*n0)")
 
 
-def load_config(path: str) -> dict:
-    with open(path) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
-    return config
-
-
-def _resolve_weights(scenario: Scenario, spec: dict) -> VfaWeights | None:
-    if spec["id"] != "two_factor":
-        return None
-    if "weights_file" in spec:
-        return load_weights(spec["weights_file"])
-    config, activation = spec["fit"]
-    return gmcl_fit(scenario, config=config, activation=activation)
-
-
-def _fit_settings(fit, scenario: Scenario) -> tuple[SaConfig, str]:
-    """SA schedule and activation of an inline ``fit`` object, checked as a two_factor policy."""
-    if not isinstance(fit, dict):
-        raise ValueError(f"two_factor 'fit' must be an object, got {fit!r}")
-    _check_keys(fit, "two_factor 'fit'", _FIT_KEYS)
-    config = SaConfig(
-        step_scale=_field(fit, "fit", "step_scale", _is_number, SaConfig.step_scale),
-        step_exponent=_field(fit, "fit", "step_exponent", _is_number, SaConfig.step_exponent),
-        iterations=_field(fit, "fit", "iterations", _is_int, SaConfig.iterations),
-        initial_w=tuple(_field(fit, "fit", "initial_w", _is_numbers, SaConfig.initial_w)),
-        seed=_field(fit, "fit", "seed", _is_int, scenario.master_seed),
-    )
-    activation = _field(fit, "fit", "activation", _is_str, "linear")
+def _fit_settings(fit: dict, scenario: Scenario) -> dict:
+    """``gmcl_fit``'s ``config`` and ``activation`` of an inline ``fit`` object, checked as a
+    two_factor policy."""
+    settings = fields(fit, "fit", {
+        "iterations": (is_int, SaConfig.iterations),
+        "seed": (is_int, scenario.master_seed),
+        "step_scale": (is_number, SaConfig.step_scale),
+        "step_exponent": (is_number, SaConfig.step_exponent),
+        "initial_w": (is_numbers, SaConfig.initial_w),
+        "activation": (is_str, "linear"),
+    }, "two_factor 'fit'")
+    activation = settings.pop("activation")
+    config = SaConfig(**{**settings, "initial_w": tuple(settings["initial_w"])})
     pol.make_policy("two_factor", VfaWeights(config.initial_w, activation))
-    return config, activation
+    return {"config": config, "activation": activation}
 
 
 def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:
@@ -641,7 +565,7 @@ def run_specs(scenario: Scenario, specs: list[dict], workers: int) -> dict[str, 
         raise ValueError(f"workers must be >= 1, got {workers}")
     results: dict[str, IpcsCurve] = {}
     for spec in specs:
-        weights = _resolve_weights(scenario, spec)
+        weights = gmcl_fit(scenario, **spec["fit"]) if "fit" in spec else spec.get("weights")
         results[spec["label"]] = estimate_ipcs(scenario, spec["id"], weights, workers=workers)
     return results
 

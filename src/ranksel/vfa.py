@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import lsq_linear
 
+from ._json import anything, fields, is_numbers, read_object
 from .policies import _activation, apply_activation
 
 __all__ = [
@@ -219,24 +220,10 @@ def save_weights(weights: VfaWeights, path: str, config: SaConfig | None = None)
 
 def load_weights(path: str) -> VfaWeights:
     """Read a weights file written by ``save_weights``; malformed files raise ValueError."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"weights file must hold a JSON object, got {type(payload).__name__}")
-    unexpected = [key for key in payload if key not in ("weights", "activation", "box_bound",
-                                                        "config")]
-    if unexpected:
-        raise ValueError(f"weights file has unexpected key {unexpected[0]!r}")
-    w = payload.get("weights")
-    if not isinstance(w, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in w
-    ):
-        raise ValueError(f"weights file 'weights' must be a list of numbers, got {w!r}")
+    payload = fields(read_object(path, "weights file"), "weights file", {
+        "weights": (is_numbers,), "activation": (anything, "linear"),
+        "box_bound": (anything, DEFAULT_BOX_BOUND), "config": (anything, None)})
     try:
-        return VfaWeights(
-            w=np.array(w, dtype=float),
-            activation=payload.get("activation", "linear"),
-            box_bound=payload.get("box_bound", DEFAULT_BOX_BOUND),
-        )
+        return VfaWeights(payload["weights"], payload["activation"], payload["box_bound"])
     except TypeError as err:
         raise ValueError(f"malformed weights file: {err}") from None

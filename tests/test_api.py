@@ -18,7 +18,6 @@ ALLOWED_OPTIONS = {
     "experiment.estimate_ipcs(weights)",
     "experiment.estimate_ipcs(workers)",
     "experiment.replication_features(namespace)",
-    "experiment.replication_features(weights)",
     "experiment.run_fixed_truths(seed)",
     "experiment.run_fixed_truths(weights)",
     "experiment.run_experiment(workers)",

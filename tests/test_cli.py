@@ -167,6 +167,11 @@ class TestOptimalRatios:
         res = run_cli("optimal-ratios", "--means", "1,0", "--stds", "1,1,1")
         assert res.returncode == 2
 
+    def test_one_alternative_usage_error(self):
+        res = run_cli("optimal-ratios", "--means", "1", "--stds", "1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+
     def test_tied_best_is_usage_error(self):
         res = run_cli("optimal-ratios", "--means", "1,1", "--stds", "1,1")
         assert res.returncode == 2
@@ -418,7 +423,7 @@ class TestConfigValidation:
     """Bad configs end in exit 2 with a one-line message, before any policy runs."""
 
     def run_main(self, tmp_path, capsys, scenario=None, policies=("aoap",), output=None,
-                 flags=()):
+                 flags=(), code=2):
         from ranksel import cli
 
         config = json.loads(small_config(tmp_path).read_text())
@@ -428,10 +433,10 @@ class TestConfigValidation:
             config["output"] = output
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        code = cli.main(["run-experiment", "--config", str(path),
-                         "--out", str(tmp_path / "bad.csv"), *flags])
+        got = cli.main(["run-experiment", "--config", str(path),
+                        "--out", str(tmp_path / "bad.csv"), *flags])
         err = capsys.readouterr().err
-        assert code == 2
+        assert got == code
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not (tmp_path / "bad.csv").exists()
         return err
@@ -492,6 +497,25 @@ class TestConfigValidation:
         path.write_text(json.dumps(payload))
         err = self.run_main(tmp_path, capsys,
                             policies=({"id": "two_factor", "weights_file": str(path)},))
+        assert message in err
+
+    @pytest.mark.parametrize("payload, code, message", [
+        ({"weights": [1.0, 1.0], "activaton": "expm"}, 2,
+         "weights file has unexpected key 'activaton'"),
+        ([1.0, 1.0], 2, "weights file must be a JSON object"),
+        ({"weights": [1.0, 1.0, 1.0]}, 2, "exactly two weights"),
+        (None, 4, "weights.json"),
+    ], ids=["unknown-key", "json-list", "three-weights", "missing-file"])
+    def test_weights_file_read_before_any_run(self, tmp_path, capsys, monkeypatch, payload,
+                                              code, message):
+        """Weights files are read as the config is parsed, so a bad one stops the run
+        before the policy listed ahead of it is simulated."""
+        self.forbid_runs(monkeypatch)
+        path = tmp_path / "weights.json"
+        if payload is not None:
+            path.write_text(json.dumps(payload))
+        err = self.run_main(tmp_path, capsys, code=code,
+                            policies=("aoap", {"id": "two_factor", "weights_file": str(path)}))
         assert message in err
 
     @pytest.mark.parametrize("fit, message", [

@@ -579,13 +579,14 @@ class TestConfigAndResults:
         assert np.all((curve.ipcs >= 0) & (curve.ipcs <= 1))
 
     def test_fit_stage_seeded_from_master_seed(self, tmp_path):
-        from ranksel.experiment import _resolve_weights, parse_config
+        from ranksel.experiment import parse_config
+        from ranksel.vfa import gmcl_fit
 
         config = self.config_dict(tmp_path)
         config["policies"] = [{"id": "two_factor", "fit": {"iterations": 40}}]
         scenario, specs, _ = parse_config(config)
-        w1 = _resolve_weights(scenario, specs[0])
-        w2 = _resolve_weights(scenario, specs[0])
+        w1 = gmcl_fit(scenario, **specs[0]["fit"])
+        w2 = gmcl_fit(scenario, **specs[0]["fit"])
         np.testing.assert_array_equal(w1.w, w2.w)
 
 
