@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 from . import exact, experiment, policies, vfa
 from ._json import anything, field, read_object
@@ -149,7 +150,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # Out-of-range arithmetic ends in one error line, not in NumPy's warnings as well.
+        # The filter is process-wide, so it covers the worker threads too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _COMMANDS[args.command](args)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

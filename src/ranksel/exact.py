@@ -508,11 +508,6 @@ class NormalPriorSpec:
             raise ValueError("sampling stds must be positive")
 
 
-def _quantile_grid(ppf, grid_points: int) -> list[float]:
-    """Equal-mass grid: the distribution's quantiles at cell midpoints."""
-    return [float(ppf((2 * m + 1) / (2 * grid_points))) for m in range(grid_points)]
-
-
 def discretize_prior(
     spec,
     grid_points: int,
@@ -531,45 +526,39 @@ def discretize_prior(
 
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    # Each family supplies its marginal prior ppfs, the outcome supports and
-    # outcome_pmf(i, x): the outcome pmf of alternative i at parameter x.
+    mids = (2 * np.arange(grid_points) + 1) / (2 * grid_points)
+    # Each family gives, per alternative, its prior quantiles at the cell midpoints, its
+    # outcome support and a table whose row m is the outcome pmf at the m-th quantile.
     if isinstance(spec, BernoulliPriorSpec):
-        ppfs = [stats.beta(a, b).ppf for a, b in zip(spec.alphas, spec.betas)]
-        support = [(0.0, 1.0)] * len(ppfs)
-
-        def outcome_pmf(i: int, p: float) -> tuple[float, float]:
-            return (1.0 - p, p)
-
+        grids = [stats.beta.ppf(mids, a, b) for a, b in zip(spec.alphas, spec.betas)]
+        support = [(0.0, 1.0)] * len(grids)
+        tables = [np.column_stack([1.0 - p, p]) for p in grids]
     elif isinstance(spec, NormalPriorSpec):
         obs_points = obs_grid_points or grid_points
         if obs_points < 2:
             raise ValueError("obs_grid_points must be >= 2")
-        ppfs = [stats.norm(m, s).ppf for m, s in zip(spec.prior_means, spec.prior_stds)]
-        support = []
-        boundaries = []
-        for m, s, sd in zip(spec.prior_means, spec.prior_stds, spec.sampling_stds):
-            # Observations are binned into equal-mass cells of the marginal predictive.
-            predictive = stats.norm(m, math.hypot(s, sd))
-            support.append(tuple(_quantile_grid(predictive.ppf, obs_points)))
-            inner = [float(predictive.ppf(j / obs_points)) for j in range(1, obs_points)]
-            boundaries.append([-math.inf, *inner, math.inf])
-
-        def outcome_pmf(i: int, mean: float) -> tuple[float, ...]:
-            sd = spec.sampling_stds[i]
-            cdf = [float(stats.norm.cdf((b - mean) / sd)) for b in boundaries[i]]
-            return tuple(cdf[j + 1] - cdf[j] for j in range(obs_points))
-
+        grids = [stats.norm.ppf(mids, m, s) for m, s in zip(spec.prior_means, spec.prior_stds)]
+        # Observations are binned into equal-mass cells of the marginal predictive.  Its
+        # quantiles at every half cell alternate cell midpoints (the outcome support) and
+        # inner bin edges: 2j / 2n rounds to the same float as j / n.
+        halves = np.arange(1, 2 * obs_points) / (2 * obs_points)
+        support, tables = [], []
+        for grid, m, s, sd in zip(grids, spec.prior_means, spec.prior_stds, spec.sampling_stds):
+            q = stats.norm.ppf(halves, m, math.hypot(s, sd))
+            edges = np.concatenate([[-np.inf], q[1::2], [np.inf]])
+            support.append(q[::2])
+            tables.append(np.diff(stats.norm.cdf((edges - grid[:, None]) / sd), axis=1))
     else:
         raise ValueError(f"unsupported prior family: {type(spec).__name__}")
-    grids = [_quantile_grid(ppf, grid_points) for ppf in ppfs]
     if grid_points ** len(grids) > _MAX_PRIOR_POINTS:
         raise RuntimeError(f"product prior grid exceeds {_MAX_PRIOR_POINTS} points")
-    prior_points = list(itertools.product(*grids))
+    # The product grid's points and, alongside, their alternatives' table rows.
+    prior_points = list(itertools.product(*(grid.tolist() for grid in grids)))
     return DiscreteModel(
         support=support,
         prior_points=prior_points,
         prior_pmf=[1.0 / len(prior_points)] * len(prior_points),
-        sampling_pmf=[[outcome_pmf(i, x) for i, x in enumerate(point)] for point in prior_points],
+        sampling_pmf=list(itertools.product(*(table.tolist() for table in tables))),
         reward=reward,
     )
 

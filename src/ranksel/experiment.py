@@ -269,6 +269,13 @@ def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.
     return z
 
 
+def _finite(means: np.ndarray) -> np.ndarray:
+    """Posterior means, checked: statistics out of float range leave them NaN or infinite."""
+    if not np.isfinite(means).all():
+        raise ValueError("posterior mean is not finite: the sample statistics left the float range")
+    return means
+
+
 def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,
             variance_mode, n0, horizon):
     """Yield the batch state after the round-robin warmup and after every later step.
@@ -282,7 +289,8 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     entry per row, so only that entry's statistics, plug-in variance and
     posterior are recomputed, by the same formulas on gathered ``(n,)``
     vectors: the bits of a full recompute.  The one state yielded is
-    updated in place by later steps.
+    updated in place by later steps.  A posterior mean that is not finite
+    raises ``ValueError``.
     """
     k, n = true_means.shape
     counts, sums = np.zeros((k, n)), np.zeros((k, n))
@@ -298,7 +306,7 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     svars = true_vars if sumsqs is None else sample_variances(counts, sums, sumsqs)
     means, post_vars = posterior_arrays(prior_means[:, None], prior_vars[:, None], counts, sums,
                                         svars)
-    state = pol.BatchState(means, post_vars, svars, counts, sums / counts)
+    state = pol.BatchState(_finite(means), post_vars, svars, counts, sums / counts)
     cols = np.arange(n)
 
     def put(arr, value):
@@ -319,7 +327,7 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
         else:
             sv = svars.take(at)
         m, v = posterior_arrays(prior_means.take(alt), prior_vars.take(alt), c, s, sv)
-        put(means, m)
+        put(means, _finite(m))
         put(post_vars, v)
         put(state.sample_means, s / c)
 

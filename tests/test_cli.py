@@ -629,6 +629,29 @@ OUT_OF_RANGE_STDS = [
 ]
 
 
+# Each change to the probe scenario, at master seed 1, makes a posterior mean NaN or
+# infinite before the horizon.  ea and ocba decide without reading it.
+SHIFT_1E9 = {"prior_means": [1e9, 1e9 + 0.5, 1e9 + 1], "prior_stds": [1, 1, 1]}
+UNDEFINED_POSTERIOR = {
+    "shift-1e9-ea": (SHIFT_1E9, "ea"),
+    "shift-1e9-ocba": (SHIFT_1E9, "ocba"),
+    "shift-1e9-aoap": (SHIFT_1E9, "aoap"),
+    "prior-1e100-ea": ({"prior_stds": [1e100, 1, 1]}, "ea"),
+    "prior-1e100-ocba": ({"prior_stds": [1e100, 1, 1]}, "ocba"),
+    "sampling-1e-150-ea": ({"sampling_stds": [1e-150, 1, 1]}, "ea"),
+    "sampling-1e-150-ocba": ({"sampling_stds": [1e-150, 1, 1]}, "ocba"),
+    "shift-1e8-frozen-ocba": ({"prior_means": [1e8, 1e8 + 0.5, 1e8 + 1], "prior_stds": [1, 1, 1],
+                               "variance_mode": "plugin_frozen"}, "ocba"),
+    "prior-1e154-k2-ea": ({"prior_stds": [1e154, 1]}, "ea"),
+    "prior-1e154-k2-aoap": ({"prior_stds": [1e154, 1]}, "aoap"),
+    "shift-1e9-no-steps-ea": ({**SHIFT_1E9, "T": 6}, "ea"),
+    # Equal observations of 1.5 get the smallest variance, so the sum over it overflows
+    # only at the third one, after the warm-up.
+    "late-overflow-ea": ({"prior_means": [1.5, 0], "prior_stds": [1e-150, 1],
+                          "sampling_stds": [1e-150, 1]}, "ea"),
+}
+
+
 def _probe_config(tmp_path, scenario, policies=("aoap",)):
     k = len(scenario.get("prior_stds", scenario.get("sampling_stds", [])))
     base = {"k": k, "prior_means": [0.0, 0.5, 1.0][:k], "prior_stds": [1.0] * k,
@@ -654,6 +677,20 @@ class TestOutOfRangeInputsExitInOneLine:
     def test_run_experiment_stds(self, tmp_path, scenario, field):
         res = run_cli("run-experiment", "--config", str(_probe_config(tmp_path, scenario)))
         self.assert_one_line_usage_error(tmp_path, res, field)
+
+    @pytest.mark.parametrize("name", list(UNDEFINED_POSTERIOR))
+    def test_run_experiment_undefined_posterior(self, tmp_path, name):
+        scenario, policy = UNDEFINED_POSTERIOR[name]
+        path = _probe_config(tmp_path, {**scenario, "master_seed": 1}, (policy,))
+        res = run_cli("run-experiment", "--config", str(path))
+        self.assert_one_line_usage_error(tmp_path, res, "posterior mean is not finite")
+
+    def test_undefined_posterior_in_worker_threads(self, tmp_path):
+        """Two 4,096-row blocks on two threads: the warning filter reaches them too."""
+        path = _probe_config(tmp_path, {**SHIFT_1E9, "master_seed": 1, "macro_reps": 4100},
+                             ("ea",))
+        res = run_cli("run-experiment", "--config", str(path), "--workers", "2")
+        self.assert_one_line_usage_error(tmp_path, res, "posterior mean is not finite")
 
     def test_fit_vfa_stds(self, tmp_path):
         path = _probe_config(tmp_path, {"prior_stds": [1e200, 1]})

@@ -1,5 +1,6 @@
 """Exact solver: posterior arithmetic, oracle equivalence, state-space counting."""
 
+import functools
 import itertools
 import math
 
@@ -568,6 +569,67 @@ class TestDiscretizePrior:
             sampling_pmf=((lo, b_lo), (lo, b_hi), (hi, b_lo), (hi, b_hi)),
             reward="EOC",
         )
+
+
+def reference_discretize(spec, grid_points, obs_grid_points=None):
+    """Per-point discretization with scalar SciPy calls: (support, prior_points, sampling_pmf).
+
+    One ppf call per quantile, and one cdf call per prior point, alternative
+    and bin edge.  ``outcome_pmf`` is memoized on (alternative, value), which
+    changes no float and keeps the 101-point grid fast.
+    """
+    from scipy import stats
+
+    def quantile_grid(ppf, n):
+        return [float(ppf((2 * m + 1) / (2 * n))) for m in range(n)]
+
+    if isinstance(spec, BernoulliPriorSpec):
+        ppfs = [stats.beta(a, b).ppf for a, b in zip(spec.alphas, spec.betas)]
+        support = [(0.0, 1.0)] * len(ppfs)
+
+        def outcome_pmf(i, p):
+            return (1.0 - p, p)
+
+    else:
+        obs_points = obs_grid_points or grid_points
+        ppfs = [stats.norm(m, s).ppf for m, s in zip(spec.prior_means, spec.prior_stds)]
+        support, boundaries = [], []
+        for m, s, sd in zip(spec.prior_means, spec.prior_stds, spec.sampling_stds):
+            predictive = stats.norm(m, math.hypot(s, sd))
+            support.append(tuple(quantile_grid(predictive.ppf, obs_points)))
+            inner = [float(predictive.ppf(j / obs_points)) for j in range(1, obs_points)]
+            boundaries.append([-math.inf, *inner, math.inf])
+
+        @functools.cache
+        def outcome_pmf(i, mean):
+            sd = spec.sampling_stds[i]
+            cdf = [float(stats.norm.cdf((b - mean) / sd)) for b in boundaries[i]]
+            return tuple(cdf[j + 1] - cdf[j] for j in range(obs_points))
+
+    prior_points = list(itertools.product(*(quantile_grid(ppf, grid_points) for ppf in ppfs)))
+    pmfs = [tuple(outcome_pmf(i, x) for i, x in enumerate(point)) for point in prior_points]
+    return tuple(support), tuple(prior_points), tuple(pmfs)
+
+
+DISCRETIZE_SPECS = {
+    "normal-101": (NormalPriorSpec((0.7, -0.2), (1.0, 2.0), (1.0, 1.0)), 101, 5),
+    "normal-r9": (NormalPriorSpec((0.0, 0.3), (1.0, 1.0), (1.0, 2.0)), 3, 4),
+    "normal-eoc": (NormalPriorSpec((0.0, 0.5), (1.0, 1.0), (1.0, 2.0)), 2, 3),
+    "beta-k3": (BernoulliPriorSpec((1.0, 2.0, 1.0), (1.0, 1.0, 2.0)), 2, None),
+    "beta-symmetric": (BernoulliPriorSpec((2.0, 2.0), (2.0, 2.0)), 5, None),
+    "normal-k3": (NormalPriorSpec((0.1, -0.4, 2.0), (1.0, 0.5, 3.0), (0.7, 1.3, 2.0)), 7, 6),
+    "normal-obs-default": (NormalPriorSpec((0.1, -0.4), (1.0, 0.5), (0.7, 1.3)), 4, None),
+}
+
+
+@pytest.mark.parametrize("name", list(DISCRETIZE_SPECS))
+def test_discretize_prior_matches_per_point_reference(name):
+    """Same floats, bit for bit (``repr`` tells -0.0 and NumPy scalars apart)."""
+    spec, grid_points, obs_grid_points = DISCRETIZE_SPECS[name]
+    model = discretize_prior(spec, grid_points, obs_grid_points=obs_grid_points)
+    got = (model.support, model.prior_points, model.sampling_pmf)
+    same = repr(got) == repr(reference_discretize(spec, grid_points, obs_grid_points))
+    assert same, "a field differs"  # a diff of the two reprs would take minutes
 
 
 class TestModelIO:

@@ -187,11 +187,33 @@ class TestSelectionRules:
         with pytest.raises(ValueError, match="k=17 exceeds the quadrature cap of 16"):
             select_optimal_pcs(b)
 
+    @pytest.mark.parametrize("c", [-1.5, -0.3, 0.3, 1.5])
+    def test_optimal_pcs_point_mass_posterior(self, c):
+        """N(c, 0) against N(0, 1): alternative 0 is best with probability Phi(c)."""
+        from ranksel.policies import _posterior_best_probability
+
+        b = belief_vector([c, 0.0], [0.0, 1.0])
+        stds = np.sqrt(b.post_vars)
+        assert _posterior_best_probability(b.means, stds, 0) == pytest.approx(_Phi(c), abs=1e-12)
+        assert _posterior_best_probability(b.means, stds, 1) == pytest.approx(_Phi(-c), abs=1e-12)
+        assert select_optimal_pcs(b) == (0 if _Phi(c) > 0.5 else 1)
+
+
+def _Phi(x):
+    return 0.5 * math.erfc(-x / math.sqrt(2))
+
 
 class TestEocValue:
     def test_symmetric_standard_normals(self):
         b = belief_vector([0.0, 0.0], [1.0, 1.0])
         assert eoc_value(b) == pytest.approx(-1.0 / math.sqrt(math.pi), abs=1e-7)
+
+    @pytest.mark.parametrize("c", [-1.5, -0.3, 0.3, 1.5])
+    def test_point_mass_posterior(self, c):
+        """N(c, 0) against N(0, 1): E[max] = c Phi(c) + phi(c)."""
+        phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
+        expected = max(c, 0.0) - (c * _Phi(c) + phi)
+        assert eoc_value(belief_vector([c, 0.0], [0.0, 1.0])) == pytest.approx(expected, abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
