@@ -91,31 +91,40 @@ class DiscreteModel:
     reward: str = "PCS"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "support", _freeze2(self.support))
+        object.__setattr__(self, "support", tuple(tuple(map(float, row)) for row in self.support))
         object.__setattr__(self, "prior_points", tuple(self.prior_points))
-        object.__setattr__(self, "prior_pmf", tuple(float(p) for p in self.prior_pmf))
-        object.__setattr__(self, "sampling_pmf", _freeze3(self.sampling_pmf))
+        object.__setattr__(self, "prior_pmf", tuple(map(float, self.prior_pmf)))
         if self.reward not in ("PCS", "EOC"):
             raise ValueError(f"reward must be 'PCS' or 'EOC', got {self.reward!r}")
         if self.k < 2:
             raise ValueError("need at least two alternatives")
         if len(self.prior_points) != self.r or len(self.sampling_pmf) != self.r:
             raise ValueError("prior support, pmf, and sampling pmfs must align")
-        if abs(sum(self.prior_pmf) - 1.0) > _PMF_TOL:
+        prior = np.array(self.prior_pmf)
+        if abs(prior.sum() - 1.0) > _PMF_TOL:
             raise ValueError("prior pmf must sum to 1")
-        for p in self.prior_pmf:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("prior pmf entries must lie in [0, 1]")
-        for m, per_alt in enumerate(self.sampling_pmf):
-            if len(per_alt) != self.k:
-                raise ValueError("sampling pmf must cover every alternative")
-            for i, pmf in enumerate(per_alt):
-                if len(pmf) != len(self.support[i]):
-                    raise ValueError("sampling pmf must match the outcome support")
-                if abs(sum(pmf) - 1.0) > _PMF_TOL:
-                    raise ValueError(f"sampling pmf for point {m}, alternative {i} must sum to 1")
-                if any(not 0.0 <= q <= 1.0 for q in pmf):
-                    raise ValueError("sampling probabilities must lie in [0, 1]")
+        if not ((prior >= 0.0) & (prior <= 1.0)).all():
+            raise ValueError("prior pmf entries must lie in [0, 1]")
+        if set(map(len, self.sampling_pmf)) != {self.k}:
+            raise ValueError("sampling pmf must cover every alternative")
+        # One (r, s_i) table per alternative: support sizes may differ.
+        tables = []
+        for i, outcomes in enumerate(self.support):
+            rows = [per_alt[i] for per_alt in self.sampling_pmf]
+            if set(map(len, rows)) != {len(outcomes)}:
+                raise ValueError("sampling pmf must match the outcome support")
+            tables.append(np.array(rows, dtype=float).reshape(self.r, len(outcomes)))
+        bad_sum = np.array([np.abs(a.sum(axis=1) - 1.0) > _PMF_TOL for a in tables]).T
+        bad_range = np.array([~((a >= 0.0) & (a <= 1.0)).all(axis=1) for a in tables]).T
+        bad = np.flatnonzero(bad_sum | bad_range)  # (point, alternative) order
+        if bad.size:
+            m, i = divmod(int(bad[0]), self.k)
+            if bad_sum[m, i]:
+                raise ValueError(f"sampling pmf for point {m}, alternative {i} must sum to 1")
+            raise ValueError("sampling probabilities must lie in [0, 1]")
+        # zip(*[it] * s) groups a flat list into s-tuples without a list per row.
+        per_alt = (zip(*[iter(a.ravel().tolist())] * a.shape[1]) for a in tables)
+        object.__setattr__(self, "sampling_pmf", tuple(zip(*per_alt)))
 
     @property
     def k(self) -> int:
@@ -147,14 +156,6 @@ class DiscreteModel:
 
     def empty_state(self) -> "DiscreteState":
         return DiscreteState(tuple(tuple(0 for _ in s) for s in self.support))
-
-
-def _freeze2(rows) -> tuple:
-    return tuple(tuple(float(x) for x in row) for row in rows)
-
-
-def _freeze3(blocks) -> tuple:
-    return tuple(_freeze2(block) for block in blocks)
 
 
 @dataclass(frozen=True)

@@ -269,10 +269,14 @@ def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.
     return z
 
 
-def _finite(means: np.ndarray) -> np.ndarray:
-    """Posterior means, checked: statistics out of float range leave them NaN or infinite."""
+def _checked(means: np.ndarray, post_vars: np.ndarray, prior_vars: np.ndarray) -> np.ndarray:
+    """Posterior means, checked: statistics out of float range leave them NaN or infinite,
+    or overflow the precision so that a posterior variance is 0 under a nonzero prior one."""
     if not np.isfinite(means).all():
         raise ValueError("posterior mean is not finite: the sample statistics left the float range")
+    if ((post_vars == 0.0) & (prior_vars > 0.0)).any():
+        raise ValueError("posterior variance is 0 under a nonzero prior variance: the sample "
+                         "statistics left the float range")
     return means
 
 
@@ -289,8 +293,8 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     entry per row, so only that entry's statistics, plug-in variance and
     posterior are recomputed, by the same formulas on gathered ``(n,)``
     vectors: the bits of a full recompute.  The one state yielded is
-    updated in place by later steps.  A posterior mean that is not finite
-    raises ``ValueError``.
+    updated in place by later steps.  A posterior that left the float range
+    raises ``ValueError`` (see ``_checked``).
     """
     k, n = true_means.shape
     counts, sums = np.zeros((k, n)), np.zeros((k, n))
@@ -306,7 +310,8 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     svars = true_vars if sumsqs is None else sample_variances(counts, sums, sumsqs)
     means, post_vars = posterior_arrays(prior_means[:, None], prior_vars[:, None], counts, sums,
                                         svars)
-    state = pol.BatchState(_finite(means), post_vars, svars, counts, sums / counts)
+    state = pol.BatchState(_checked(means, post_vars, prior_vars[:, None]), post_vars, svars,
+                           counts, sums / counts)
     cols = np.arange(n)
 
     def put(arr, value):
@@ -326,8 +331,9 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
             sv = put(svars, sample_variances(c, s, put(sumsqs, sumsqs.take(at) + obs**2)))
         else:
             sv = svars.take(at)
-        m, v = posterior_arrays(prior_means.take(alt), prior_vars.take(alt), c, s, sv)
-        put(means, _finite(m))
+        pv = prior_vars.take(alt)
+        m, v = posterior_arrays(prior_means.take(alt), pv, c, s, sv)
+        put(means, _checked(m, v, pv))
         put(post_vars, v)
         put(state.sample_means, s / c)
 

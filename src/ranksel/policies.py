@@ -31,6 +31,7 @@ defined once, as a score function ``score(state, t) -> (k, ...)``;
 ``POLICIES`` maps policy ids to them and ``make_policy`` resolves an id.
 ``decide`` turns scores into the sampled alternative of every state, and
 the belief-level ``*_allocate`` functions are ``decide`` on one state.
+Only kg, ``optimal_ratios`` and ``select_optimal_pcs``/``eoc_value`` load SciPy, on first use.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .beliefs import GaussianBelief, GroundTruth
 
@@ -433,6 +431,7 @@ def kg_candidate_values(
     s_i = sqrt(var_i - var_i'); the expected improvement has the usual
     closed form s * (z * Phi(z) + phi(z)) at z = -|gap to best other| / s.
     """
+    from scipy.special import ndtr
     s = post_vars - shrunk_variance(post_vars, sampling_vars)
     np.sqrt(np.maximum(s, 0.0, out=s), out=s)
     m1 = means.max(axis=0)
@@ -577,6 +576,8 @@ def _posterior_best_probability(means, stds, i, x_moment=False):
     With ``x_moment`` the integrand carries a factor x, which gives
     E[mu_i; mu_i is the largest]; summed over i that is E[max_i mu_i].
     """
+    from scipy import integrate
+    from scipy.special import ndtr
     others = [j for j in range(len(means)) if j != i]
 
     def weight(x):
@@ -820,6 +821,7 @@ def optimal_ratios(truth: GroundTruth) -> tuple[RatioVector, int]:
     elif excess(hi) >= 0.0:
         t, iters = hi, 0
     else:
+        from scipy.optimize import brentq
         t, info = brentq(excess, lo, hi, xtol=math.ulp(lo), full_output=True)
         iters = info.iterations
     ratios = np.ones(len(truth.means))

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from ._json import anything, fields, is_numbers, read_object
 from .policies import _activation, apply_activation
@@ -191,6 +190,7 @@ def linear_lsq_oracle(
     active-set method; raises on a singular design.  Also checks that the
     sample Hessian 2 * mean(G' G) is positive semidefinite.
     """
+    from scipy.optimize import lsq_linear
     G = np.asarray(features, dtype=float)
     y = np.asarray(indicators, dtype=float)
     hess = 2.0 * (G.T @ G) / len(y)

@@ -117,6 +117,20 @@ class TestRunExperiment:
                                  "--workers", workers]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_first_scipy_import_in_worker_threads(self, tmp_path):
+        """kg loads scipy.special on first use.  In a fresh interpreter that first
+        import happens on the worker threads, so the CSV must still match one worker's."""
+        config = json.loads(small_config(tmp_path, reps=8200).read_text())
+        config["policies"] = ["kg"]
+        path = tmp_path / "kg.json"
+        path.write_text(json.dumps(config))
+        outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+        for out, workers in zip(outs, ("1", "2")):
+            res = run_cli("run-experiment", "--config", str(path), "--out", str(out),
+                          "--workers", workers)
+            assert res.returncode == 0 and res.stderr == "", res.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_config_parsed_once(self, tmp_path, monkeypatch):
         from ranksel import cli, experiment
 
@@ -692,6 +706,16 @@ class TestOutOfRangeInputsExitInOneLine:
         res = run_cli("run-experiment", "--config", str(path), "--workers", "2")
         self.assert_one_line_usage_error(tmp_path, res, "posterior mean is not finite")
 
+    def test_zero_posterior_variance(self, tmp_path):
+        """Equal observations of 0.3 get the smallest variance, so count / variance
+        overflows from the 4th one and the posterior variance is 0: the mean it gives
+        is finite but wrong."""
+        path = _probe_config(tmp_path, {"prior_means": [0.3, 0], "prior_stds": [1e-150, 1],
+                                        "sampling_stds": [1e-150, 1], "master_seed": 1},
+                             ("ea",))
+        res = run_cli("run-experiment", "--config", str(path))
+        self.assert_one_line_usage_error(tmp_path, res, "posterior variance is 0")
+
     def test_fit_vfa_stds(self, tmp_path):
         path = _probe_config(tmp_path, {"prior_stds": [1e200, 1]})
         res = run_cli("fit-vfa", "--scenario", str(path), "--out", str(tmp_path / "w.json"),
@@ -895,12 +919,84 @@ class TestConfigFuzz:
                     assert err == "", (argv[0], err)
 
 
+# Each policy id with a config entry that runs without a weights file.
+FUZZ_POLICIES = ["ea", "ocba", "kg", "aoap", "aoap_ms2",
+                 {"id": "two_factor", "fit": {"iterations": 4, "seed": 1}}]
+
+
+class TestMagnitudeFuzz:
+    """Means and stds across the float range: every run writes its CSV with nothing on
+    stderr, or exits 2 with one stderr line and writes nothing."""
+
+    @given(scale_exp=st.integers(-500, 500),
+           shift=st.floats(-1e12, 1e12),
+           std_exps=st.lists(st.floats(-150, 150), min_size=6, max_size=6),
+           variance_mode=st.sampled_from(["known", "plugin_refresh", "plugin_frozen"]))
+    @settings(max_examples=25, deadline=None)
+    def test_every_policy(self, scale_exp, shift, std_exps, variance_mode):
+        from ranksel import cli
+
+        scale = 2.0**scale_exp
+        stds = [scale * 10.0**e for e in std_exps]
+        scenario = {"k": 3, "prior_means": [scale * (m + shift) for m in (0.0, 0.5, 1.0)],
+                    "prior_stds": stds[:3], "sampling_stds": stds[3:], "T": 10, "n0": 2,
+                    "macro_reps": 4, "master_seed": 1, "variance_mode": variance_mode}
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            for policy in FUZZ_POLICIES:
+                cfg = Path(tmp) / "config.json"
+                cfg.write_text(json.dumps({"scenario": scenario, "policies": [policy]}))
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["run-experiment", "--config", str(cfg), "--out", str(out)])
+                err = err.getvalue()
+                assert code in (0, 2), (policy, scenario, code, err)
+                if code == 0:
+                    assert err == "" and out.exists(), (policy, scenario, err)
+                    out.unlink()
+                else:
+                    assert err.startswith("error:") and err.count("\n") == 1, (policy, err)
+                    assert not out.exists(), (policy, scenario)
+
+
+# Run in a fresh interpreter with a config for ea/ocba/aoap/two_factor/aoap_ms2, a kg config
+# and a model file; prints the scipy modules loaded after each stage.
+SCIPY_STAGES = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import ranksel, ranksel.cli
+stages = {"import": scipy_modules()}
+config, kg_config, model = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ranksel.cli.main(["run-experiment", "--config", config]) == 0
+    assert ranksel.cli.main(["solve-exact", "--model", model, "--horizon", "3"]) == 0
+    stages["run"] = scipy_modules()
+    assert ranksel.cli.main(["run-experiment", "--config", kg_config]) == 0
+    stages["kg"] = scipy_modules()
+print(json.dumps(stages))
+"""
+
+
 class TestImport:
-    def test_scipy_stats_not_imported(self):
-        """Only discretize_prior needs scipy.stats, so importing the package
-        and the CLI must not load it (checked in a fresh interpreter)."""
-        code = "import sys, ranksel, ranksel.cli; print('scipy.stats' in sys.modules)"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=SRC_ENV)
+    def test_scipy_loaded_only_on_first_use(self, tmp_path):
+        """Importing the package and the CLI loads no SciPy module, and neither do the
+        policies and the exact solver that call none; kg loads scipy.special only."""
+        config = json.loads(small_config(tmp_path, out_name="a.csv").read_text())
+        config["policies"] = ["ea", "ocba", "aoap", "aoap_ms2",
+                              {"id": "two_factor", "fit": {"iterations": 4}}]
+        paths = [tmp_path / "config.json", tmp_path / "kg.json"]
+        paths[0].write_text(json.dumps(config))
+        paths[1].write_text(json.dumps({**config, "policies": ["kg"],
+                                        "output": {"path": str(tmp_path / "kg.csv")}}))
+        model = TestSolveExact().model_file(tmp_path)
+        res = subprocess.run([sys.executable, "-c", SCIPY_STAGES, *map(str, paths), str(model)],
+                             capture_output=True, text=True, env=SRC_ENV)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        stages = json.loads(res.stdout)
+        assert stages["import"] == [] and stages["run"] == []
+        assert "scipy.special" in stages["kg"]
+        assert not [m for m in stages["kg"]
+                    if m.startswith(("scipy.optimize", "scipy.integrate"))], stages["kg"]

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,48 @@ def pruned_model():
         ],
         reward="EOC",
     )
+
+
+BINARY, FAIR = ((0.0, 1.0), (0.0, 1.0)), ((0.5, 0.5), (0.5, 0.5))
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("changes, message", [
+        ({"reward": "X"}, "reward must be 'PCS' or 'EOC', got 'X'"),
+        ({"support": BINARY[:1], "sampling_pmf": [FAIR[:1]] * 2}, "need at least two"),
+        ({"prior_pmf": [1.0]}, "prior support, pmf, and sampling pmfs must align"),
+        ({"prior_pmf": [0.5, 0.6]}, "prior pmf must sum to 1"),
+        ({"prior_pmf": [1.5, -0.5]}, "prior pmf entries must lie in [0, 1]"),
+        ({"prior_pmf": [math.nan, 1.0]}, "prior pmf entries must lie in [0, 1]"),
+        ({"sampling_pmf": [FAIR, FAIR[:1]]}, "sampling pmf must cover every alternative"),
+        ({"sampling_pmf": [FAIR, (FAIR[0], (1.0,))]}, "must match the outcome support"),
+        ({"sampling_pmf": [FAIR, (FAIR[0], (0.5, 0.6))]}, "point 1, alternative 1 must sum to 1"),
+        ({"sampling_pmf": [FAIR, (FAIR[0], (math.nan, 1.0))]}, "must lie in [0, 1]"),
+        # The first faulty (point, alternative) pair, point-major, names the fault.
+        ({"sampling_pmf": [(FAIR[0], (1.5, -0.5)), ((0.5, 0.6), FAIR[1])]}, "must lie in [0, 1]"),
+        ({"sampling_pmf": [(FAIR[0], (0.5, 0.6)), ((1.5, -0.5), FAIR[1])]},
+         "point 0, alternative 1 must sum to 1"),
+    ])
+    def test_each_fault_keeps_its_message(self, changes, message):
+        model = {"support": BINARY, "prior_points": ["a", "b"], "prior_pmf": [0.5, 0.5],
+                 "sampling_pmf": [FAIR, FAIR], **changes}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiscreteModel(**model)
+
+    def test_stores_nested_tuples_of_python_floats(self):
+        """Support sizes may differ, and NumPy or int entries are stored as floats."""
+        model = DiscreteModel(support=[(0, 1), np.arange(3)], prior_points=[0, 1],
+                              prior_pmf=np.array([0.25, 0.75]),
+                              sampling_pmf=[[(0.5, 0.5), (0.2, 0.3, 0.5)],
+                                            [np.array([1.0, 0.0]), (0, 0, 1)]])
+        assert model.support == ((0.0, 1.0), (0.0, 1.0, 2.0))
+        assert model.prior_pmf == (0.25, 0.75)
+        assert model.sampling_pmf == (((0.5, 0.5), (0.2, 0.3, 0.5)),
+                                      ((1.0, 0.0), (0.0, 0.0, 1.0)))
+        values = [*model.prior_pmf, *itertools.chain(*model.support),
+                  *itertools.chain(*itertools.chain(*model.sampling_pmf))]
+        assert {type(x) for x in values} == {float}
+        assert {type(x) for x in [model.support, *model.sampling_pmf[1]]} == {tuple}
 
 
 class TestPosteriorPmf:
