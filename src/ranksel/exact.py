@@ -29,7 +29,6 @@ enough for both.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,44 +62,51 @@ _PATH_CAP = 10**5  # most raw histories brute_force_value expands, (k * s_max)^T
 _MAX_PRIOR_POINTS = 10**5  # largest product grid discretize_prior builds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteModel:
     """Finite-support sampling model with a finite-support prior.
+
+    The constructor takes nested sequences and keeps read-only arrays.
 
     Attributes
     ----------
     support : nested tuple
-        ``support[i][j]`` is the j-th possible outcome of alternative i.
+        ``support[i][j]`` is the j-th possible outcome of alternative i; finite.
     prior_points : tuple
         Labels for the prior support points (display only; the model
         content lives in ``sampling_pmf``).
-    prior_pmf : tuple of float
+    prior_pmf : (r,) float array
         Prior probability of each support point; sums to 1.
-    sampling_pmf : nested tuple
-        ``sampling_pmf[m][i][j]`` is the probability that alternative i
-        yields outcome j when the m-th parameter point is true.
+    sampling_pmf : (r, D) float array
+        Given point-major, ``sampling_pmf[m][i][j]`` is the probability that
+        alternative i yields outcome j when the m-th parameter point is true;
+        it is stored in column ``s_0 + ... + s_{i-1} + j``, where s_i is the
+        support size of alternative i and D their sum.
     reward : str
         ``"PCS"`` (indicator of selecting a best-mean alternative) or
         ``"EOC"`` (selected mean minus best mean; nonpositive).
+    rewards : (r, k) float array
+        The finite reward of selecting alternative i if the m-th point is
+        true.  Under PCS every alternative attaining the maximal mean scores 1.
     """
 
     support: tuple[tuple[float, ...], ...]
     prior_points: tuple
-    prior_pmf: tuple[float, ...]
-    sampling_pmf: tuple[tuple[tuple[float, ...], ...], ...]
+    prior_pmf: np.ndarray
+    sampling_pmf: np.ndarray
     reward: str = "PCS"
+    rewards: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(tuple(map(float, row)) for row in self.support))
         object.__setattr__(self, "prior_points", tuple(self.prior_points))
-        object.__setattr__(self, "prior_pmf", tuple(map(float, self.prior_pmf)))
+        prior = np.array(list(map(float, self.prior_pmf)))
         if self.reward not in ("PCS", "EOC"):
             raise ValueError(f"reward must be 'PCS' or 'EOC', got {self.reward!r}")
         if self.k < 2:
             raise ValueError("need at least two alternatives")
         if len(self.prior_points) != self.r or len(self.sampling_pmf) != self.r:
             raise ValueError("prior support, pmf, and sampling pmfs must align")
-        prior = np.array(self.prior_pmf)
         if abs(prior.sum() - 1.0) > _PMF_TOL:
             raise ValueError("prior pmf must sum to 1")
         if not ((prior >= 0.0) & (prior <= 1.0)).all():
@@ -122,9 +128,21 @@ class DiscreteModel:
             if bad_sum[m, i]:
                 raise ValueError(f"sampling pmf for point {m}, alternative {i} must sum to 1")
             raise ValueError("sampling probabilities must lie in [0, 1]")
-        # zip(*[it] * s) groups a flat list into s-tuples without a list per row.
-        per_alt = (zip(*[iter(a.ravel().tolist())] * a.shape[1]) for a in tables)
-        object.__setattr__(self, "sampling_pmf", tuple(zip(*per_alt)))
+        if not np.isfinite(np.concatenate(self.support)).all():
+            raise ValueError("support values must be finite")
+        # Means accumulate from 0.0 over outcomes left to right, as sum() over one row would.
+        means = np.zeros((self.r, self.k))
+        for i, (outcomes, table) in enumerate(zip(self.support, tables)):
+            for j, y in enumerate(outcomes):
+                means[:, i] += y * table[:, j]
+        best = means.max(axis=1, keepdims=True)
+        rewards = (means == best).astype(float) if self.reward == "PCS" else means - best
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite: the means or their differences overflow")
+        sampling = np.hstack(tables)
+        for name, array in (("prior_pmf", prior), ("sampling_pmf", sampling), ("rewards", rewards)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def k(self) -> int:
@@ -137,22 +155,6 @@ class DiscreteModel:
     @property
     def support_sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.support)
-
-    def mean(self, m: int, i: int) -> float:
-        """Mean outcome of alternative i under the m-th parameter point."""
-        return sum(y * q for y, q in zip(self.support[i], self.sampling_pmf[m][i]))
-
-    def terminal_reward(self, m: int, i: int) -> float:
-        """Reward of selecting alternative i if the m-th point is true.
-
-        Ties among means are treated as a set of maximizers: under PCS,
-        selecting any alternative attaining the maximal mean scores 1.
-        """
-        means = [self.mean(m, j) for j in range(self.k)]
-        best = max(means)
-        if self.reward == "PCS":
-            return 1.0 if means[i] == best else 0.0
-        return means[i] - best
 
     def empty_state(self) -> "DiscreteState":
         return DiscreteState(tuple(tuple(0 for _ in s) for s in self.support))
@@ -178,22 +180,12 @@ class DiscreteState:
         return DiscreteState(tuple(counts))
 
 
-def _outcome_matrix(model: DiscreteModel) -> np.ndarray:
-    """(r, D): column offset(i) + j holds each point's probability of outcome j of i."""
-    return np.array([[p for pmf in per_alt for p in pmf] for per_alt in model.sampling_pmf])
-
-
-def _reward_matrix(model: DiscreteModel) -> np.ndarray:
-    """(r, k): the terminal reward of selecting each alternative under each point."""
-    return np.array([[model.terminal_reward(m, i) for i in range(model.k)] for m in range(model.r)])
-
-
 def posterior_pmf(model: DiscreteModel, state: DiscreteState) -> np.ndarray:
     """Posterior over the prior support points given the observed counts."""
     if tuple(map(len, state.counts)) != model.support_sizes:
         raise ValueError("state counts do not match the model support")
-    likelihoods = np.prod(_outcome_matrix(model) ** np.concatenate(state.counts), axis=1)
-    weights = np.array([model.prior_pmf]) * likelihoods
+    likelihoods = np.prod(model.sampling_pmf ** np.concatenate(state.counts), axis=1)
+    weights = model.prior_pmf[None] * likelihoods
     total = _sum_over_points(weights, np.ones((model.r, 1)))[0, 0]
     if total <= 0.0:
         raise ValueError("state has zero probability under every prior point")
@@ -204,7 +196,7 @@ def predictive_pmf(model: DiscreteModel, state: DiscreteState, i: int) -> np.nda
     """Predictive distribution of the next observation from alternative i."""
     if not 0 <= i < model.k:
         raise IndexError(f"alternative index {i} out of range")
-    pred = _sum_over_points(posterior_pmf(model, state)[None], _outcome_matrix(model))[0]
+    pred = _sum_over_points(posterior_pmf(model, state)[None], model.sampling_pmf)[0]
     return pred[np.repeat(np.arange(model.k), model.support_sizes) == i]
 
 
@@ -212,7 +204,7 @@ def terminal_value(model: DiscreteModel, state: DiscreteState, i: int) -> float:
     """Expected terminal reward of selecting alternative i at this state."""
     if not 0 <= i < model.k:
         raise IndexError(f"alternative index {i} out of range")
-    return float(_sum_over_points(posterior_pmf(model, state)[None], _reward_matrix(model))[0, i])
+    return float(_sum_over_points(posterior_pmf(model, state)[None], model.rewards)[0, i])
 
 
 @dataclass(eq=False)
@@ -329,16 +321,16 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
         )
 
     # Column d = offset(i) + j of a level stands for outcome j of alternative i.
-    q = _outcome_matrix(model)
+    q = model.sampling_pmf
     alternative = np.repeat(np.arange(model.k), model.support_sizes)
     n_cols = len(alternative)
     ones = np.ones((model.r, 1))
 
     # Forward pass.  Unnormalized posterior weights propagate incrementally:
-    # appending outcome j of alternative i multiplies weight m by q[m][i][j].
+    # appending outcome j of alternative i multiplies weight m by q[m, offset(i) + j].
     # A child keeps the weights of the first (parent, column) that reaches it.
     counts = [np.zeros((1, n_cols), dtype=np.int64)]
-    weights = np.array([model.prior_pmf])
+    weights = model.prior_pmf[None]
     preds: list[np.ndarray] = []
     children: list[np.ndarray] = []
     for _ in range(horizon):
@@ -357,7 +349,7 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
 
     # Terminal layer: optimal selection (np.argmax takes the lowest index on ties).
     post = weights / _sum_over_points(weights, ones)
-    scores = _sum_over_points(post, _reward_matrix(model))
+    scores = _sum_over_points(post, model.rewards)
     selection_arr = np.argmax(scores, axis=1)
     level_values = [None] * horizon + [scores[np.arange(len(scores)), selection_arr]]
 
@@ -401,32 +393,34 @@ def brute_force_value(model: DiscreteModel, horizon: int) -> float:
             f"exceeds the cap of {_PATH_CAP}"
         )
 
-    def history_posterior(history: tuple[tuple[int, int], ...]) -> list[float]:
+    # A history is a tuple of columns offset(i) + j, one per observation, in order.
+    prior, q, rewards = (a.tolist() for a in (model.prior_pmf, model.sampling_pmf, model.rewards))
+    bounds = np.cumsum((0, *model.support_sizes)).tolist()
+
+    def history_posterior(history: tuple[int, ...]) -> list[float]:
         weights = []
-        for m in range(model.r):
-            w = model.prior_pmf[m]
-            for i, j in history:
-                w *= model.sampling_pmf[m][i][j]
+        for m, w in enumerate(prior):
+            for d in history:
+                w *= q[m][d]
             weights.append(w)
         total = sum(weights)
         if total <= 0.0:
             raise ValueError("history has zero probability under every prior point")
         return [w / total for w in weights]
 
-    def value(history: tuple[tuple[int, int], ...]) -> float:
+    def value(history: tuple[int, ...]) -> float:
         post = history_posterior(history)
         if len(history) == horizon:
             return max(
-                sum(model.terminal_reward(m, i) * post[m] for m in range(model.r))
-                for i in range(model.k)
+                sum(rewards[m][i] * post[m] for m in range(model.r)) for i in range(model.k)
             )
         best = -math.inf
         for i in range(model.k):
             v = 0.0
-            for j in range(len(model.support[i])):
-                pred = sum(model.sampling_pmf[m][i][j] * post[m] for m in range(model.r))
+            for d in range(bounds[i], bounds[i + 1]):
+                pred = sum(q[m][d] * post[m] for m in range(model.r))
                 if pred > 0.0:
-                    v += pred * value(history + ((i, j),))
+                    v += pred * value(history + (d,))
             best = max(best, v)
         return best
 
@@ -553,26 +547,31 @@ def discretize_prior(
         raise ValueError(f"unsupported prior family: {type(spec).__name__}")
     if grid_points ** len(grids) > _MAX_PRIOR_POINTS:
         raise RuntimeError(f"product prior grid exceeds {_MAX_PRIOR_POINTS} points")
-    # The product grid's points and, alongside, their alternatives' table rows.
-    prior_points = list(itertools.product(*(grid.tolist() for grid in grids)))
+    # The product grid's points in row-major order and, alongside, their (r, k, s) pmfs.
+    index = np.indices((grid_points,) * len(grids)).reshape(len(grids), -1)
+    prior_points = list(zip(*(grid[ix].tolist() for grid, ix in zip(grids, index))))
     return DiscreteModel(
         support=support,
         prior_points=prior_points,
         prior_pmf=[1.0 / len(prior_points)] * len(prior_points),
-        sampling_pmf=list(itertools.product(*(table.tolist() for table in tables))),
+        sampling_pmf=np.stack([table[ix] for table, ix in zip(tables, index)], axis=1),
         reward=reward,
     )
 
 
 def save_model(model: DiscreteModel, path: str) -> None:
+    bounds = np.cumsum((0, *model.support_sizes)).tolist()
     payload = {
         "k": model.k,
         "support": [list(s) for s in model.support],
         "prior_support": [
             list(p) if isinstance(p, (tuple, list)) else p for p in model.prior_points
         ],
-        "prior_pmf": list(model.prior_pmf),
-        "sampling_pmf": [[list(pmf) for pmf in per_alt] for per_alt in model.sampling_pmf],
+        "prior_pmf": model.prior_pmf.tolist(),
+        "sampling_pmf": [
+            [row[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            for row in model.sampling_pmf.tolist()
+        ],
         "reward": model.reward,
     }
     with open(path, "w") as fh:

@@ -716,6 +716,17 @@ class TestOutOfRangeInputsExitInOneLine:
         res = run_cli("run-experiment", "--config", str(path))
         self.assert_one_line_usage_error(tmp_path, res, "posterior variance is 0")
 
+    def test_solve_exact_infinite_support(self, tmp_path):
+        """JSON's Infinity loads as a float; the EOC table was all NaN."""
+        model = {"k": 2, "support": [[0, math.inf], [0, 1]], "prior_support": ["a", "b"],
+                 "prior_pmf": [0.5, 0.5], "sampling_pmf": [[[0.5, 0.5], [0.5, 0.5]]] * 2,
+                 "reward": "EOC"}
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        res = run_cli("solve-exact", "--model", str(tmp_path / "model.json"), "--horizon", "2",
+                      "--table", str(tmp_path / "policy.tsv"))
+        self.assert_one_line_usage_error(tmp_path, res, "support values must be finite")
+        assert not (tmp_path / "policy.tsv").exists()
+
     def test_fit_vfa_stds(self, tmp_path):
         path = _probe_config(tmp_path, {"prior_stds": [1e200, 1]})
         res = run_cli("fit-vfa", "--scenario", str(path), "--out", str(tmp_path / "w.json"),

@@ -88,6 +88,43 @@ def pruned_model():
     )
 
 
+def _lsum(terms):
+    """Float sum from 0.0, left to right (``sum`` before Python 3.12)."""
+    acc = 0.0
+    for x in terms:
+        acc += x
+    return acc
+
+
+def scalar_pmfs(model):
+    """``q[m][i][j]``: the probability of outcome j of alternative i under point m."""
+    bounds = np.cumsum((0, *model.support_sizes)).tolist()
+    return [[row[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            for row in model.sampling_pmf.tolist()]
+
+
+def scalar_rewards(model):
+    """``rewards[m][i]`` by a loop over ``support`` and the pmfs, never ``model.rewards``."""
+    rewards = []
+    for pmfs in scalar_pmfs(model):
+        means = [_lsum(y * p for y, p in zip(model.support[i], pmfs[i])) for i in range(model.k)]
+        best = max(means)
+        if model.reward == "PCS":
+            rewards.append([1.0 if mean == best else 0.0 for mean in means])
+        else:
+            rewards.append([mean - best for mean in means])
+    return rewards
+
+
+def assert_same_model(got, want):
+    """Field by field; the arrays bit for bit, shape included."""
+    for name in ("support", "prior_points", "reward"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("prior_pmf", "sampling_pmf", "rewards"):
+        got_array, want_array = getattr(got, name), getattr(want, name)
+        assert (got_array.shape, got_array.tobytes()) == (want_array.shape, want_array.tobytes())
+
+
 BINARY, FAIR = ((0.0, 1.0), (0.0, 1.0)), ((0.5, 0.5), (0.5, 0.5))
 
 
@@ -107,6 +144,14 @@ class TestModelValidation:
         ({"sampling_pmf": [(FAIR[0], (1.5, -0.5)), ((0.5, 0.6), FAIR[1])]}, "must lie in [0, 1]"),
         ({"sampling_pmf": [(FAIR[0], (0.5, 0.6)), ((1.5, -0.5), FAIR[1])]},
          "point 0, alternative 1 must sum to 1"),
+        # JSON's Infinity and NaN load unchecked; without these checks EOC solved to nan,
+        # PCS to 0.5, and a NaN outcome to 0.
+        ({"support": ((0.0, math.inf), BINARY[1]), "reward": "EOC"},
+         "support values must be finite"),
+        ({"support": ((0.0, math.inf), BINARY[1])}, "support values must be finite"),
+        ({"support": ((0.0, math.nan), BINARY[1])}, "support values must be finite"),
+        ({"support": ((1.7e308, 1.7e308), (-1.7e308, -1.7e308)), "reward": "EOC"},
+         "rewards must be finite"),
     ])
     def test_each_fault_keeps_its_message(self, changes, message):
         model = {"support": BINARY, "prior_points": ["a", "b"], "prior_pmf": [0.5, 0.5],
@@ -114,20 +159,23 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             DiscreteModel(**model)
 
-    def test_stores_nested_tuples_of_python_floats(self):
-        """Support sizes may differ, and NumPy or int entries are stored as floats."""
+    def test_stores_float_arrays(self):
+        """Support sizes may differ, and NumPy or int entries are stored as float64 arrays,
+        the pmfs as one (r, D) matrix with alternative i's outcomes side by side."""
         model = DiscreteModel(support=[(0, 1), np.arange(3)], prior_points=[0, 1],
                               prior_pmf=np.array([0.25, 0.75]),
                               sampling_pmf=[[(0.5, 0.5), (0.2, 0.3, 0.5)],
                                             [np.array([1.0, 0.0]), (0, 0, 1)]])
         assert model.support == ((0.0, 1.0), (0.0, 1.0, 2.0))
-        assert model.prior_pmf == (0.25, 0.75)
-        assert model.sampling_pmf == (((0.5, 0.5), (0.2, 0.3, 0.5)),
-                                      ((1.0, 0.0), (0.0, 0.0, 1.0)))
-        values = [*model.prior_pmf, *itertools.chain(*model.support),
-                  *itertools.chain(*itertools.chain(*model.sampling_pmf))]
-        assert {type(x) for x in values} == {float}
-        assert {type(x) for x in [model.support, *model.sampling_pmf[1]]} == {tuple}
+        assert {type(x) for x in itertools.chain(*model.support)} == {float}
+        for array, shape in ((model.prior_pmf, (2,)), (model.sampling_pmf, (2, 5)),
+                             (model.rewards, (2, 2))):
+            assert array.dtype == np.float64 and array.shape == shape
+            assert not array.flags.writeable
+        assert model.prior_pmf.tolist() == [0.25, 0.75]
+        assert model.sampling_pmf.tolist() == [[0.5, 0.5, 0.2, 0.3, 0.5],
+                                               [1.0, 0.0, 0.0, 0.0, 1.0]]
+        assert model.rewards.tolist() == [[0.0, 1.0], [0.0, 1.0]]  # means 0.5, 1.3; 0, 2
 
 
 class TestPosteriorPmf:
@@ -229,13 +277,13 @@ class TestPerStateFunctionsMatchPointLoops:
 
     @staticmethod
     def loop_posterior(model, state):
-        weights = []
+        q, weights = scalar_pmfs(model), []
         for m in range(model.r):
             w = model.prior_pmf[m]
             for i in range(model.k):
                 for j, c in enumerate(state.counts[i]):
                     if c:
-                        w *= model.sampling_pmf[m][i][j] ** c
+                        w *= q[m][i][j] ** c
             weights.append(w)
         return [w / sum(weights) for w in weights]
 
@@ -248,13 +296,14 @@ class TestPerStateFunctionsMatchPointLoops:
                     tuple(tuple(int(rng.integers(0, 4)) for _ in s) for s in model.support)
                 )
                 post = self.loop_posterior(model, state)
+                q, rewards = scalar_pmfs(model), scalar_rewards(model)
                 np.testing.assert_allclose(posterior_pmf(model, state), post, rtol=self.RTOL)
                 for i in range(model.k):
-                    pred = [sum(model.sampling_pmf[m][i][j] * post[m] for m in range(model.r))
+                    pred = [sum(q[m][i][j] * post[m] for m in range(model.r))
                             for j in range(len(model.support[i]))]
                     np.testing.assert_allclose(predictive_pmf(model, state, i), pred,
                                                rtol=self.RTOL)
-                    value = sum(model.terminal_reward(m, i) * post[m] for m in range(model.r))
+                    value = sum(rewards[m][i] * post[m] for m in range(model.r))
                     assert terminal_value(model, state, i) == pytest.approx(value, rel=self.RTOL)
 
     @pytest.mark.parametrize("counts", [((0, 1),), ((0, 1), (0, 0), (1, 0)), ((0, 1), (0,))],
@@ -277,6 +326,7 @@ def enumerate_policy_trees(model, horizon):
     Only tractable for the tiniest models; validates that the expectimax
     recursion in ``brute_force_value`` equals a true policy enumeration.
     """
+    q, rewards = scalar_pmfs(model), scalar_rewards(model)
     histories = [()]
     for _ in range(horizon):
         histories = [
@@ -300,7 +350,7 @@ def enumerate_policy_trees(model, horizon):
         for m in range(model.r):
             w = model.prior_pmf[m]
             for i, j in h:
-                w *= model.sampling_pmf[m][i][j]
+                w *= q[m][i][j]
             weights.append(w)
         return sum(weights), weights
 
@@ -320,16 +370,15 @@ def enumerate_policy_trees(model, horizon):
                     consistent = False
                     break
                 denom = sum(weights)
-                pred = sum(model.sampling_pmf[m][i][j] * weights[m] for m in range(model.r))
+                pred = sum(q[m][i][j] * weights[m] for m in range(model.r))
                 prob *= pred / denom
-                weights = [weights[m] * model.sampling_pmf[m][i][j] for m in range(model.r)]
+                weights = [weights[m] * q[m][i][j] for m in range(model.r)]
             if not consistent or prob == 0.0:
                 continue
             denom = sum(weights)
             post = [w / denom for w in weights]
             reward = max(
-                sum(model.terminal_reward(m, i) * post[m] for m in range(model.r))
-                for i in range(model.k)
+                sum(rewards[m][i] * post[m] for m in range(model.r)) for i in range(model.k)
             )
             total += prob * reward
         best = max(best, total)
@@ -582,7 +631,7 @@ class TestDiscretizePrior:
         """Exact model of a small Beta prior, pinned bit for bit."""
         model = discretize_prior(BernoulliPriorSpec((1.0, 2.0), (1.0, 1.0)), 2)
         r3 = 0.8660254037844387
-        assert model == DiscreteModel(
+        assert_same_model(model, DiscreteModel(
             support=((0.0, 1.0), (0.0, 1.0)),
             prior_points=((0.25, 0.5), (0.25, r3), (0.75, 0.5), (0.75, r3)),
             prior_pmf=(0.25,) * 4,
@@ -592,7 +641,7 @@ class TestDiscretizePrior:
                 ((0.25, 0.75), (0.5, 0.5)),
                 ((0.25, 0.75), (0.1339745962155613, r3)),
             ),
-        )
+        ))
 
     def test_normal_golden(self):
         """Exact model of a small normal prior with binned outcomes, pinned bit for bit."""
@@ -603,7 +652,7 @@ class TestDiscretizePrior:
         hi = (0.09963569959514557, 0.3743122210219535, 0.5260520793829009)
         b_lo = (0.4426227537775316, 0.3509305858757812, 0.20644666034668724)
         b_hi = b_lo[::-1]
-        assert model == DiscreteModel(
+        assert_same_model(model, DiscreteModel(
             support=((-1.3681406993132454, 0.0, 1.3681406993132454),
                      (-1.66322038470271, 0.5, 2.66322038470271)),
             prior_points=((-q, -0.1744897501960817), (-q, 1.1744897501960816),
@@ -611,7 +660,7 @@ class TestDiscretizePrior:
             prior_pmf=(0.25,) * 4,
             sampling_pmf=((lo, b_lo), (lo, b_hi), (hi, b_lo), (hi, b_hi)),
             reward="EOC",
-        )
+        ))
 
 
 def reference_discretize(spec, grid_points, obs_grid_points=None):
@@ -667,12 +716,14 @@ DISCRETIZE_SPECS = {
 
 @pytest.mark.parametrize("name", list(DISCRETIZE_SPECS))
 def test_discretize_prior_matches_per_point_reference(name):
-    """Same floats, bit for bit (``repr`` tells -0.0 and NumPy scalars apart)."""
+    """Same floats, bit for bit (``repr`` tells -0.0 and NumPy scalars apart); each
+    point's reference pmfs are flattened alternative by alternative, as one matrix row."""
     spec, grid_points, obs_grid_points = DISCRETIZE_SPECS[name]
     model = discretize_prior(spec, grid_points, obs_grid_points=obs_grid_points)
-    got = (model.support, model.prior_points, model.sampling_pmf)
-    same = repr(got) == repr(reference_discretize(spec, grid_points, obs_grid_points))
-    assert same, "a field differs"  # a diff of the two reprs would take minutes
+    got = (model.support, model.prior_points, model.sampling_pmf.tolist())
+    support, prior_points, pmfs = reference_discretize(spec, grid_points, obs_grid_points)
+    want = (support, prior_points, [[p for pmf in point for p in pmf] for point in pmfs])
+    assert repr(got) == repr(want), "a field differs"  # a diff of the reprs would take minutes
 
 
 class TestModelIO:
@@ -681,7 +732,9 @@ class TestModelIO:
         path = tmp_path / "model.json"
         save_model(model, str(path))
         loaded = load_model(str(path))
-        assert loaded == model
+        assert_same_model(loaded, model)
+        save_model(loaded, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_policy_table_dump(self, tmp_path):
         model = two_point_model()
@@ -721,27 +774,19 @@ select\t2\t2,0;0,0\t1\t0.9411764705882353
 """
 
 
-def _lsum(terms):
-    """Float sum from 0.0, left to right (``sum`` before Python 3.12)."""
-    acc = 0.0
-    for x in terms:
-        acc += x
-    return acc
-
-
 def reference_solve(model, horizon):
     """Per-state backward induction over dict levels in order of discovery.
 
     Returns (value, values, allocation, selection) shaped like
     ``SolvedPolicy``; argmax ties go to the lowest index.
     """
-    q, points = model.sampling_pmf, range(model.r)
+    q, rewards, points = scalar_pmfs(model), scalar_rewards(model), range(model.r)
     moves = [(i, j) for i in range(model.k) for j in range(len(model.support[i]))]
 
     def pred(w, i, j):
         return _lsum(q[m][i][j] * w[m] for m in points) / _lsum(w)
 
-    levels = [{model.empty_state().counts: list(model.prior_pmf)}]
+    levels = [{model.empty_state().counts: model.prior_pmf.tolist()}]
     for _ in range(horizon):
         nxt = {}
         for key, w in levels[-1].items():
@@ -760,7 +805,7 @@ def reference_solve(model, horizon):
     for key, w in levels[horizon].items():
         post = [x / _lsum(w) for x in w]
         scores = [
-            _lsum(model.terminal_reward(m, i) * post[m] for m in points)
+            _lsum(rewards[m][i] * post[m] for m in points)
             for i in range(model.k)
         ]
         selection[key] = argmax(scores)
@@ -818,6 +863,14 @@ class TestSolverMatchesPerStateRecursion:
                 for t in want:
                     assert got[t].tolist() == list(want[t].values())
             assert solved.selection.tolist() == list(selection.values())
+
+    def test_rewards_match_scalar_loop(self):
+        """``model.rewards``, bit for bit, against the oracles' own loop."""
+        models = oracle_models()
+        for name, model in models.items():
+            assert model.rewards.tobytes() == np.array(scalar_rewards(model)).tobytes(), name
+        assert (models["symmetric"].rewards == 1.0).all()  # a PCS tie: equal means
+        assert models["eoc-k3"].reward == "EOC" and (models["eoc-k3"].rewards < 0.0).any()
 
     @pytest.mark.parametrize("name", ["pcs-k3", "eoc-k3", "normal-r9", "beta"])
     def test_level_sizes_match_state_space_size(self, name):
