@@ -101,10 +101,10 @@ def _cmd_fit_vfa(args) -> int:
     # Unset flags take the defaults of a config's inline two_factor "fit" object.
     flags = ("iterations", "seed", "step_scale", "step_exponent", "activation")
     fit = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
-    settings = experiment._fit_settings(fit, scenario)
+    config = experiment._fit_settings(fit, scenario)
     weights = vfa.gmcl_fit(scenario, horizon=args.horizon, generator_policy=args.generator,
-                           **settings)
-    vfa.save_weights(weights, args.out, config=settings["config"])
+                           config=config)
+    vfa.save_weights(weights, args.out, config=config)
     print("weights: " + ",".join(f"{x:.10g}" for x in weights.w))
     print(f"wrote {args.out}")
     return 0

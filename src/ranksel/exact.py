@@ -136,7 +136,8 @@ class DiscreteModel:
             for j, y in enumerate(outcomes):
                 means[:, i] += y * table[:, j]
         best = means.max(axis=1, keepdims=True)
-        rewards = (means == best).astype(float) if self.reward == "PCS" else means - best
+        with np.errstate(over="ignore"):  # the check below reports an overflow
+            rewards = (means == best).astype(float) if self.reward == "PCS" else means - best
         if not np.isfinite(rewards).all():
             raise ValueError("rewards must be finite: the means or their differences overflow")
         sampling = np.hstack(tables)
@@ -271,12 +272,16 @@ def _sum_over_points(weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Row-wise ``sum(weights[:, m] * factors[m] for m in range(r))``, shape (S, X).
 
     ``weights`` is (S, r) and ``factors`` (r, X).  Each entry accumulates
-    from 0.0 over the prior points m left to right, as a scalar loop over
-    one state would, so the two agree bit for bit.
+    over the prior points m left to right, as a scalar loop over one state
+    would, so the two agree bit for bit; the final ``+ 0.0`` turns a sum of
+    -0.0 terms into the +0.0 that a loop starting from 0.0 gives.
     """
-    acc = np.zeros((weights.shape[0], factors.shape[1]))
-    for m in range(weights.shape[1]):
-        acc += weights[:, m, None] * factors[m]
+    terms = np.empty(weights.shape)
+    acc = np.empty((weights.shape[0], factors.shape[1]))
+    for x in range(factors.shape[1]):
+        np.multiply(weights, factors[:, x], out=terms)
+        acc[:, x] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    acc += 0.0
     return acc
 
 

@@ -499,8 +499,8 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     """Validate a config mapping into (scenario, policy specs, output options).
 
     A two_factor spec holds either the ``weights`` of its ``weights_file``, read
-    here so that every input is checked before anything runs, or the ``fit``
-    arguments (``config`` and ``activation``) of ``gmcl_fit``.
+    here so that every input is checked before anything runs, or the ``SaConfig``
+    of its ``fit``.
     """
     top = fields(config, "config", {
         "scenario": (anything,), "policies": (is_list, []), "output": (is_object, {})})
@@ -527,7 +527,6 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
                 spec["fit"] = _fit_settings(fit, scenario)
             else:
                 spec["weights"] = load_weights(path)
-                pol.make_policy("two_factor", spec["weights"])  # checked as a fit's initial_w is
         if any(ch in spec["label"] for ch in ',"\r\n'):
             raise ValueError(f"policy label {spec['label']!r} holds a comma, quote or line break")
         if any(other["label"] == spec["label"] for other in specs):
@@ -550,21 +549,17 @@ def _check_policy(scenario: Scenario, policy_id) -> None:
                          f"{budget} follow the warmup (T - k*n0)")
 
 
-def _fit_settings(fit: dict, scenario: Scenario) -> dict:
-    """``gmcl_fit``'s ``config`` and ``activation`` of an inline ``fit`` object, checked as a
-    two_factor policy."""
+def _fit_settings(fit: dict, scenario: Scenario) -> SaConfig:
+    """The ``SaConfig`` of an inline ``fit`` object."""
     settings = fields(fit, "fit", {
         "iterations": (is_int, SaConfig.iterations),
         "seed": (is_int, scenario.master_seed),
         "step_scale": (is_number, SaConfig.step_scale),
         "step_exponent": (is_number, SaConfig.step_exponent),
         "initial_w": (is_numbers, SaConfig.initial_w),
-        "activation": (is_str, "linear"),
+        "activation": (is_str, SaConfig.activation),
     }, "two_factor 'fit'")
-    activation = settings.pop("activation")
-    config = SaConfig(**{**settings, "initial_w": tuple(settings["initial_w"])})
-    pol.make_policy("two_factor", VfaWeights(config.initial_w, activation))
-    return {"config": config, "activation": activation}
+    return SaConfig(**{**settings, "initial_w": tuple(settings["initial_w"])})
 
 
 def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:
@@ -579,7 +574,7 @@ def run_specs(scenario: Scenario, specs: list[dict], workers: int) -> dict[str, 
         raise ValueError(f"workers must be >= 1, got {workers}")
     results: dict[str, IpcsCurve] = {}
     for spec in specs:
-        weights = gmcl_fit(scenario, **spec["fit"]) if "fit" in spec else spec.get("weights")
+        weights = gmcl_fit(scenario, config=spec["fit"]) if "fit" in spec else spec.get("weights")
         results[spec["label"]] = estimate_ipcs(scenario, spec["id"], weights, workers=workers)
     return results
 

@@ -377,7 +377,7 @@ def two_factor_candidate_values(
     sampling_vars: np.ndarray,
     w1: float,
     w2: float,
-    activation: str = "linear",
+    activation: str,
 ) -> np.ndarray:
     """One-step look-ahead value of each candidate under the two-factor score.
 
@@ -542,8 +542,6 @@ def make_policy(policy_id: str, weights: "VfaWeights | None" = None):
     if policy_id == "two_factor":
         if weights is None:
             raise ValueError("two_factor policy requires fitted weights")
-        if len(weights.w) != 2:
-            raise ValueError("two-factor policy needs exactly two weights")
         return functools.partial(score, weights=weights)
     return score
 
@@ -714,10 +712,10 @@ def aoap_multistep(b: BeliefVector, depth: int) -> int:
 
 
 def two_factor_value(b: BeliefVector, weights: "VfaWeights") -> float:
-    """Two-factor score of the current state."""
-    g1, g2 = features(b)
-    w = weights.w
-    return float(_two_factor_score(g1, g2, w[0], w[1], weights.activation))
+    """Two-factor score of the current state: ``vfa_eval`` of its features."""
+    from .vfa import vfa_eval
+
+    return vfa_eval(weights, features(b))
 
 
 def two_factor_allocate(b: BeliefVector, weights: "VfaWeights") -> int:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._json import anything, fields, is_numbers, read_object
-from .policies import _activation, apply_activation
+from .policies import _activation, _two_factor_score
 
 __all__ = [
     "VfaWeights",
@@ -40,35 +40,33 @@ DEFAULT_BOX_BOUND = 100.0
 
 @dataclass(frozen=True)
 class VfaWeights:
-    """Feature weights with their activation and a projection box [0, box_bound]."""
+    """The two-factor policy's weight pair, each in [0, DEFAULT_BOX_BOUND], with its activation."""
 
     w: np.ndarray
     activation: str = "linear"
-    box_bound: float = DEFAULT_BOX_BOUND
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "w", w)
+        if w.shape != (2,):
+            raise ValueError("two-factor policy needs exactly two weights")
+        if not np.all((w >= 0) & (w <= DEFAULT_BOX_BOUND)):  # also rejects NaN
+            raise ValueError(f"weights must lie in [0, {DEFAULT_BOX_BOUND:g}], got {w.tolist()}")
         _activation(self.activation)
-        if not self.box_bound > 0:
-            raise ValueError("box_bound must be positive")
-        if not np.all((w >= 0) & (w <= self.box_bound)):  # also rejects NaN
-            raise ValueError("weights must lie in [0, box_bound]")
 
 
 @dataclass(frozen=True)
 class SaConfig:
-    """Stochastic-approximation schedule: steps step_scale * l^(-step_exponent).
-
-    The exponent must lie in (0.5, 1] so the step sums diverge while their
-    squares converge.
-    """
+    """Settings of one weight fit: steps step_scale * l^(-step_exponent), with the exponent
+    in (0.5, 1] so the step sums diverge while their squares converge; the start weight
+    pair; the seed of the simulated histories; and the activation."""
 
     step_scale: float = 10.0
     step_exponent: float = 2.0 / 3.0
     iterations: int = 10_000
-    initial_w: tuple[float, ...] = (1.0, 1.0)
+    initial_w: tuple[float, float] = (1.0, 1.0)
     seed: int = 0
+    activation: str = "linear"
 
     def __post_init__(self) -> None:
         if not 0 < self.step_scale < np.inf:
@@ -79,17 +77,18 @@ class SaConfig:
             raise ValueError("iterations must be >= 1")
         if self.seed < 0:
             raise ValueError(f"fit seed must be >= 0, got {self.seed}")
+        VfaWeights(self.initial_w, self.activation)
 
     def step(self, l: int) -> float:
         return self.step_scale * l ** (-self.step_exponent)
 
 
 def vfa_eval(weights: VfaWeights, g: Sequence[float]) -> float:
-    """Score a feature vector: K(w . g)."""
+    """Score a feature pair as the two-factor policy does: K(w . g), less zero-weight terms."""
     g = np.asarray(g, dtype=float)
     if g.shape != weights.w.shape:
         raise ValueError(f"feature length {g.shape} does not match weights {weights.w.shape}")
-    return float(apply_activation(float(weights.w @ g), weights.activation))
+    return float(_two_factor_score(*g, *weights.w, weights.activation))
 
 
 def gmcl_gradient(g: Sequence[float], indicator: float, weights: VfaWeights) -> np.ndarray:
@@ -99,7 +98,7 @@ def gmcl_gradient(g: Sequence[float], indicator: float, weights: VfaWeights) -> 
 
 def _gradient(w, g, indicator, K, K_prime):
     g = np.asarray(g, dtype=float)
-    z = float(w @ g)  # a two-term sum could round differently from ``@``
+    z = float(w @ g)  # not vfa_eval's score: fitted weights keep the bits of ``@``
     return (K(z) - indicator) * (K_prime(z) * g)
 
 
@@ -107,7 +106,6 @@ def sa_minimize(
     features: np.ndarray,
     indicators: np.ndarray,
     config: SaConfig,
-    activation: str = "linear",
     average_tail: float = 0.0,
 ) -> VfaWeights:
     """Projected stochastic gradient descent on the least-squares objective.
@@ -127,8 +125,8 @@ def sa_minimize(
                          f"got {len(features)} rows and {n} indicators")
     if not 0.0 <= average_tail < 1.0:
         raise ValueError("average_tail must lie in [0, 1)")
-    w = VfaWeights(config.initial_w, activation).w  # checks the box and activation
-    K, K_prime = _activation(activation)
+    w = np.array(config.initial_w, dtype=float)  # a weight pair: SaConfig checked it
+    K, K_prime = _activation(config.activation)
     tail = int(config.iterations * average_tail)
     acc = np.zeros_like(w)
     for l in range(1, config.iterations + 1):  # w stays in the box: no VfaWeights per step
@@ -143,7 +141,7 @@ def sa_minimize(
             acc += w
     if tail:
         w = acc / tail
-    return VfaWeights(w, activation)
+    return VfaWeights(w, config.activation)
 
 
 def gmcl_fit(
@@ -151,7 +149,6 @@ def gmcl_fit(
     horizon: int | None = None,
     generator_policy: str = "ea",
     config: SaConfig | None = None,
-    activation: str = "linear",
 ) -> VfaWeights:
     """Fit feature weights against fresh simulated histories.
 
@@ -177,7 +174,7 @@ def gmcl_fit(
         raise ValueError(f"history {bad[0] + 1} has non-finite features "
                          f"{features[bad[0]].tolist()}: zero posterior "
                          "variances leave the gap feature infinite or undefined")
-    return sa_minimize(features, indicators, config, activation)
+    return sa_minimize(features, indicators, config)
 
 
 def linear_lsq_oracle(
@@ -210,7 +207,7 @@ def save_weights(weights: VfaWeights, path: str, config: SaConfig | None = None)
     payload = {
         "weights": [float(x) for x in weights.w],
         "activation": weights.activation,
-        "box_bound": weights.box_bound,
+        "box_bound": DEFAULT_BOX_BOUND,  # the one box; read by older versions
     }
     if config is not None:
         payload["config"] = asdict(config)
@@ -223,7 +220,7 @@ def load_weights(path: str) -> VfaWeights:
     payload = fields(read_object(path, "weights file"), "weights file", {
         "weights": (is_numbers,), "activation": (anything, "linear"),
         "box_bound": (anything, DEFAULT_BOX_BOUND), "config": (anything, None)})
-    try:
-        return VfaWeights(payload["weights"], payload["activation"], payload["box_bound"])
-    except TypeError as err:
-        raise ValueError(f"malformed weights file: {err}") from None
+    if payload["box_bound"] != DEFAULT_BOX_BOUND:
+        raise ValueError(f"malformed weights file: 'box_bound' must be {DEFAULT_BOX_BOUND:g} "
+                         f"if given, got {payload['box_bound']!r}")
+    return VfaWeights(payload["weights"], payload["activation"])

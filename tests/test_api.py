@@ -1,4 +1,4 @@
-"""The public API's options: every defaulted parameter is a deliberate choice."""
+"""The public API's options: every defaulted parameter or field is a deliberate choice."""
 
 import ast
 from pathlib import Path
@@ -23,16 +23,51 @@ ALLOWED_OPTIONS = {
     "experiment.run_experiment(workers)",
     "experiment.write_results(downsample)",
     "policies.shrunk_variance(n)",
-    "policies.two_factor_candidate_values(activation)",
     "policies.make_policy(weights)",
-    "vfa.sa_minimize(activation)",
     "vfa.sa_minimize(average_tail)",
     "vfa.gmcl_fit(horizon)",
     "vfa.gmcl_fit(generator_policy)",
     "vfa.gmcl_fit(config)",
-    "vfa.gmcl_fit(activation)",
     "vfa.save_weights(config)",
 }
+
+# Every defaulted field of a public class in ranksel's modules, such as a
+# settings dataclass, as ``module.Class(field)``; fields with ``init=False``
+# are not options.  A new field with a default fails this test until it is
+# added here on purpose.
+ALLOWED_FIELDS = {
+    "beliefs.GaussianBelief(sum_obs)",
+    "exact.DiscreteModel(reward)",
+    "experiment.Scenario(macro_reps)",
+    "experiment.Scenario(master_seed)",
+    "experiment.Scenario(variance_mode)",
+    "vfa.VfaWeights(activation)",
+    "vfa.SaConfig(step_scale)",
+    "vfa.SaConfig(step_exponent)",
+    "vfa.SaConfig(iterations)",
+    "vfa.SaConfig(initial_w)",
+    "vfa.SaConfig(seed)",
+    "vfa.SaConfig(activation)",
+}
+
+
+def _defaulted(value) -> bool:
+    """Whether a class field's assigned value gives it a default in ``__init__``."""
+    if not (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"):
+        return value is not None
+    keywords = {k.arg: k.value for k in value.keywords}
+    init = keywords.get("init")
+    return (bool(keywords.keys() & {"default", "default_factory"})
+            and not (isinstance(init, ast.Constant) and init.value is False))
+
+
+def _fields(node, prefix):
+    """Defaulted fields of the public classes directly under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef) and not child.name.startswith("_"):
+            for item in child.body:
+                if isinstance(item, ast.AnnAssign) and _defaulted(item.value):
+                    yield f"{prefix}{child.name}({item.target.id})"
 
 
 def _options(node, prefix):
@@ -57,3 +92,11 @@ def test_optional_parameters_match_allowlist():
         found += _options(ast.parse(path.read_text()), f"{path.stem}.")
     assert len(found) == len(set(found))
     assert sorted(found) == sorted(ALLOWED_OPTIONS)
+
+
+def test_defaulted_fields_match_allowlist():
+    found = []
+    for path in sorted(Path(ranksel.__file__).parent.glob("*.py")):
+        found += _fields(ast.parse(path.read_text()), f"{path.stem}.")
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(ALLOWED_FIELDS)

@@ -504,8 +504,11 @@ class TestConfigValidation:
         ([0.5, 0.5], "JSON object"),
         ({"activation": "linear"}, "'weights'"),
         ({"weights": [0.5, 0.5], "box_bound": "x"}, "malformed"),
-        ({"weights": [float("nan"), 0.5]}, "[0, box_bound]"),
-    ], ids=["not-an-object", "missing-weights", "mistyped-box-bound", "nan-weight"])
+        ({"weights": [float("nan"), 0.5]}, "weights must lie in [0, 100], got [nan, 0.5]"),
+        ({"weights": [0.5, 0.5], "box_bound": 50}, "'box_bound' must be 100 if given, got 50"),
+        ({"weights": [400, 1], "box_bound": 1000}, "'box_bound' must be 100 if given, got 1000"),
+    ], ids=["not-an-object", "missing-weights", "mistyped-box-bound", "nan-weight",
+            "smaller-box", "larger-box"])
     def test_bad_weights_file_usage_error(self, tmp_path, capsys, payload, message):
         path = tmp_path / "weights.json"
         path.write_text(json.dumps(payload))
@@ -571,7 +574,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("fit, message", [
         ({"initial_w": [1, 1, 1]}, "exactly two weights"),
         ({"initial_w": []}, "exactly two weights"),
-        ({"initial_w": [200, 1]}, "[0, box_bound]"),
+        ({"initial_w": [200, 1]}, "weights must lie in [0, 100], got [200.0, 1.0]"),
         ({"activation": "x"}, "unknown activation 'x'"),
         ({"seed": -1}, "fit seed must be >= 0, got -1"),
         ({"step_scale": math.inf}, "step_scale must be positive and finite, got inf"),

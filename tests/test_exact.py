@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -154,9 +155,11 @@ class TestModelValidation:
          "rewards must be finite"),
     ])
     def test_each_fault_keeps_its_message(self, changes, message):
+        """No NumPy warning comes out before the message, as from the overflowing rewards."""
         model = {"support": BINARY, "prior_points": ["a", "b"], "prior_pmf": [0.5, 0.5],
                  "sampling_pmf": [FAIR, FAIR], **changes}
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(message)):
+            warnings.simplefilter("error")
             DiscreteModel(**model)
 
     def test_stores_float_arrays(self):

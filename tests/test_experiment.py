@@ -585,8 +585,8 @@ class TestConfigAndResults:
         config = self.config_dict(tmp_path)
         config["policies"] = [{"id": "two_factor", "fit": {"iterations": 40}}]
         scenario, specs, _ = parse_config(config)
-        w1 = gmcl_fit(scenario, **specs[0]["fit"])
-        w2 = gmcl_fit(scenario, **specs[0]["fit"])
+        w1 = gmcl_fit(scenario, config=specs[0]["fit"])
+        w2 = gmcl_fit(scenario, config=specs[0]["fit"])
         np.testing.assert_array_equal(w1.w, w2.w)
 
 

@@ -49,7 +49,7 @@ from ranksel.policies import (
     two_factor_candidate_values,
     two_factor_value,
 )
-from ranksel.vfa import VfaWeights
+from ranksel.vfa import VfaWeights, vfa_eval
 
 
 def belief_vector(means, post_vars, sampling_vars=None, counts=None):
@@ -532,7 +532,8 @@ class TestTwoFactor:
         w = VfaWeights(np.array([0.0, 1.0]))
         assert features(b) == (math.inf, 0.0)
         assert two_factor_value(b, w) == 0.0
-        vals = two_factor_candidate_values(b.means, b.post_vars, b.sampling_vars, 0.0, 1.0)
+        vals = two_factor_candidate_values(b.means, b.post_vars, b.sampling_vars, 0.0, 1.0,
+                                           "linear")
         assert vals.tolist() == [0.0, 0.0]
         assert two_factor_allocate(b, w) == 0
 
@@ -544,12 +545,22 @@ class TestTwoFactor:
         g1 = reference_two_factor_values(*state, 1.0, 0.0)
         g2 = reference_two_factor_values(*state, 0.0, 1.0)
         for w1, w2 in ((0.0, 0.42), (0.98, 0.0)):
-            got = two_factor_candidate_values(*state, w1, w2)
+            got = two_factor_candidate_values(*state, w1, w2, "linear")
             with np.errstate(invalid="ignore"):
                 plain = w1 * g1 + w2 * g2
             finite = np.isfinite(plain)
             assert finite.mean() > 0.9
             assert got[finite].tobytes() == plain[finite].tobytes()
+
+    @pytest.mark.parametrize("activation", ["linear", "expm"])
+    def test_value_is_vfa_eval_of_the_features_bitwise(self, activation):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            k = int(rng.integers(2, 6))
+            b = belief_vector(rng.normal(size=k), rng.exponential(size=k))
+            w = VfaWeights(rng.uniform(0.0, 3.0, size=2) * rng.integers(0, 2, size=2), activation)
+            want = vfa_eval(w, np.array(features(b)))
+            assert np.float64(two_factor_value(b, w)).tobytes() == np.float64(want).tobytes()
 
     def test_value_at_state(self):
         b = belief_vector([1.0, 0.0, 0.0], [0.5, 0.5, 0.5])
@@ -583,7 +594,7 @@ class TestTwoFactor:
         means = np.array([[1.0] + [0.0] * (k - 1)]).T
         post_vars = np.array([[v_b] + challenger_vars]).T
         sampling_vars = np.full((k, 1), 0.7)
-        args = (means, post_vars, sampling_vars, 0.3, 5.0)
+        args = (means, post_vars, sampling_vars, 0.3, 5.0, "linear")
         assert same_bits(two_factor_candidate_values(*args), reference_two_factor_values(*args))
 
     @given(
@@ -869,7 +880,7 @@ class TestSingleStateIsOneRow:
         n, k = 200, 4
         means, post_vars, sampling_vars = lookahead_batch(rng, n, k)
         keep = ~np.isnan(two_factor_candidate_values(
-            means, post_vars, sampling_vars, 0.98, 0.42)).any(axis=0)
+            means, post_vars, sampling_vars, 0.98, 0.42, "linear")).any(axis=0)
         counts = rng.integers(1, 4, size=(n, k)).astype(float).T
         arrays = [a[:, keep] for a in (means, post_vars, sampling_vars, counts, means - 0.1)]
         score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42])))

@@ -1,6 +1,9 @@
 """Weight fitting: gradient identities, projection, oracle agreement."""
 
+import json
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +44,15 @@ class TestVfaEval:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             vfa_eval(VfaWeights(np.ones(2)), np.ones(3))
+
+    @pytest.mark.parametrize("activation", ["linear", "expm"])
+    def test_zero_weight_drops_infinite_feature(self, activation):
+        """As in the policy's score: a zero weight drops its feature, so an infinite
+        gap feature under a zero weight scores K(w2 * g2), not K(0 * inf) = NaN."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = vfa_eval(VfaWeights(np.array([0.0, 1.0]), activation), [math.inf, 0.5])
+        assert got == apply_activation(0.5, activation)
 
     def test_expm_bounded(self):
         # 1 - exp(-z) saturates to exactly 1.0 in float64 beyond z ~ 37;
@@ -145,7 +157,24 @@ class TestSaConfig:
         with pytest.raises(ValueError):
             VfaWeights(np.array([-0.1, 0.0]))
         with pytest.raises(ValueError):
-            VfaWeights(np.array([0.1, 200.0]), box_bound=100.0)
+            VfaWeights(np.array([0.1, 200.0]))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"initial_w": (1.0, 1.0, 1.0)}, "two-factor policy needs exactly two weights"),
+        ({"initial_w": (200.0, 1.0)}, "weights must lie in [0, 100], got [200.0, 1.0]"),
+        ({"activation": "relu"}, "unknown activation 'relu'"),
+    ])
+    def test_start_weights_and_activation_checked_when_built(self, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SaConfig(**changes)
+
+
+class TestVfaWeights:
+    @pytest.mark.parametrize("w", [[], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+    def test_exactly_two_weights(self, w):
+        """A third weight is an error, not silently ignored by the score."""
+        with pytest.raises(ValueError, match="two-factor policy needs exactly two weights"):
+            VfaWeights(w)
 
 
 class TestSaMinimize:
@@ -202,17 +231,17 @@ class TestSaMinimize:
             sa_minimize(np.ones((rows, 2)), np.ones(indicators), SaConfig(iterations=5))
 
 
-def reference_sa_minimize(sample_fn, config, activation="linear", box_bound=100.0,
-                          average_tail=0.0, path=None):
+def reference_sa_minimize(sample_fn, config, average_tail=0.0, path=None):
     """The SA loop with a checked ``VfaWeights`` and a public gradient call per
     iteration, over a callback ``sample_fn(l)``; appends each iterate to ``path``."""
-    w = VfaWeights(config.initial_w, activation, box_bound).w
+    activation, box_bound = config.activation, 100.0
+    w = VfaWeights(config.initial_w, activation).w
     tail_start = config.iterations - int(config.iterations * average_tail)
     acc = np.zeros_like(w)
     tail_count = 0
     for l in range(1, config.iterations + 1):
         g, y = sample_fn(l)
-        weights = VfaWeights(w, activation, box_bound)
+        weights = VfaWeights(w, activation)
         g = np.asarray(g, dtype=float)
         z = float(weights.w @ g)
         d = (apply_activation(z, activation) - y) * (ACTIVATIONS[activation][1](z) * g)
@@ -229,7 +258,7 @@ def reference_sa_minimize(sample_fn, config, activation="linear", box_bound=100.
             tail_count += 1
     if tail_count:
         w = acc / tail_count
-    return VfaWeights(w, activation, box_bound)
+    return VfaWeights(w, activation)
 
 
 class TestSaMatchesReferenceLoop:
@@ -253,13 +282,12 @@ class TestSaMatchesReferenceLoop:
     def test_weights_bitwise(self, activation, average_tail):
         G, y = self.frozen(11)
         cfg = SaConfig(step_scale=30.0, step_exponent=0.7, iterations=3000,
-                       initial_w=(0.5, 2.0))
-        got = sa_minimize(G, y, cfg, activation, average_tail=average_tail)
+                       initial_w=(0.5, 2.0), activation=activation)
+        got = sa_minimize(G, y, cfg, average_tail=average_tail)
         path = []
-        want = reference_sa_minimize(self.sampler(G, y), cfg, activation, DEFAULT_BOX_BOUND,
-                                     average_tail, path)
+        want = reference_sa_minimize(self.sampler(G, y), cfg, average_tail, path)
         assert got.w.tobytes() == want.w.tobytes()
-        assert (got.activation, got.box_bound) == (activation, DEFAULT_BOX_BOUND)
+        assert got.activation == activation
         path = np.array(path)
         assert (path == 0.0).any() and (path == DEFAULT_BOX_BOUND).any()
 
@@ -267,16 +295,17 @@ class TestSaMatchesReferenceLoop:
     def test_divergence_at_same_iteration_with_same_message(self, activation):
         G, y = self.frozen(12)
         G[36, 1] = math.nan
-        cfg = SaConfig(step_scale=1.0, iterations=100, initial_w=(1.0, 1.0))
+        cfg = SaConfig(step_scale=1.0, iterations=100, initial_w=(1.0, 1.0),
+                       activation=activation)
         with pytest.raises(RuntimeError) as got:
-            sa_minimize(G, y, cfg, activation)
+            sa_minimize(G, y, cfg)
         with pytest.raises(RuntimeError) as want:
-            reference_sa_minimize(self.sampler(G, y), cfg, activation)
+            reference_sa_minimize(self.sampler(G, y), cfg)
         assert "diverged at iteration 37" in str(got.value)
         assert str(got.value) == str(want.value)
 
 
-def reference_gmcl_fit(scenario, config, activation, batch=2048):
+def reference_gmcl_fit(scenario, config, batch=2048):
     """Per-iteration sampler: history l is drawn when SA iteration l asks for it,
     from a cached block of ``batch`` replications of namespace 1."""
     scenario = replace(scenario, master_seed=config.seed)
@@ -291,7 +320,7 @@ def reference_gmcl_fit(scenario, config, activation, batch=2048):
         feats, inds = cache[block]
         return feats[row], float(inds[row])
 
-    return reference_sa_minimize(sample, config, activation)
+    return reference_sa_minimize(sample, config)
 
 
 class TestGmclFit:
@@ -301,9 +330,9 @@ class TestGmclFit:
     @pytest.mark.parametrize("activation", ["linear", "expm"])
     @pytest.mark.parametrize("iterations", [1, 2, 2047, 2048, 2049, 4096, 4097])
     def test_matches_per_iteration_sampler_bitwise(self, iterations, activation):
-        config = SaConfig(step_scale=1.0, iterations=iterations, seed=9)
-        got = gmcl_fit(self.SCENARIO, config=config, activation=activation)
-        want = reference_gmcl_fit(self.SCENARIO, config, activation)
+        config = SaConfig(step_scale=1.0, iterations=iterations, seed=9, activation=activation)
+        got = gmcl_fit(self.SCENARIO, config=config)
+        want = reference_gmcl_fit(self.SCENARIO, config)
         assert got.w.tobytes() == want.w.tobytes()
         assert got.activation == activation
 
@@ -341,10 +370,18 @@ class TestGmclFit:
 
 class TestWeightsIO:
     def test_round_trip(self, tmp_path):
-        w = VfaWeights(np.array([0.98, 0.42]), activation="expm", box_bound=50.0)
+        w = VfaWeights(np.array([0.98, 0.42]), activation="expm")
         path = tmp_path / "weights.json"
-        save_weights(w, str(path), config=SaConfig(seed=31))
+        save_weights(w, str(path), config=SaConfig(seed=31, activation="expm"))
         loaded = load_weights(str(path))
         np.testing.assert_array_equal(loaded.w, w.w)
         assert loaded.activation == "expm"
-        assert loaded.box_bound == 50.0
+        payload = json.loads(path.read_text())
+        assert payload["box_bound"] == 100.0  # the one box, for readers that expect the key
+        assert payload["config"]["activation"] == "expm"
+
+    @pytest.mark.parametrize("box", [{}, {"box_bound": 100}, {"box_bound": 100.0}])
+    def test_box_bound_absent_or_the_one_box(self, tmp_path, box):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": [0.0, 100.0], **box}))
+        assert load_weights(str(path)).w.tolist() == [0.0, 100.0]
