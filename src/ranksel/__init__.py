@@ -59,24 +59,18 @@ from .experiment import (
 from .policies import (
     BeliefVector,
     RatioVector,
-    aoap_allocate,
-    aoap_multistep,
     aoap_values,
+    decide,
     distance_feature,
-    ea_allocate,
     eoc_value,
     features,
     induced_correlation,
-    kg_allocate,
-    ocba_most_starving_allocate,
+    make_policy,
     ocba_ratios,
     optimal_ratios,
     ratio_residuals,
     select_max_posterior_mean,
-    select_optimal_eoc,
     select_optimal_pcs,
-    two_factor_allocate,
-    two_factor_value,
 )
 from .vfa import (
     SaConfig,

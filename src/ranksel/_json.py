@@ -7,10 +7,19 @@ A spec maps each allowed key to ``(valid,)`` or, if the key is optional,
 from __future__ import annotations
 
 import json
+import numbers
 
 
 def is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """A Python or NumPy integer, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_ints(obj, names: str) -> None:
+    """Raise ValueError unless each named field of ``obj``, a settings object, is ``is_int``."""
+    for name in names.split():
+        if not is_int(getattr(obj, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
 
 
 def is_positive_int(x) -> bool:

@@ -35,8 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import policies as pol
-from ._json import (anything, field, fields, is_int, is_list, is_number, is_numbers, is_object,
-                    is_positive_int, is_str)
+from ._json import (anything, check_ints, field, fields, is_int, is_list, is_number, is_numbers,
+                    is_object, is_positive_int, is_str)
 from .beliefs import GroundTruth, posterior_arrays, sample_variances
 from .vfa import SaConfig, VfaWeights, gmcl_fit, load_weights
 
@@ -78,6 +78,7 @@ class Scenario:
     def __post_init__(self) -> None:
         for name in ("prior_means", "prior_stds", "sampling_stds"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        check_ints(self, "horizon n0 macro_reps master_seed")
         k = self.k
         if k < 2:
             raise ValueError("need at least two alternatives")
@@ -372,14 +373,9 @@ def _correct_counts(scenario: Scenario, score_fn, indices) -> np.ndarray:
     ])
 
 
-def run_macro_replication(
-    scenario: Scenario,
-    policy_id: str,
-    weights: VfaWeights | None = None,
-    rep_index: int = 0,
-) -> np.ndarray:
+def run_macro_replication(scenario: Scenario, policy_id: str, rep_index: int = 0) -> np.ndarray:
     """One macro replication; element j is the correctness bit at warmup + j samples."""
-    score_fn = pol.make_policy(policy_id, weights)
+    score_fn = pol.make_policy(policy_id)
     return _correct_counts(scenario, score_fn, [rep_index]).astype(np.uint8)
 
 
@@ -447,14 +443,13 @@ def run_fixed_truths(
     policy_id: str,
     steps: int,
     seed: int = 0,
-    weights: VfaWeights | None = None,
 ) -> FixedTruthRun:
     """Run a policy against fixed ground truths with flat priors and known variances.
 
     Used to study long-run sampling behavior: allocation frequencies and
     the terminal selection.  ``steps`` counts post-initialization samples.
     """
-    score_fn = pol.make_policy(policy_id, weights)
+    score_fn = pol.make_policy(policy_id)
     means = np.stack([t.means for t in truths], axis=1)
     svars = np.stack([t.variances for t in truths], axis=1)
     if np.any(svars <= 0):

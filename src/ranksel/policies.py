@@ -29,8 +29,8 @@ arrays; a ``BeliefVector`` is a ``BatchState`` with ``(k,)`` arrays built
 from per-alternative ``GaussianBelief``s.  Each allocation policy is
 defined once, as a score function ``score(state, t) -> (k, ...)``;
 ``POLICIES`` maps policy ids to them and ``make_policy`` resolves an id.
-``decide`` turns scores into the sampled alternative of every state, and
-the belief-level ``*_allocate`` functions are ``decide`` on one state.
+``decide`` turns scores into the sampled alternative of every state, so
+one state is decided as a batch is: ``decide(make_policy(id, weights), b, t)``.
 Only kg, ``optimal_ratios`` and ``select_optimal_pcs``/``eoc_value`` load SciPy, on first use.
 """
 
@@ -59,7 +59,6 @@ __all__ = [
     "RatioVector",
     "select_max_posterior_mean",
     "select_optimal_pcs",
-    "select_optimal_eoc",
     "eoc_value",
     "distance_feature",
     "induced_correlation",
@@ -67,17 +66,10 @@ __all__ = [
     "ACTIVATIONS",
     "apply_activation",
     "aoap_values",
-    "aoap_allocate",
-    "aoap_multistep",
-    "two_factor_value",
-    "two_factor_allocate",
     "optimal_ratios",
     "ratio_residuals",
     "ocba_ratios",
-    "ocba_most_starving_allocate",
-    "kg_allocate",
     "kg_factors",
-    "ea_allocate",
     "shrunk_variance",
     "distance_squared",
     "correlation_squared_min",
@@ -503,13 +495,20 @@ def _ea_score(state: BatchState, t: int) -> np.ndarray:
     return scores
 
 
+def _ocba_score(state: BatchState, t: int) -> np.ndarray:
+    """Most-starving budget allocation on frequentist plug-in statistics: sample means
+    (so every alternative needs an observation) and the sampling variances."""
+    if state.sample_means is None:
+        raise ValueError("sample mean undefined with no observations")
+    return ocba_deficits(state.sample_means, state.sampling_vars, state.counts)
+
+
 # Entries call the array cores through their module-level names.  The
 # ``aoap_ms`` entry serves the ids ``aoap_ms<d>`` (look-ahead depth d >= 1).
 POLICIES = {
     "ea": _ea_score,
     "aoap": lambda s, t: aoap_candidate_values(s.means, s.post_vars, s.sampling_vars),
-    # most-starving budget allocation on frequentist plug-in statistics
-    "ocba": lambda s, t: ocba_deficits(s.sample_means, s.sampling_vars, s.counts),
+    "ocba": _ocba_score,
     "kg": lambda s, t: kg_candidate_values(s.means, s.post_vars, s.sampling_vars),
     "two_factor": lambda s, t, weights: two_factor_candidate_values(
         s.means, s.post_vars, s.sampling_vars,
@@ -564,7 +563,8 @@ def decide(score_fn, state: BatchState, t: int) -> np.ndarray:
 
 
 def select_max_posterior_mean(b: BeliefVector) -> int:
-    """Select the alternative with the largest posterior mean."""
+    """Select the alternative with the largest posterior mean: the optimal selection
+    under the opportunity-cost reward."""
     return int(np.argmax(b.means))
 
 
@@ -621,11 +621,6 @@ def eoc_value(b: BeliefVector) -> float:
         _posterior_best_probability(b.means, stds, i, x_moment=True) for i in range(b.k)
     )
     return float(b.means.max() - expected_max)
-
-
-def select_optimal_eoc(b: BeliefVector) -> int:
-    """Optimal selection under the opportunity-cost reward: the max posterior mean."""
-    return select_max_posterior_mean(b)
 
 
 def distance_feature(b: BeliefVector) -> tuple[np.ndarray, float]:
@@ -696,47 +691,11 @@ def aoap_values(b: BeliefVector) -> np.ndarray:
     return _defined(aoap_candidate_values(b.means, b.post_vars, b.sampling_vars))
 
 
-def aoap_allocate(b: BeliefVector) -> int:
-    """Allocate the next sample to the alternative with the best look-ahead value."""
-    return int(decide(POLICIES["aoap"], b, 0))
-
-
-def aoap_multistep(b: BeliefVector, depth: int) -> int:
-    """Allocate by maximizing the look-ahead value ``depth`` steps out.
-
-    Depth 1 reproduces ``aoap_allocate`` exactly.  The values come from
-    ``aoap_multistep_values``' water-filling, which equals the best multiset
-    of ``depth`` samples at O(depth^2 k^2) operations, for any depth >= 1.
-    """
-    return int(decide(functools.partial(POLICIES["aoap_ms"], depth=depth), b, 0))
-
-
-def two_factor_value(b: BeliefVector, weights: "VfaWeights") -> float:
-    """Two-factor score of the current state: ``vfa_eval`` of its features."""
-    from .vfa import vfa_eval
-
-    return vfa_eval(weights, features(b))
-
-
-def two_factor_allocate(b: BeliefVector, weights: "VfaWeights") -> int:
-    """Allocate by the one-step look-ahead of the two-factor score.
-
-    With zero weight on the correlation feature this reduces to
-    ``aoap_allocate`` for any monotone activation.
-    """
-    return int(decide(make_policy("two_factor", weights), b, 0))
-
-
 def kg_factors(b: BeliefVector) -> np.ndarray:
     """Expected one-step improvement of the maximum posterior mean, per alternative."""
     if np.all(b.post_vars == 0.0):
         raise ValueError("no alternative can learn: all posterior variances are zero")
     return kg_candidate_values(b.means, b.post_vars, b.sampling_vars)
-
-
-def kg_allocate(b: BeliefVector) -> int:
-    """Allocate to the alternative with the largest expected improvement."""
-    return int(decide(POLICIES["kg"], b, 0))
 
 
 def ocba_ratios(means: Sequence[float], stds: Sequence[float]) -> RatioVector:
@@ -747,24 +706,6 @@ def ocba_ratios(means: Sequence[float], stds: Sequence[float]) -> RatioVector:
     if guarded:
         warnings.warn("zero mean gap floored at machine-epsilon scale", RuntimeWarning)
     return RatioVector(ratios)
-
-
-def ocba_most_starving_allocate(b: BeliefVector) -> int:
-    """Allocate to the alternative furthest below its target budget share.
-
-    Plug-in statistics are frequentist: sample means (so every belief needs
-    at least one observation) and the beliefs' sampling variances.
-    """
-    if b.sample_means is None:
-        raise ValueError("sample mean undefined with no observations")
-    return int(decide(POLICIES["ocba"], b, 0))
-
-
-def ea_allocate(t: int, k: int) -> int:
-    """Round-robin allocation: step t samples alternative t mod k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return t % k
 
 
 # ---------------------------------------------------------------------------

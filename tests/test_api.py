@@ -1,9 +1,46 @@
-"""The public API's options: every defaulted parameter or field is a deliberate choice."""
+"""The public API: every public name, defaulted parameter and field is a deliberate choice."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import ranksel
+
+# Every library module's ``__all__``, in order.  A new public name fails this
+# test until it is added here on purpose; a stale one fails it too.
+ALLOWED_NAMES = {
+    "beliefs": [
+        "GaussianBelief", "BetaBelief", "GroundTruth", "beta_update", "beta_predictive",
+        "normal_update", "normal_batch_posterior", "normal_predictive", "posterior_arrays",
+        "sample_variances", "sample_ground_truth", "sample_observation",
+    ],
+    "exact": [
+        "DiscreteModel", "DiscreteState", "SolvedPolicy", "posterior_pmf", "predictive_pmf",
+        "terminal_value", "solve_bellman", "brute_force_value", "state_space_size",
+        "state_space_bounds", "BernoulliPriorSpec", "NormalPriorSpec", "discretize_prior",
+        "load_model", "save_model",
+    ],
+    "experiment": [
+        "VARIANCE_MODES", "Scenario", "IpcsCurve", "builtin_scenario", "BUILTIN_SCENARIOS",
+        "run_macro_replication", "estimate_ipcs", "replication_features", "run_fixed_truths",
+        "run_experiment", "run_specs", "write_results", "parse_config", "scenario_from_config",
+    ],
+    "policies": [
+        "BatchState", "POLICIES", "lookup_policy", "make_policy", "decide", "BeliefVector",
+        "RatioVector", "select_max_posterior_mean", "select_optimal_pcs", "eoc_value",
+        "distance_feature", "induced_correlation", "features", "ACTIVATIONS",
+        "apply_activation", "aoap_values", "optimal_ratios", "ratio_residuals", "ocba_ratios",
+        "kg_factors", "shrunk_variance", "distance_squared", "correlation_squared_min",
+        "state_features", "aoap_candidate_values", "aoap_multistep_values",
+        "two_factor_candidate_values", "kg_candidate_values", "ocba_deficits",
+        "argmax_with_tiebreak",
+    ],
+    "vfa": [
+        "VfaWeights", "SaConfig", "vfa_eval", "gmcl_gradient", "sa_minimize", "gmcl_fit",
+        "linear_lsq_oracle", "save_weights", "load_weights",
+    ],
+}
 
 # Every defaulted parameter and ``**kwargs`` of a public function or method in
 # ranksel's modules, as ``module.function(parameter)``.  A new option fails
@@ -13,13 +50,11 @@ ALLOWED_OPTIONS = {
     "exact.solve_bellman(state_cap)",
     "exact.discretize_prior(reward)",
     "exact.discretize_prior(obs_grid_points)",
-    "experiment.run_macro_replication(weights)",
     "experiment.run_macro_replication(rep_index)",
     "experiment.estimate_ipcs(weights)",
     "experiment.estimate_ipcs(workers)",
     "experiment.replication_features(namespace)",
     "experiment.run_fixed_truths(seed)",
-    "experiment.run_fixed_truths(weights)",
     "experiment.run_experiment(workers)",
     "experiment.write_results(downsample)",
     "policies.shrunk_variance(n)",
@@ -100,3 +135,17 @@ def test_defaulted_fields_match_allowlist():
         found += _fields(ast.parse(path.read_text()), f"{path.stem}.")
     assert len(found) == len(set(found))
     assert sorted(found) == sorted(ALLOWED_FIELDS)
+
+
+def test_public_names_match_allowlist():
+    """Each ``__all__`` entry resolves (the benchmark's tracer reads every one), and
+    each public top-level ``ranksel`` name is one of them, the same object."""
+    exported = {}
+    for name, allowed in ALLOWED_NAMES.items():
+        module = importlib.import_module(f"ranksel.{name}")
+        assert module.__all__ == allowed, name
+        exported.update({entry: getattr(module, entry) for entry in allowed})
+    top = {name: value for name, value in vars(ranksel).items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(top) == 57
+    assert all(exported.get(name) is value for name, value in top.items())

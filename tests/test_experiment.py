@@ -56,6 +56,21 @@ class TestScenarioValidation:
         sc = small_scenario(n0=1, variance_mode="known", horizon=30)
         assert sc.warmup == 3
 
+    @pytest.mark.parametrize("name, value", [
+        ("horizon", 30.0), ("n0", 3.0), ("n0", True), ("macro_reps", True),
+        ("macro_reps", 2.5), ("master_seed", 1.5), ("master_seed", True),
+    ])
+    def test_integer_settings_must_be_integers(self, name, value):
+        """A float master_seed used to run as its integer part; a bool macro_reps
+        reached the CSV as ``True``."""
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            small_scenario(**{name: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        sc = small_scenario(horizon=np.int64(30), n0=np.int32(3), macro_reps=np.int16(4),
+                            master_seed=np.uint64(5))
+        assert (sc.horizon, sc.n0, sc.macro_reps, sc.master_seed) == (30, 3, 4, 5)
+
     def test_zero_prior_stds_require_distinct_means(self):
         with pytest.raises(ValueError):
             small_scenario(prior_stds=(0.0, 0.0, 1.0))
@@ -204,7 +219,7 @@ def test_two_factor_zero_weight_on_infinite_gap_feature():
 
 
 class TestEngineMatchesScalarPolicies:
-    """Batched decisions must agree with the single-state policy functions."""
+    """Batched decisions must agree with ``decide`` on each row as one belief state."""
 
     def _random_state(self, rng, n=40, k=4):
         means = rng.normal(size=(n, k))
@@ -234,31 +249,35 @@ class TestEngineMatchesScalarPolicies:
     def test_aoap_agreement(self):
         rng = np.random.default_rng(21)
         state = self._random_state(rng)
-        batch = decide(make_policy("aoap"), state, 0)
+        score_fn = make_policy("aoap")
+        batch = decide(score_fn, state, 0)
         for r in range(len(batch)):
-            assert batch[r] == pol.aoap_allocate(self._row_beliefs(state, r))
+            assert batch[r] == decide(score_fn, self._row_beliefs(state, r), 0)
 
     def test_kg_agreement(self):
         rng = np.random.default_rng(22)
         state = self._random_state(rng)
-        batch = decide(make_policy("kg"), state, 0)
+        score_fn = make_policy("kg")
+        batch = decide(score_fn, state, 0)
         for r in range(len(batch)):
-            assert batch[r] == pol.kg_allocate(self._row_beliefs(state, r))
+            assert batch[r] == decide(score_fn, self._row_beliefs(state, r), 0)
 
     def test_ocba_agreement(self):
         rng = np.random.default_rng(23)
         state = self._random_state(rng)
-        batch = decide(make_policy("ocba"), state, 0)
+        score_fn = make_policy("ocba")
+        batch = decide(score_fn, state, 0)
         for r in range(len(batch)):
-            assert batch[r] == pol.ocba_most_starving_allocate(self._row_beliefs(state, r))
+            assert batch[r] == decide(score_fn, self._row_beliefs(state, r), 0)
 
     def test_two_factor_agreement(self):
         rng = np.random.default_rng(24)
         state = self._random_state(rng)
         w = VfaWeights(np.array([0.98, 0.42]))
-        batch = decide(make_policy("two_factor", w), state, 0)
+        score_fn = make_policy("two_factor", w)
+        batch = decide(score_fn, state, 0)
         for r in range(len(batch)):
-            assert batch[r] == pol.two_factor_allocate(self._row_beliefs(state, r), w)
+            assert batch[r] == decide(score_fn, self._row_beliefs(state, r), 0)
 
     def test_multistep_depth1_agreement(self):
         rng = np.random.default_rng(25)
@@ -270,9 +289,10 @@ class TestEngineMatchesScalarPolicies:
     def test_multistep_depth2_agreement(self):
         rng = np.random.default_rng(26)
         state = self._random_state(rng, n=20)
-        batch = decide(make_policy("aoap_ms2"), state, 0)
+        score_fn = make_policy("aoap_ms2")
+        batch = decide(score_fn, state, 0)
         for r in range(len(batch)):
-            assert batch[r] == pol.aoap_multistep(self._row_beliefs(state, r), 2)
+            assert batch[r] == decide(score_fn, self._row_beliefs(state, r), 0)
 
     @pytest.mark.parametrize("policy_id", ["aoap", "two_factor", "aoap_ms2"])
     def test_degenerate_row_raises_on_batch_and_scalar_paths(self, policy_id):
@@ -286,13 +306,8 @@ class TestEngineMatchesScalarPolicies:
         score_fn = make_policy(policy_id, w)
         with pytest.raises(ValueError, match="degenerate state"):
             decide(score_fn, state, 0)
-        scalar = {
-            "aoap": pol.aoap_allocate,
-            "two_factor": lambda b: pol.two_factor_allocate(b, w),
-            "aoap_ms2": lambda b: pol.aoap_multistep(b, 2),
-        }[policy_id]
         with pytest.raises(ValueError, match="degenerate state"):
-            scalar(self._row_beliefs(state, 2))
+            decide(score_fn, self._row_beliefs(state, 2), 0)
 
 
 def reference_engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,

@@ -18,9 +18,7 @@ from ranksel.policies import (
     RatioVector,
     _argmax,
     _sum_alternatives,
-    aoap_allocate,
     aoap_candidate_values,
-    aoap_multistep,
     aoap_multistep_values,
     aoap_values,
     apply_activation,
@@ -29,25 +27,19 @@ from ranksel.policies import (
     decide,
     distance_feature,
     distance_squared,
-    ea_allocate,
     eoc_value,
     features,
     induced_correlation,
-    kg_allocate,
     kg_factors,
     make_policy,
-    ocba_most_starving_allocate,
     ocba_ratio_core,
     ocba_ratios,
     optimal_ratios,
     ratio_residuals,
     select_max_posterior_mean,
-    select_optimal_eoc,
     select_optimal_pcs,
     shrunk_variance,
-    two_factor_allocate,
     two_factor_candidate_values,
-    two_factor_value,
 )
 from ranksel.vfa import VfaWeights, vfa_eval
 
@@ -232,7 +224,7 @@ class TestEocValue:
 
     def test_selection_is_max_mean(self):
         b = belief_vector([0.2, 0.9, -1.0], [2.0, 0.1, 0.4])
-        assert select_optimal_eoc(b) == 1
+        assert select_max_posterior_mean(b) == 1
 
 
 class TestDistanceFeature:
@@ -296,7 +288,7 @@ class TestFeatures:
         with pytest.raises(ValueError, match="degenerate state"):
             features(b)
         with pytest.raises(ValueError, match="degenerate state"):
-            two_factor_value(b, VfaWeights(np.array([0.98, 0.42])))
+            vfa_eval(VfaWeights(np.array([0.98, 0.42])), features(b))
 
     def test_correlation_min_matches_pair_enumeration(self):
         rng = np.random.default_rng(30)
@@ -327,7 +319,7 @@ class TestAoap:
     def test_unequal_variance_example(self):
         b = belief_vector([1.0, 0.0], [1.0, 4.0])
         np.testing.assert_allclose(aoap_values(b), [2.0 / 9.0, 5.0 / 9.0], rtol=1e-12)
-        assert aoap_allocate(b) == 1
+        assert decide(make_policy("aoap"), b, 0) == 1
 
     def test_shift_invariance_of_values(self):
         rng = np.random.default_rng(6)
@@ -337,9 +329,9 @@ class TestAoap:
 
     def test_exact_tie_prefers_fewer_samples_then_lower_index(self):
         b = belief_vector([1.0, 0.0], [1.0, 1.0], counts=[5, 2])
-        assert aoap_allocate(b) == 1
+        assert decide(make_policy("aoap"), b, 0) == 1
         b2 = belief_vector([1.0, 0.0], [1.0, 1.0], counts=[3, 3])
-        assert aoap_allocate(b2) == 0
+        assert decide(make_policy("aoap"), b2, 0) == 0
 
     def test_values_dominate_current_distance(self):
         rng = np.random.default_rng(7)
@@ -364,7 +356,7 @@ class TestAoap:
             b.sampling_vars * scale**2,
             b.counts,
         )
-        assert aoap_allocate(moved) == aoap_allocate(b)
+        assert decide(make_policy("aoap"), moved, 0) == decide(make_policy("aoap"), b, 0)
 
 
 def multiset_counts(k, size):
@@ -416,7 +408,7 @@ class TestAoapMultistep:
         rng = np.random.default_rng(8)
         for _ in range(100):
             b = random_belief_vector(rng)
-            assert aoap_multistep(b, 1) == aoap_allocate(b)
+            assert decide(make_policy("aoap_ms1"), b, 0) == decide(make_policy("aoap"), b, 0)
 
     def test_depth_two_matches_pair_enumeration(self):
         """Depths 2 and 3 against a brute-force loop over every ordered
@@ -436,13 +428,14 @@ class TestAoapMultistep:
                 # then lowest index
                 ties = np.flatnonzero(per_first == per_first.max())
                 best_pair = min(ties, key=lambda i: (b.counts[i], i))
-                assert aoap_multistep(b, depth) == best_pair
+                assert decide(make_policy(f"aoap_ms{depth}"), b, 0) == best_pair
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(10)
         b = random_belief_vector(rng, k=3)
         shifted = belief_vector(b.means - 2.2, b.post_vars, b.sampling_vars, b.counts)
-        assert aoap_multistep(shifted, 3) == aoap_multistep(b, 3)
+        ms3 = make_policy("aoap_ms3")
+        assert decide(ms3, shifted, 0) == decide(ms3, b, 0)
 
     @given(state=multistep_states(), depth=st.integers(1, 4))
     @settings(max_examples=400, deadline=None)
@@ -492,7 +485,7 @@ class TestAoapMultistep:
         assert math.comb(4 + 180 - 1, 180) == 1_004_731
         expected = multiset_values(*args)
         assert np.array_equal(aoap_multistep_values(*args), expected)
-        assert aoap_multistep(b, 180) == int(np.argmax(expected))
+        assert decide(make_policy("aoap_ms180"), b, 0) == int(np.argmax(expected))
 
 
 class TestTwoFactor:
@@ -501,21 +494,21 @@ class TestTwoFactor:
         w = VfaWeights(np.array([1.0, 0.0]))
         for _ in range(100):
             b = random_belief_vector(rng)
-            assert two_factor_allocate(b, w) == aoap_allocate(b)
+            assert decide(make_policy("two_factor", w), b, 0) == decide(make_policy("aoap"), b, 0)
 
     def test_zero_correlation_weight_exponential_activation(self):
         rng = np.random.default_rng(13)
         w = VfaWeights(np.array([1.0, 0.0]), activation="expm")
         for _ in range(50):
             b = random_belief_vector(rng)
-            assert two_factor_allocate(b, w) == aoap_allocate(b)
+            assert decide(make_policy("two_factor", w), b, 0) == decide(make_policy("aoap"), b, 0)
 
     def test_two_alternatives_reduce_to_aoap(self):
         rng = np.random.default_rng(14)
         w = VfaWeights(np.array([0.98, 0.42]))
         for _ in range(50):
             b = random_belief_vector(rng, k=2)
-            assert two_factor_allocate(b, w) == aoap_allocate(b)
+            assert decide(make_policy("two_factor", w), b, 0) == decide(make_policy("aoap"), b, 0)
 
     def test_monotone_activation_preserves_decision(self):
         rng = np.random.default_rng(15)
@@ -523,7 +516,8 @@ class TestTwoFactor:
             b = random_belief_vector(rng)
             w_lin = VfaWeights(np.array([0.7, 0.9]))
             w_exp = VfaWeights(np.array([0.7, 0.9]), activation="expm")
-            assert two_factor_allocate(b, w_lin) == two_factor_allocate(b, w_exp)
+            assert (decide(make_policy("two_factor", w_lin), b, 0)
+                    == decide(make_policy("two_factor", w_exp), b, 0))
 
     def test_zero_weight_drops_infinite_feature(self):
         """With zero variances the gap feature is +inf; a zero weight on it
@@ -531,11 +525,11 @@ class TestTwoFactor:
         b = belief_vector([1.0, 0.0], [0.0, 0.0])
         w = VfaWeights(np.array([0.0, 1.0]))
         assert features(b) == (math.inf, 0.0)
-        assert two_factor_value(b, w) == 0.0
+        assert vfa_eval(w, features(b)) == 0.0
         vals = two_factor_candidate_values(b.means, b.post_vars, b.sampling_vars, 0.0, 1.0,
                                            "linear")
         assert vals.tolist() == [0.0, 0.0]
-        assert two_factor_allocate(b, w) == 0
+        assert decide(make_policy("two_factor", w), b, 0) == 0
 
     def test_zero_weight_keeps_finite_scores_bitwise(self):
         """Dropping a zero-weight feature adds +0.0 instead of 0 * g, which is
@@ -552,21 +546,11 @@ class TestTwoFactor:
             assert finite.mean() > 0.9
             assert got[finite].tobytes() == plain[finite].tobytes()
 
-    @pytest.mark.parametrize("activation", ["linear", "expm"])
-    def test_value_is_vfa_eval_of_the_features_bitwise(self, activation):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            k = int(rng.integers(2, 6))
-            b = belief_vector(rng.normal(size=k), rng.exponential(size=k))
-            w = VfaWeights(rng.uniform(0.0, 3.0, size=2) * rng.integers(0, 2, size=2), activation)
-            want = vfa_eval(w, np.array(features(b)))
-            assert np.float64(two_factor_value(b, w)).tobytes() == np.float64(want).tobytes()
-
     def test_value_at_state(self):
         b = belief_vector([1.0, 0.0, 0.0], [0.5, 0.5, 0.5])
         w = VfaWeights(np.array([2.0, 4.0]))
         g1, g2 = features(b)
-        assert two_factor_value(b, w) == pytest.approx(2 * g1 + 4 * g2, rel=1e-12)
+        assert vfa_eval(w, features(b)) == pytest.approx(2 * g1 + 4 * g2, rel=1e-12)
 
     @pytest.mark.parametrize("activation", ["linear", "expm"])
     @pytest.mark.parametrize("k", [2, 3, 4, 10])
@@ -813,20 +797,20 @@ class TestOcba:
 
     def test_most_starving_feeds_underfunded_alternative(self):
         b = belief_vector([1.0, 0.0, 0.0], [0.5] * 3, counts=[9, 1, 1])
-        assert ocba_most_starving_allocate(b) in (1, 2)
+        assert decide(make_policy("ocba"), b, 0) in (1, 2)
 
     def test_unobserved_alternative_rejected(self):
         """Plug-in sample means need at least one observation each."""
         b = belief_vector([1.0, 0.0, 0.0], [0.5] * 3, counts=[3, 0, 2])
         assert b.sample_means is None
         with pytest.raises(ValueError, match="sample mean undefined"):
-            ocba_most_starving_allocate(b)
+            decide(make_policy("ocba"), b, 0)
 
 
 class TestKnowledgeGradient:
     def test_identical_beliefs_tie_to_first(self):
         b = belief_vector([0.5] * 3, [1.0] * 3, counts=[2, 2, 2])
-        assert kg_allocate(b) == 0
+        assert decide(make_policy("kg"), b, 0) == 0
 
     def test_factors_nonnegative(self):
         rng = np.random.default_rng(19)
@@ -855,24 +839,28 @@ class TestKnowledgeGradient:
             kg_factors(b)
 
 
+def ea_decision(t, k):
+    return decide(make_policy("ea"), belief_vector([0.0] * k, [1.0] * k), t)
+
+
 class TestEqualAllocation:
     def test_first_step(self):
-        assert ea_allocate(0, 3) == 0
+        assert ea_decision(0, 3) == 0
 
     def test_sixth_step(self):
-        assert ea_allocate(5, 3) == 2
+        assert ea_decision(5, 3) == 2
 
     def test_round_robin_balance(self):
         k, m = 4, 7
         counts = np.zeros(k, dtype=int)
         for t in range(k * m):
-            counts[ea_allocate(t, k)] += 1
+            counts[ea_decision(t, k)] += 1
         assert np.all(counts == m)
 
 
 class TestSingleStateIsOneRow:
     """A ``(k,)`` belief state decides exactly as column 0 of the same state
-    as a ``(k, 1)`` batch, so the belief-level functions need no batch wrapper."""
+    as a ``(k, 1)`` batch, so one state is decided as a batch is, with no wrapper."""
 
     @pytest.mark.parametrize("policy_id", ["ea", "aoap", "ocba", "kg", "two_factor", "aoap_ms2"])
     def test_decide_matches_one_row_batch(self, policy_id):

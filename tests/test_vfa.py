@@ -168,6 +168,18 @@ class TestSaConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             SaConfig(**changes)
 
+    @pytest.mark.parametrize("name, value", [
+        ("iterations", 2.5), ("iterations", True), ("seed", True), ("seed", 1.5),
+    ])
+    def test_integer_settings_must_be_integers(self, name, value):
+        """A float ``iterations`` used to fail later inside ``range``; a bool seed fitted."""
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            SaConfig(**{name: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = SaConfig(iterations=np.int64(3), seed=np.uint32(4))
+        assert (cfg.iterations, cfg.seed) == (3, 4)
+
 
 class TestVfaWeights:
     @pytest.mark.parametrize("w", [[], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
