@@ -20,9 +20,9 @@ models:
 
 The normal posterior from counts and sums is defined once, by the array
 core ``posterior_arrays`` (``sample_variances`` gives plug-in variances):
-the simulation engine calls it on ``(k, n)`` arrays after the warmup and on
-the ``(n,)`` vectors of sampled entries it gathers at each step, and
-``normal_update`` and ``normal_batch_posterior`` call it on scalars.
+the simulation engine calls it on ``(k, n)`` arrays after the warmup, and each step its
+formula ``_posterior`` on the ``(n,)`` vectors it gathers with the prior precision of the
+run; ``normal_update`` and ``normal_batch_posterior`` call it on scalars.
 
 Beliefs are immutable; updates return new values.  Each caller owns its
 own random generator, so read-only sharing across threads is safe.
@@ -196,17 +196,21 @@ def normal_update(belief: GaussianBelief, obs: float) -> GaussianBelief:
 def posterior_arrays(prior_means, prior_vars, counts, sums, sampling_vars):
     """Normal posterior mean and variance from observation counts and sums.
 
-    Broadcasts over any shape.  Zero prior variance pins the posterior at
-    the prior mean; infinite prior variance (zero precision) reduces to the
-    pure sample posterior.
+    Broadcasts over any shape.  Zero prior variance pins the posterior at the prior mean;
+    infinite prior variance (zero precision) reduces to the pure sample posterior.  The
+    formula is ``_posterior``, which the engine calls with a precision computed once.
     """
     with np.errstate(divide="ignore"):
         prior_prec = np.where(prior_vars > 0, 1.0 / prior_vars, np.inf)
-    post_var = 1.0 / (prior_prec + counts / sampling_vars)
     with np.errstate(invalid="ignore"):
-        post_mean = post_var * (prior_means * prior_prec + sums / sampling_vars)
-    post_mean = np.where(prior_vars == 0.0, prior_means, post_mean)
-    return post_mean, post_var
+        post_mean, post_var = _posterior(prior_means, prior_prec, counts, sums, sampling_vars)
+    return np.where(prior_vars == 0.0, prior_means, post_mean), post_var
+
+
+def _posterior(prior_means, prior_prec, counts, sums, sampling_vars):
+    """``posterior_arrays`` for positive prior variances, from their precision ``1 / prior_vars``."""
+    post_var = 1.0 / (prior_prec + counts / sampling_vars)
+    return post_var * (prior_means * prior_prec + sums / sampling_vars), post_var
 
 
 def sample_variances(counts, sums, sumsqs):

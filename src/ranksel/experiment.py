@@ -37,7 +37,7 @@ import numpy as np
 from . import policies as pol
 from ._json import (anything, check_ints, field, fields, is_int, is_list, is_number, is_numbers,
                     is_object, is_positive_int, is_str)
-from .beliefs import GroundTruth, posterior_arrays, sample_variances
+from .beliefs import GroundTruth, _posterior, posterior_arrays, sample_variances
 from .vfa import SaConfig, VfaWeights, gmcl_fit, load_weights
 
 __all__ = [
@@ -199,10 +199,12 @@ class IpcsCurve:
 _MASK32 = 2**32 - 1
 
 
-def _uint32_words(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """SeedSequence's 32-bit words of non-negative integers as columns, low first, and counts."""
-    if (values < 0).any():
+def _uint32_words(values: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """SeedSequence's 32-bit words of non-negative integers as columns, low first, and
+    counts; split in ``uint64`` arithmetic, or on Python integers if one is 2^64 or more."""
+    if min(values, default=0) < 0:
         raise ValueError("expected non-negative integer")  # as SeedSequence
+    values = np.array(values, dtype=np.uint64 if max(values, default=0) < 2**64 else object)
     columns, counts = [(values & _MASK32).astype(np.uint32)], np.ones(len(values), dtype=int)
     while (values := values >> 32).any():
         columns.append((values & _MASK32).astype(np.uint32))
@@ -257,11 +259,16 @@ def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.
     """Row r: the first ``width`` normals of ``PCG64(SeedSequence([master_seed, namespace, i_r]))``.
 
     One vectorized SeedSequence pass computes every row's seed words, and NumPy seeds
-    the row's own PCG64 from them.
+    the row's own PCG64 from them.  A seed, namespace or index that is not ``is_int`` raises.
     """
+    indices = list(indices)
+    for name, value in [("seed", master_seed), ("namespace", namespace)] + [
+            ("replication index", i) for i in indices]:
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     prefix = [column[0] for value in (master_seed, namespace)
-              for column in _uint32_words(np.array([int(value)], dtype=object))[0]]
-    columns, counts = _uint32_words(np.array([int(i) for i in indices], dtype=object))
+              for column in _uint32_words([int(value)])[0]]
+    columns, counts = _uint32_words([int(i) for i in indices])
     seeds = _seed_states([np.full(len(counts), word) for word in prefix] + columns,
                          len(prefix) + counts)
     z = np.empty((len(counts), width))
@@ -292,10 +299,11 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     well as ``true_sds`` because ``sqrt(v)**2`` need not equal ``v``
     bitwise.  Infinite prior variance is a flat prior.  A step changes one
     entry per row, so only that entry's statistics, plug-in variance and
-    posterior are recomputed, by the same formulas on gathered ``(n,)``
-    vectors: the bits of a full recompute.  The one state yielded is
-    updated in place by later steps.  A posterior that left the float range
-    raises ``ValueError`` (see ``_checked``).
+    posterior are recomputed, by the same formulas on ``(n,)`` vectors gathered
+    from and scattered to flat views: the bits of a full recompute.  With no zero
+    prior variance, the posterior is ``_posterior`` on a precision computed once.
+    The one state yielded is updated in place by later steps.  A posterior that
+    left the float range raises ``ValueError`` (see ``_checked``).
     """
     k, n = true_means.shape
     counts, sums = np.zeros((k, n)), np.zeros((k, n))
@@ -314,10 +322,12 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     state = pol.BatchState(_checked(means, post_vars, prior_vars[:, None]), post_vars, svars,
                            counts, sums / counts)
     cols = np.arange(n)
-
-    def put(arr, value):
-        arr.reshape(-1)[at] = value
-        return value
+    posterior, prior = ((posterior_arrays, prior_vars) if (prior_vars == 0.0).any()
+                        else (_posterior, 1.0 / prior_vars))
+    counts, sums, means, post_vars, sample_means = (
+        x.reshape(-1) for x in (counts, sums, means, post_vars, state.sample_means))
+    if variance_mode == "plugin_refresh":
+        sumsqs, svars = sumsqs.reshape(-1), svars.reshape(-1)
 
     for t in range(warmup, horizon + 1):
         yield state
@@ -326,17 +336,21 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
         alt = pol.decide(score_fn, state, t)
         at = alt * n + cols
         obs = true_means.take(at) + true_sds[alt, cols] * noise[:, t]  # sds may be broadcast
-        c = put(counts, counts.take(at) + 1.0)
-        s = put(sums, sums.take(at) + obs)
+        c, s = counts.take(at), sums.take(at)
+        c += 1.0
+        s += obs
+        counts[at], sums[at] = c, s
         if variance_mode == "plugin_refresh":
-            sv = put(svars, sample_variances(c, s, put(sumsqs, sumsqs.take(at) + obs**2)))
+            q = sumsqs.take(at)
+            q += obs**2
+            sv = sample_variances(c, s, q)
+            sumsqs[at], svars[at] = q, sv
         else:
             sv = svars.take(at)
-        pv = prior_vars.take(alt)
-        m, v = posterior_arrays(prior_means.take(alt), pv, c, s, sv)
-        put(means, _checked(m, v, pv))
-        put(post_vars, v)
-        put(state.sample_means, s / c)
+        m, v = posterior(prior_means.take(alt), prior.take(alt), c, s, sv)
+        if not (np.isfinite(m).all() and v.all()):  # a bad mean, or a zero variance
+            _checked(m, v, prior_vars.take(alt))
+        means[at], post_vars[at], sample_means[at] = m, v, s / c
 
 
 def _last(states):
@@ -449,6 +463,8 @@ def run_fixed_truths(
     Used to study long-run sampling behavior: allocation frequencies and
     the terminal selection.  ``steps`` counts post-initialization samples.
     """
+    if not is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     score_fn = pol.make_policy(policy_id)
     means = np.stack([t.means for t in truths], axis=1)
     svars = np.stack([t.variances for t in truths], axis=1)

@@ -167,20 +167,28 @@ def _first(mask: np.ndarray) -> np.ndarray:
 
 def _index_of(x: np.ndarray, value: np.ndarray) -> np.ndarray:
     """First index at which ``x`` equals its max or min ``value``; a NaN comes first, as in argmax."""
-    mask = x == value
-    if np.isnan(value).any():
-        mask |= np.isnan(x)
-    return _first(mask)
+    first = _first(x == value)
+    if first.max(initial=0) == x.shape[0]:  # a NaN value, which no entry equals
+        first = _first((x == value) | np.isnan(x))
+    return first
 
 
 def _argmax(x: np.ndarray) -> np.ndarray:
     return _index_of(x, x.max(axis=0))
 
 
+@functools.lru_cache(maxsize=16)  # batch shapes: a few per run
+def _columns(shape: tuple) -> np.ndarray:
+    """0, 1, ..., size - 1 shaped ``shape``: each state's own flat offset."""
+    out = np.arange(math.prod(shape)).reshape(shape)
+    out.setflags(write=False)
+    return out
+
+
 def _offsets(b: np.ndarray) -> np.ndarray:
     """Flat offsets of the entries ``x[b[j], j]`` of a C-ordered ``(k, *b.shape)`` array
     ``x``: ``x.take`` gathers them and ``x.reshape(-1)[offsets] = ...`` scatters."""
-    return b * b.size + np.arange(b.size).reshape(b.shape)
+    return b * b.size + _columns(b.shape)
 
 
 def _sum_alternatives(x: np.ndarray) -> np.ndarray:
@@ -472,15 +480,16 @@ def ocba_deficits(
 
 
 def argmax_with_tiebreak(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Argmax over alternatives (axis 0); ties go to fewest samples, then lowest index."""
-    k = values.shape[0]
+    """Argmax over alternatives (axis 0); ties go to fewest samples, then lowest index.
+    A NaN value raises ``ValueError``: its state has tied top means and zero variances."""
     tie = values == values.max(axis=0)
     best = _first(tie)
-    # One maximum per state (a NaN state has none): no tie to break.
-    if np.count_nonzero(tie) == best.size and best.max() < k:
+    if best.max() == values.shape[0]:  # a state holding a NaN has a NaN maximum, never equal
+        raise ValueError("degenerate state: equal means with zero variances")
+    if np.count_nonzero(tie) == best.size:  # one maximum per state: no tie to break
         return best
     fewest = np.where(tie, counts, np.inf)
-    return _index_of(fewest, fewest.min(axis=0))
+    return _first(fewest == fewest.min(axis=0))  # counts are never NaN
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +543,15 @@ def lookup_policy(policy_id: str):
 
 
 def make_policy(policy_id: str, weights: "VfaWeights | None" = None):
-    """Score function of a policy id, bound to its depth or weights."""
+    """Score function of a policy id, bound to its depth or weights (two_factor's alone)."""
     score, depth = lookup_policy(policy_id)
-    if depth is not None:
-        return functools.partial(score, depth=depth)
     if policy_id == "two_factor":
         if weights is None:
             raise ValueError("two_factor policy requires fitted weights")
         return functools.partial(score, weights=weights)
-    return score
+    if weights is not None:
+        raise ValueError(f"policy {policy_id!r} reads no weights; only two_factor does")
+    return score if depth is None else functools.partial(score, depth=depth)
 
 
 def _defined(values: np.ndarray) -> np.ndarray:
@@ -554,7 +563,7 @@ def _defined(values: np.ndarray) -> np.ndarray:
 
 def decide(score_fn, state: BatchState, t: int) -> np.ndarray:
     """Alternative to sample next in each state: the tie-broken argmax of the scores."""
-    return argmax_with_tiebreak(_defined(score_fn(state, t)), state.counts)
+    return argmax_with_tiebreak(score_fn(state, t), state.counts)
 
 
 # ---------------------------------------------------------------------------

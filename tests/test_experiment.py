@@ -1,5 +1,6 @@
 """Harness determinism, warmup behavior, estimator correctness, config round-trips."""
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -41,6 +42,11 @@ def small_scenario(**overrides):
         master_seed=99,
     )
     return replace(base, **overrides) if overrides else base
+
+
+def weights_for(policy_id):
+    """Test weights for two_factor, the one policy that reads weights; None for the rest."""
+    return VfaWeights(np.array([0.98, 0.42])) if policy_id == "two_factor" else None
 
 
 class TestScenarioValidation:
@@ -302,8 +308,7 @@ class TestEngineMatchesScalarPolicies:
         state = self._random_state(rng, n=6, k=3)
         state.means[:, 2] = [0.5, 0.5, -1.0]
         state.post_vars[:, 2] = 0.0
-        w = VfaWeights(np.array([0.98, 0.42]))
-        score_fn = make_policy(policy_id, w)
+        score_fn = make_policy(policy_id, weights_for(policy_id))
         with pytest.raises(ValueError, match="degenerate state"):
             decide(score_fn, state, 0)
         with pytest.raises(ValueError, match="degenerate state"):
@@ -366,7 +371,7 @@ class TestIncrementalStep:
         prior_means = rng.permutation(k) * 0.37 - 0.5
         prior_vars = np.array([{"zero": 0.0, "finite": rng.uniform(0.1, 2.0), "inf": np.inf}[kind]
                                for kind in prior_kinds[:k]])
-        score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42])))
+        score_fn = make_policy(policy_id, weights_for(policy_id))
         args = (score_fn, true_means, true_sds, true_sds**2, noise, prior_means, prior_vars,
                 mode, n0, horizon)
         fields = ("means", "post_vars", "sampling_vars", "counts", "sample_means")
@@ -401,10 +406,9 @@ class TestScaleInvariance:
             prior_stds=tuple(c * x for x in base.prior_stds),
             sampling_stds=tuple(c * x for x in base.sampling_stds),
         )
-        w = VfaWeights(np.array([0.98, 0.42]))
         for pid in ("ea", "aoap", "ocba", "kg", "two_factor"):
-            a = estimate_ipcs(base, pid, w)
-            b = estimate_ipcs(scaled, pid, w)
+            a = estimate_ipcs(base, pid, weights_for(pid))
+            b = estimate_ipcs(scaled, pid, weights_for(pid))
             assert a.ipcs.tobytes() == b.ipcs.tobytes(), pid
             assert a.stderr.tobytes() == b.stderr.tobytes(), pid
 
@@ -445,6 +449,69 @@ class TestBlockNormals:
         truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 1.0])
         with pytest.raises(ValueError, match="expected non-negative integer"):
             experiment.run_fixed_truths([truth], "aoap", steps=2, seed=-1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"steps": -3}, "steps must be a non-negative integer, got -3"),
+        ({"steps": 2.5}, "steps must be a non-negative integer, got 2.5"),
+    ])
+    def test_fixed_truth_seed_and_steps_must_be_integers(self, kwargs, message):
+        """``seed=1.5`` used to run as seed 1; ``steps=-3`` and ``steps=2.5`` failed
+        inside NumPy or at ``range``."""
+        truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 1.0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            experiment.run_fixed_truths([truth], "aoap", **{"steps": 2, "seed": 1, **kwargs})
+
+    @pytest.mark.parametrize("rep_index", [2.5, True])
+    def test_replication_index_must_be_an_integer(self, rep_index):
+        """``rep_index=2.5`` used to run replication 2, and ``True`` replication 1."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"replication index must be an integer, got {rep_index!r}")):
+            run_macro_replication(small_scenario(macro_reps=8), "aoap", rep_index=rep_index)
+
+    def test_feature_indices_and_namespace_must_be_integers(self):
+        """Index 0.5 used to run as index 0."""
+        sc = small_scenario(macro_reps=8)
+        with pytest.raises(ValueError, match="replication index must be an integer, got 0.5"):
+            replication_features(sc, "aoap", [0.5, 1])
+        with pytest.raises(ValueError, match="namespace must be an integer, got 1.5"):
+            replication_features(sc, "aoap", [0, 1], namespace=1.5)
+
+    def test_numpy_integer_entropy_accepted(self):
+        block = experiment._block_normals(np.uint64(7), np.int32(1), [np.int64(3), 2**64], 5)
+        assert block.tobytes() == np.stack([reference_row(7, 1, i, 5) for i in (3, 2**64)]).tobytes()
+
+
+C03_TRUTHS = [  # the fixed truths of acceptance criterion c03
+    GroundTruth(means=[4.0, 3.0, 2.0, 1.0, 0.0], variances=[1.0] * 5),
+    GroundTruth(means=[4.0, 3.0, 2.0, 1.0, 0.0], variances=[4.0, 1.0, 2.25, 1.0, 6.25]),
+    GroundTruth(means=[2.0, 1.6, 1.2, 0.8, 0.0], variances=[1.0, 2.25, 0.64, 1.44, 4.0]),
+]
+
+
+class TestFixedTruthGoldenBytes:
+    """``run_fixed_truths`` keeps its output bits: the sha256 of the counts and
+    selections of 2,000 steps on c03's truths, seed 1, as first recorded."""
+
+    SELECTIONS = "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"
+
+    @pytest.mark.parametrize("policy_id, counts_sha256", [
+        ("ea", "be6b09f2ef09e61a3de5d8516d9dc2db090b6f3a5fc61e6e9f566f08098aeb6c"),
+        ("ocba", "e8750bc3d8a907648554301315a879a5eceeb647435e4fab31efba4f565b4503"),
+        ("kg", "be6b09f2ef09e61a3de5d8516d9dc2db090b6f3a5fc61e6e9f566f08098aeb6c"),
+        ("aoap", "933db9975d0b47191c1960c195687fcf4159ad8f660420cc57178334de81cf0e"),
+        ("aoap_ms2", "03bc254a40a3658eb9e0e678df8f2435ebb0b13d7aaebcec91b7d8a3cbdb0049"),
+        ("two_factor", "f03a26c889d57f54defa29c78898937d70006a67a5f5b4f028bac1f470881c19"),
+    ])
+    def test_counts_and_selections(self, policy_id, counts_sha256, monkeypatch):
+        make = pol.make_policy  # run_fixed_truths takes no weights: bind two_factor's here
+        monkeypatch.setattr(pol, "make_policy", lambda pid: make(pid, weights_for(pid)))
+        run = experiment.run_fixed_truths(C03_TRUTHS, policy_id, steps=2000, seed=1)
+        assert run.counts.dtype == np.float64 and run.counts.shape == (3, 5)
+        assert run.selections.dtype == np.intp and run.selections.shape == (3,)
+        assert hashlib.sha256(run.counts.tobytes()).hexdigest() == counts_sha256
+        assert hashlib.sha256(run.selections.tobytes()).hexdigest() == self.SELECTIONS
 
 
 class TestReplicationFeatures:

@@ -871,12 +871,46 @@ class TestSingleStateIsOneRow:
             means, post_vars, sampling_vars, 0.98, 0.42, "linear")).any(axis=0)
         counts = rng.integers(1, 4, size=(n, k)).astype(float).T
         arrays = [a[:, keep] for a in (means, post_vars, sampling_vars, counts, means - 0.1)]
-        score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42])))
+        score_fn = make_policy(policy_id, VfaWeights(np.array([0.98, 0.42]))
+                               if policy_id == "two_factor" else None)
         for r in range(arrays[0].shape[1]):
             single = BatchState(*(a[:, r] for a in arrays))
             batch = BatchState(*(a[:, r:r + 1] for a in arrays))
             assert score_fn(single, r).tobytes() == score_fn(batch, r)[:, 0].tobytes()
             assert decide(score_fn, single, r) == decide(score_fn, batch, r)[0]
+
+
+class TestMakePolicy:
+    @pytest.mark.parametrize("policy_id", ["ea", "aoap", "ocba", "kg", "aoap_ms2"])
+    def test_weights_rejected_where_unread(self, policy_id):
+        """Weights given for an id other than two_factor used to be dropped silently."""
+        with pytest.raises(ValueError, match=f"policy '{policy_id}' reads no weights"):
+            make_policy(policy_id, VfaWeights(np.array([1.0, 1.0])))
+
+    def test_two_factor_requires_weights(self):
+        with pytest.raises(ValueError, match="two_factor policy requires fitted weights"):
+            make_policy("two_factor")
+
+
+class TestDecideRejectsNaN:
+    """One NaN score in any column makes ``decide`` raise "degenerate state",
+    whether every other column has one maximum (no tie to break) or a tie."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4096])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_one_nan_score_raises(self, n, tied):
+        k = 3
+        values = np.random.default_rng(n).normal(size=(k, n))
+        if tied:
+            values[1] = values[0] = values.max(axis=0) + 1.0
+        state = BatchState(np.zeros((k, n)), np.ones((k, n)), np.ones((k, n)),
+                           np.ones((k, n)), np.zeros((k, n)))
+        assert decide(lambda s, t: values, state, 0).shape == (n,)
+        for row, col in itertools.product(range(k), sorted({0, n // 2, n - 1})):
+            scores = values.copy()
+            scores[row, col] = np.nan
+            with pytest.raises(ValueError, match="degenerate state"):
+                decide(lambda s, t: scores, state, 0)
 
 
 def alternative_last_tiebreak(values, counts):
