@@ -3,12 +3,12 @@
 Building blocks:
 
 - :mod:`ranksel.beliefs` -- conjugate belief models (Beta-Bernoulli,
-  normal with known variance) and ground-truth sampling.
+  normal with known variance) and the ground-truth type.
 - :mod:`ranksel.exact` -- exact optimal policies for finite-support
   models by backward induction, with an exhaustive oracle.
 - :mod:`ranksel.policies` -- sequential allocation rules (one-step and
   multi-step look-ahead, two-factor score, budget-ratio and improvement
-  baselines, round robin) and selection rules.
+  baselines, round robin) and asymptotically optimal sampling ratios.
 - :mod:`ranksel.vfa` -- stochastic-approximation fitting of score
   weights, with a least-squares oracle.
 - :mod:`ranksel.experiment` -- reproducible Monte Carlo harness
@@ -20,13 +20,10 @@ from .beliefs import (
     BetaBelief,
     GaussianBelief,
     GroundTruth,
-    beta_predictive,
     beta_update,
     normal_batch_posterior,
     normal_predictive,
     normal_update,
-    sample_ground_truth,
-    sample_observation,
 )
 from .exact import (
     BernoulliPriorSpec,
@@ -53,24 +50,16 @@ from .experiment import (
     estimate_ipcs,
     run_experiment,
     run_fixed_truths,
-    run_macro_replication,
     write_results,
 )
 from .policies import (
     BeliefVector,
     RatioVector,
-    aoap_values,
     decide,
-    distance_feature,
-    eoc_value,
     features,
-    induced_correlation,
     make_policy,
-    ocba_ratios,
     optimal_ratios,
     ratio_residuals,
-    select_max_posterior_mean,
-    select_optimal_pcs,
 )
 from .vfa import (
     SaConfig,

@@ -15,11 +15,16 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def check_int(value, name: str) -> None:
+    """Raise ValueError, naming the argument ``name``, unless ``value`` is ``is_int``."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_ints(obj, names: str) -> None:
     """Raise ValueError unless each named field of ``obj``, a settings object, is ``is_int``."""
     for name in names.split():
-        if not is_int(getattr(obj, name)):
-            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+        check_int(getattr(obj, name), name)
 
 
 def is_positive_int(x) -> bool:

@@ -24,8 +24,9 @@ the simulation engine calls it on ``(k, n)`` arrays after the warmup, and each s
 formula ``_posterior`` on the ``(n,)`` vectors it gathers with the prior precision of the
 run; ``normal_update`` and ``normal_batch_posterior`` call it on scalars.
 
-Beliefs are immutable; updates return new values.  Each caller owns its
-own random generator, so read-only sharing across threads is safe.
+Beliefs are immutable; updates return new values, so read-only sharing
+across threads is safe.  Ground truths are drawn by the simulation engine
+(:mod:`ranksel.experiment`) from each row's own random stream.
 """
 
 from __future__ import annotations
@@ -40,14 +41,11 @@ __all__ = [
     "BetaBelief",
     "GroundTruth",
     "beta_update",
-    "beta_predictive",
     "normal_update",
     "normal_batch_posterior",
     "normal_predictive",
     "posterior_arrays",
     "sample_variances",
-    "sample_ground_truth",
-    "sample_observation",
 ]
 
 
@@ -164,14 +162,6 @@ def beta_update(belief: BetaBelief, obs: int) -> BetaBelief:
     )
 
 
-def beta_predictive(belief: BetaBelief) -> float:
-    """Predictive success probability alpha / (alpha + beta)."""
-    total = belief.alpha + belief.beta
-    if total == 0:
-        raise ValueError("predictive undefined: uninformative prior with no data")
-    return belief.alpha / total
-
-
 def normal_update(belief: GaussianBelief, obs: float) -> GaussianBelief:
     """Fold one observation into a Gaussian belief.
 
@@ -259,26 +249,3 @@ def normal_predictive(belief: GaussianBelief) -> tuple[float, float]:
     if math.isinf(belief.post_var):
         raise ValueError("predictive undefined: uninformative prior with no data")
     return belief.post_mean, belief.sampling_var + belief.post_var
-
-
-def sample_ground_truth(
-    prior_means: np.ndarray,
-    prior_stds: np.ndarray,
-    sampling_stds: np.ndarray,
-    rng: np.random.Generator,
-) -> GroundTruth:
-    """Draw true means independently from the per-alternative normal priors."""
-    prior_means = np.asarray(prior_means, dtype=float)
-    prior_stds = np.asarray(prior_stds, dtype=float)
-    sampling_stds = np.asarray(sampling_stds, dtype=float)
-    if np.any(prior_stds < 0):
-        raise ValueError("prior standard deviations must be nonnegative")
-    means = prior_means + prior_stds * rng.standard_normal(len(prior_means))
-    return GroundTruth(means=means, variances=sampling_stds**2)
-
-
-def sample_observation(truth: GroundTruth, i: int, rng: np.random.Generator) -> float:
-    """Draw one observation from alternative ``i`` (0-based)."""
-    if not 0 <= i < truth.n_alternatives:
-        raise IndexError(f"alternative index {i} out of range")
-    return float(truth.means[i] + math.sqrt(truth.variances[i]) * rng.standard_normal())

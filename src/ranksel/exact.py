@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._json import anything, fields, read_object
+from ._json import anything, check_int, fields, read_object
 
 __all__ = [
     "DiscreteModel",
@@ -314,6 +314,8 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     arrays (see the module docstring); the result is bit-identical to the
     per-state recursion, with states in order of first discovery.
     """
+    check_int(horizon, "horizon")
+    check_int(state_cap, "state_cap")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if state_cap < 1:
@@ -389,6 +391,7 @@ def brute_force_value(model: DiscreteModel, horizon: int) -> float:
     every adaptive deterministic policy, so the root value equals the
     optimum.
     """
+    check_int(horizon, "horizon")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     s_max = max(model.support_sizes)
@@ -522,6 +525,9 @@ def discretize_prior(
     ``obs_grid_points`` cells of the marginal predictive distribution.
     The result is an approximation whose quality improves with grid size.
     """
+    check_int(grid_points, "grid_points")
+    if obs_grid_points is not None:
+        check_int(obs_grid_points, "obs_grid_points")
     from scipy import stats  # lazy: slow to import, and nothing else here needs it
 
     if grid_points < 2:

@@ -46,7 +46,6 @@ __all__ = [
     "IpcsCurve",
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
-    "run_macro_replication",
     "estimate_ipcs",
     "replication_features",
     "run_fixed_truths",
@@ -385,12 +384,6 @@ def _correct_counts(scenario: Scenario, score_fn, indices) -> np.ndarray:
     return np.array([
         np.count_nonzero(pol._argmax(state.means) == true_best) for state in states
     ])
-
-
-def run_macro_replication(scenario: Scenario, policy_id: str, rep_index: int = 0) -> np.ndarray:
-    """One macro replication; element j is the correctness bit at warmup + j samples."""
-    score_fn = pol.make_policy(policy_id)
-    return _correct_counts(scenario, score_fn, [rep_index]).astype(np.uint8)
 
 
 def estimate_ipcs(

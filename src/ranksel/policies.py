@@ -31,14 +31,13 @@ defined once, as a score function ``score(state, t) -> (k, ...)``;
 ``POLICIES`` maps policy ids to them and ``make_policy`` resolves an id.
 ``decide`` turns scores into the sampled alternative of every state, so
 one state is decided as a batch is: ``decide(make_policy(id, weights), b, t)``.
-Only kg, ``optimal_ratios`` and ``select_optimal_pcs``/``eoc_value`` load SciPy, on first use.
+Only kg and ``optimal_ratios`` load SciPy, on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -57,19 +56,11 @@ __all__ = [
     "decide",
     "BeliefVector",
     "RatioVector",
-    "select_max_posterior_mean",
-    "select_optimal_pcs",
-    "eoc_value",
-    "distance_feature",
-    "induced_correlation",
     "features",
     "ACTIVATIONS",
     "apply_activation",
-    "aoap_values",
     "optimal_ratios",
     "ratio_residuals",
-    "ocba_ratios",
-    "kg_factors",
     "shrunk_variance",
     "distance_squared",
     "correlation_squared_min",
@@ -81,8 +72,6 @@ __all__ = [
     "ocba_deficits",
     "argmax_with_tiebreak",
 ]
-
-_QUAD_TOL, _QUAD_MAX_K = 1e-8, 16  # posterior-best quadrature: absolute tolerance, largest k
 
 
 @dataclass(frozen=True)
@@ -109,19 +98,6 @@ class BeliefVector(BatchState):
         means, post_vars, sampling_vars, counts, sums = np.array(rows, dtype=float).T.copy()
         super().__init__(means, post_vars, sampling_vars, counts,
                          sums / counts if counts.all() else None)
-
-    @property
-    def k(self) -> int:
-        return len(self.means)
-
-    @property
-    def order(self) -> np.ndarray:
-        """Indices sorted by descending posterior mean, lower index first on ties."""
-        return np.lexsort((np.arange(self.k), -self.means))
-
-    @property
-    def best(self) -> int:
-        return int(self.order[0])
 
 
 @dataclass(frozen=True)
@@ -452,31 +428,27 @@ def kg_candidate_values(
     return np.where(s > 0.0, nu, 0.0)
 
 
-def ocba_ratio_core(means: np.ndarray, sampling_vars: np.ndarray) -> tuple[np.ndarray, bool]:
+def ocba_ratio_core(means: np.ndarray, sampling_vars: np.ndarray) -> np.ndarray:
     """Budget-allocation ratios from plug-in means and sampling variances.
 
     Challenger ratios scale as (sigma_i / gap_i)^2; the incumbent's ratio
     is sigma_b * sqrt(sum of squared challenger ratios over variances).
-    Zero gaps are floored at machine-epsilon scale; the second return
-    value reports whether the floor was hit.
+    Zero gaps are floored at machine-epsilon scale.
     """
     at_b, gaps = _incumbent_geometry(means)
     floor = np.finfo(float).eps * np.maximum(np.abs(means.take(at_b)), 1.0)
-    hit = gaps <= floor
-    hit.reshape(-1)[at_b] = False
     raw = np.divide(sampling_vars, np.square(np.maximum(gaps, floor, out=gaps), out=gaps), out=gaps)
     raw.reshape(-1)[at_b] = 0.0
     r_b = np.sqrt(sampling_vars.take(at_b)) * np.sqrt(_sum_alternatives(raw**2 / sampling_vars))
     raw.reshape(-1)[at_b] = r_b
-    return raw / _sum_alternatives(raw), bool(hit.any())
+    return raw / _sum_alternatives(raw)
 
 
 def ocba_deficits(
     means: np.ndarray, sampling_vars: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Most-starving scores: target share of the budget minus samples received."""
-    ratios, _ = ocba_ratio_core(means, sampling_vars)
-    return counts.sum(axis=0) * ratios - counts
+    return counts.sum(axis=0) * ocba_ratio_core(means, sampling_vars) - counts
 
 
 def argmax_with_tiebreak(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -567,102 +539,8 @@ def decide(score_fn, state: BatchState, t: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Belief-level operations.
+# Value-approximation features and activations.
 # ---------------------------------------------------------------------------
-
-
-def select_max_posterior_mean(b: BeliefVector) -> int:
-    """Select the alternative with the largest posterior mean: the optimal selection
-    under the opportunity-cost reward."""
-    return int(np.argmax(b.means))
-
-
-def _posterior_best_probability(means, stds, i, x_moment=False):
-    """P(alternative i has the largest mean) under independent normal posteriors.
-
-    With ``x_moment`` the integrand carries a factor x, which gives
-    E[mu_i; mu_i is the largest]; summed over i that is E[max_i mu_i].
-    """
-    from scipy import integrate
-    from scipy.special import ndtr
-    others = [j for j in range(len(means)) if j != i]
-
-    def weight(x):
-        out = x if x_moment else 1.0
-        for j in others:
-            if stds[j] > 0:
-                out *= float(ndtr((x - means[j]) / stds[j]))
-            else:
-                out *= float(x >= means[j])
-        return out
-
-    if stds[i] == 0.0:
-        return weight(means[i])
-
-    def integrand(x):
-        z = (x - means[i]) / stds[i]
-        return math.exp(-0.5 * z * z) / (stds[i] * math.sqrt(2 * math.pi)) * weight(x)
-
-    lo, hi = means[i] - 8 * stds[i], means[i] + 8 * stds[i]
-    value, abserr = integrate.quad(integrand, lo, hi, epsabs=_QUAD_TOL, limit=200)
-    if abserr > 100 * _QUAD_TOL * max(1.0, abs(value)):
-        raise RuntimeError(f"posterior quadrature did not converge (abserr={abserr})")
-    return value
-
-
-def select_optimal_pcs(b: BeliefVector) -> int:
-    """Select the alternative maximizing the posterior probability of being best.
-
-    Unlike the max-mean rule this weighs the full posteriors, which
-    matters when posterior variances are unequal.
-    """
-    if b.k > _QUAD_MAX_K:
-        raise ValueError(f"k={b.k} exceeds the quadrature cap of {_QUAD_MAX_K}")
-    stds = np.sqrt(b.post_vars)
-    probs = [_posterior_best_probability(b.means, stds, i) for i in range(b.k)]
-    return int(np.argmax(probs))
-
-
-def eoc_value(b: BeliefVector) -> float:
-    """Expected opportunity cost of selecting the max-mean alternative (<= 0)."""
-    stds = np.sqrt(b.post_vars)
-    expected_max = sum(
-        _posterior_best_probability(b.means, stds, i, x_moment=True) for i in range(b.k)
-    )
-    return float(b.means.max() - expected_max)
-
-
-def distance_feature(b: BeliefVector) -> tuple[np.ndarray, float]:
-    """Normalized gaps from the incumbent to each challenger, and their minimum.
-
-    Returns ``(d_others, d)`` where ``d_others`` follows the descending
-    mean order (positions 1..k-1 of ``b.order``).
-    """
-    best, others = b.best, b.order[1:]
-    gaps = b.means[best] - b.means[others]
-    denoms = b.post_vars[best] + b.post_vars[others]
-    if np.any((denoms == 0.0) & (gaps == 0.0)):
-        raise ValueError("degenerate pair: zero variances with equal means")
-    with np.errstate(divide="ignore"):
-        d_others = gaps / np.sqrt(denoms)
-    return d_others, float(d_others.min())
-
-
-def induced_correlation(b: BeliefVector, i: int, j: int) -> float:
-    """Correlation between two challengers' gaps to the incumbent.
-
-    Both gaps share the incumbent's uncertain mean, which induces a
-    positive correlation proportional to the incumbent's variance.
-    """
-    best = b.best
-    if i == j or i == best or j == best:
-        raise ValueError("indices must be two distinct non-incumbent alternatives")
-    if not (0 <= i < b.k and 0 <= j < b.k):
-        raise IndexError("alternative index out of range")
-    v = b.post_vars
-    if v[best] == 0.0:
-        return 0.0
-    return float(v[best] / (math.sqrt(v[best] + v[i]) * math.sqrt(v[best] + v[j])))
 
 
 def features(b: BeliefVector) -> tuple[float, float]:
@@ -693,28 +571,6 @@ def _two_factor_score(g1, g2, w1, w2, activation: str):
     """Activated weighted feature sum; a zero weight drops its feature (0 * inf is NaN)."""
     weighted = (w1 * g1 if w1 else np.zeros_like(g1)) + (w2 * g2 if w2 else 0.0)
     return apply_activation(weighted, activation)
-
-
-def aoap_values(b: BeliefVector) -> np.ndarray:
-    """One-step look-ahead values of sampling each alternative."""
-    return _defined(aoap_candidate_values(b.means, b.post_vars, b.sampling_vars))
-
-
-def kg_factors(b: BeliefVector) -> np.ndarray:
-    """Expected one-step improvement of the maximum posterior mean, per alternative."""
-    if np.all(b.post_vars == 0.0):
-        raise ValueError("no alternative can learn: all posterior variances are zero")
-    return kg_candidate_values(b.means, b.post_vars, b.sampling_vars)
-
-
-def ocba_ratios(means: Sequence[float], stds: Sequence[float]) -> RatioVector:
-    """Classical budget-allocation ratios from mean and std estimates."""
-    means = np.asarray(means, dtype=float)
-    svars = np.asarray(stds, dtype=float) ** 2
-    ratios, guarded = ocba_ratio_core(means, svars)
-    if guarded:
-        warnings.warn("zero mean gap floored at machine-epsilon scale", RuntimeWarning)
-    return RatioVector(ratios)
 
 
 # ---------------------------------------------------------------------------

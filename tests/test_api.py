@@ -11,9 +11,8 @@ import ranksel
 # test until it is added here on purpose; a stale one fails it too.
 ALLOWED_NAMES = {
     "beliefs": [
-        "GaussianBelief", "BetaBelief", "GroundTruth", "beta_update", "beta_predictive",
-        "normal_update", "normal_batch_posterior", "normal_predictive", "posterior_arrays",
-        "sample_variances", "sample_ground_truth", "sample_observation",
+        "GaussianBelief", "BetaBelief", "GroundTruth", "beta_update", "normal_update",
+        "normal_batch_posterior", "normal_predictive", "posterior_arrays", "sample_variances",
     ],
     "exact": [
         "DiscreteModel", "DiscreteState", "SolvedPolicy", "posterior_pmf", "predictive_pmf",
@@ -23,15 +22,13 @@ ALLOWED_NAMES = {
     ],
     "experiment": [
         "VARIANCE_MODES", "Scenario", "IpcsCurve", "builtin_scenario", "BUILTIN_SCENARIOS",
-        "run_macro_replication", "estimate_ipcs", "replication_features", "run_fixed_truths",
-        "run_experiment", "run_specs", "write_results", "parse_config", "scenario_from_config",
+        "estimate_ipcs", "replication_features", "run_fixed_truths", "run_experiment",
+        "run_specs", "write_results", "parse_config", "scenario_from_config",
     ],
     "policies": [
         "BatchState", "POLICIES", "lookup_policy", "make_policy", "decide", "BeliefVector",
-        "RatioVector", "select_max_posterior_mean", "select_optimal_pcs", "eoc_value",
-        "distance_feature", "induced_correlation", "features", "ACTIVATIONS",
-        "apply_activation", "aoap_values", "optimal_ratios", "ratio_residuals", "ocba_ratios",
-        "kg_factors", "shrunk_variance", "distance_squared", "correlation_squared_min",
+        "RatioVector", "features", "ACTIVATIONS", "apply_activation", "optimal_ratios",
+        "ratio_residuals", "shrunk_variance", "distance_squared", "correlation_squared_min",
         "state_features", "aoap_candidate_values", "aoap_multistep_values",
         "two_factor_candidate_values", "kg_candidate_values", "ocba_deficits",
         "argmax_with_tiebreak",
@@ -50,7 +47,6 @@ ALLOWED_OPTIONS = {
     "exact.solve_bellman(state_cap)",
     "exact.discretize_prior(reward)",
     "exact.discretize_prior(obs_grid_points)",
-    "experiment.run_macro_replication(rep_index)",
     "experiment.estimate_ipcs(weights)",
     "experiment.estimate_ipcs(workers)",
     "experiment.replication_features(namespace)",
@@ -147,5 +143,5 @@ def test_public_names_match_allowlist():
         exported.update({entry: getattr(module, entry) for entry in allowed})
     top = {name: value for name, value in vars(ranksel).items()
            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(top) == 57
+    assert len(top) == 46
     assert all(exported.get(name) is value for name, value in top.items())

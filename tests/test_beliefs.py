@@ -7,19 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ranksel import experiment
 from ranksel.beliefs import (
     BetaBelief,
     GaussianBelief,
     GroundTruth,
-    beta_predictive,
     beta_update,
     normal_batch_posterior,
     normal_predictive,
     normal_update,
     posterior_arrays,
-    sample_ground_truth,
-    sample_observation,
 )
+from ranksel.experiment import Scenario
 
 RTOL = 1e-12
 
@@ -29,14 +28,13 @@ class TestBetaUpdates:
         b = beta_update(BetaBelief(alpha=1, beta=1, count=0, successes=0), 1)
         assert (b.alpha, b.beta, b.count, b.successes) == (2, 1, 1, 1)
 
-    def test_symmetric_prior_predictive(self):
-        assert beta_predictive(BetaBelief(alpha=1, beta=1, count=0, successes=0)) == 0.5
-
     def test_uninformative_prior_recovers_sample_mean(self):
+        """From alpha = beta = 0 the posterior holds exactly the sample's successes and
+        failures, so its mean alpha / (alpha + beta) is the sample mean."""
         b = BetaBelief(alpha=0, beta=0, count=0, successes=0)
         for obs in (1, 1, 0):
             b = beta_update(b, obs)
-        assert beta_predictive(b) == pytest.approx(2 / 3, rel=RTOL)
+        assert (b.alpha, b.beta, b.count, b.successes) == (2, 1, 3, 2)
 
     def test_posterior_adds_counts_exactly(self):
         b = BetaBelief(alpha=2.5, beta=0.5, count=0, successes=0)
@@ -50,15 +48,6 @@ class TestBetaUpdates:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             beta_update(BetaBelief(alpha=1, beta=1, count=0, successes=0), 2)
-
-    def test_degenerate_predictive_rejected(self):
-        with pytest.raises(ValueError):
-            beta_predictive(BetaBelief(alpha=0, beta=0, count=0, successes=0))
-
-    @pytest.mark.parametrize("a,b,expected", [(2, 1, 2 / 3), (3, 1, 0.75), (7, 7, 0.5)])
-    def test_predictive_values(self, a, b, expected):
-        belief = BetaBelief(alpha=a, beta=b, count=0, successes=0)
-        assert beta_predictive(belief) == pytest.approx(expected, rel=RTOL)
 
 
 class TestNormalUpdates:
@@ -220,56 +209,46 @@ class TestConjugacyProperties:
         assert lo - 1e-9 <= b.post_mean <= hi + 1e-9
 
 
+def engine_truths(monkeypatch, scenario, indices):
+    """The ``(k, n)`` true means that ``experiment._replications`` draws for the rows
+    ``indices`` and hands to the simulation engine (which is not run)."""
+    seen = []
+    monkeypatch.setattr(experiment, "_engine", lambda score_fn, truth, *rest: seen.append(truth))
+    experiment._replications(scenario, None, list(indices))
+    return seen[0]
+
+
+def prior_scenario(prior_means, prior_stds, master_seed=0):
+    k = len(prior_means)
+    return Scenario(prior_means=prior_means, prior_stds=prior_stds, sampling_stds=(1.0,) * k,
+                    horizon=2 * k, n0=2, master_seed=master_seed)
+
+
 class TestGroundTruth:
+    """``GroundTruth``, and the ground truths the engine draws from the scenario prior."""
+
     def test_requires_two_alternatives(self):
         with pytest.raises(ValueError):
             GroundTruth(means=[1.0], variances=[1.0])
 
-    def test_degenerate_prior_returns_prior_means(self):
-        rng = np.random.default_rng(0)
-        truth = sample_ground_truth([1.0, 2.0], [0.0, 0.0], [1.0, 1.0], rng)
-        np.testing.assert_array_equal(truth.means, [1.0, 2.0])
+    def test_degenerate_prior_returns_prior_means(self, monkeypatch):
+        truth = engine_truths(monkeypatch, prior_scenario((1.0, 2.0), (0.0, 0.0)), range(5))
+        np.testing.assert_array_equal(truth, [[1.0] * 5, [2.0] * 5])
 
     def test_negative_prior_std_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_ground_truth([0.0, 0.0], [1.0, -1.0], [1.0, 1.0], rng)
+        with pytest.raises(ValueError, match="prior_stds must be nonnegative"):
+            prior_scenario((0.0, 0.0), (1.0, -1.0))
 
-    def test_same_seed_same_truth(self):
-        a = sample_ground_truth([0.0] * 3, [1.0] * 3, [1.0] * 3, np.random.default_rng(42))
-        b = sample_ground_truth([0.0] * 3, [1.0] * 3, [1.0] * 3, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.means, b.means)
+    def test_same_seed_same_truth(self, monkeypatch):
+        """A row's truth depends on the master seed and its index alone."""
+        sc = prior_scenario((0.0,) * 3, (1.0,) * 3, master_seed=42)
+        a = engine_truths(monkeypatch, sc, range(5))
+        assert a.tobytes() == engine_truths(monkeypatch, sc, range(5)).tobytes()
+        assert a[:, 3].tobytes() == engine_truths(monkeypatch, sc, [3])[:, 0].tobytes()
 
-    def test_prior_moments(self):
+    def test_prior_moments(self, monkeypatch):
         """Empirical mean/std of drawn means match the prior within 3 standard errors."""
-        rng = np.random.default_rng(6)
         n = 20_000
-        first = np.empty(n)
-        for i in range(n):
-            first[i] = sample_ground_truth([0.0] * 2, [1.0] * 2, [1.0] * 2, rng).means[0]
+        first = engine_truths(monkeypatch, prior_scenario((0.0,) * 2, (1.0,) * 2, 6), range(n))[0]
         assert abs(first.mean()) < 3 / math.sqrt(n)
         assert abs(first.std() - 1.0) < 3 / math.sqrt(2 * n)
-
-
-class TestSampleObservation:
-    def test_index_out_of_range(self):
-        truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 1.0])
-        with pytest.raises(IndexError):
-            sample_observation(truth, 2, np.random.default_rng(0))
-
-    def test_zero_variance_returns_mean_exactly(self):
-        truth = GroundTruth(means=[0.25, 1.0], variances=[0.0, 1.0])
-        assert sample_observation(truth, 0, np.random.default_rng(1)) == 0.25
-
-    def test_same_state_same_draw(self):
-        truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 4.0])
-        x = sample_observation(truth, 1, np.random.default_rng(3))
-        y = sample_observation(truth, 1, np.random.default_rng(3))
-        assert x == y
-
-    def test_law_of_large_numbers(self):
-        truth = GroundTruth(means=[0.3, -0.7], variances=[2.25, 1.0])
-        rng = np.random.default_rng(8)
-        n = 100_000
-        draws = np.array([sample_observation(truth, 0, rng) for _ in range(n)])
-        assert abs(draws.mean() - 0.3) < 3 * 1.5 / math.sqrt(n)

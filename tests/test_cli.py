@@ -990,6 +990,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     stages["run"] = scipy_modules()
     assert ranksel.cli.main(["run-experiment", "--config", kg_config]) == 0
     stages["kg"] = scipy_modules()
+    assert ranksel.cli.main(["optimal-ratios", "--means", "1,0,-0.5", "--stds", "1,2,1"]) == 0
+    stages["optimal-ratios"] = scipy_modules()
 print(json.dumps(stages))
 """
 
@@ -997,7 +999,8 @@ print(json.dumps(stages))
 class TestImport:
     def test_scipy_loaded_only_on_first_use(self, tmp_path):
         """Importing the package and the CLI loads no SciPy module, and neither do the
-        policies and the exact solver that call none; kg loads scipy.special only."""
+        policies and the exact solver that call none; kg loads scipy.special only, the
+        ratio root find scipy.optimize, and no run loads scipy.integrate."""
         config = json.loads(small_config(tmp_path, out_name="a.csv").read_text())
         config["policies"] = ["ea", "ocba", "aoap", "aoap_ms2",
                               {"id": "two_factor", "fit": {"iterations": 4}}]
@@ -1012,5 +1015,7 @@ class TestImport:
         stages = json.loads(res.stdout)
         assert stages["import"] == [] and stages["run"] == []
         assert "scipy.special" in stages["kg"]
-        assert not [m for m in stages["kg"]
-                    if m.startswith(("scipy.optimize", "scipy.integrate"))], stages["kg"]
+        assert not [m for m in stages["kg"] if m.startswith("scipy.optimize")], stages["kg"]
+        assert "scipy.optimize" in stages["optimal-ratios"]
+        assert not [m for stage in stages.values() for m in stage
+                    if m.startswith("scipy.integrate")], stages

@@ -494,6 +494,24 @@ class TestSolver:
         with pytest.raises(RuntimeError, match="262144 exceeds the cap of 100000"):
             brute_force_value(model, 9)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda m, s: solve_bellman(m, True), "horizon must be an integer, got True"),
+        (lambda m, s: solve_bellman(m, 2.5), "horizon must be an integer, got 2.5"),
+        (lambda m, s: solve_bellman(m, 2, state_cap=2.5), "state_cap must be an integer, got 2.5"),
+        (lambda m, s: brute_force_value(m, 2.5), "horizon must be an integer, got 2.5"),
+        (lambda m, s: discretize_prior(s, 2.5), "grid_points must be an integer, got 2.5"),
+        (lambda m, s: discretize_prior(s, 3, obs_grid_points=2.5),
+         "obs_grid_points must be an integer, got 2.5"),
+    ], ids=["horizon-bool", "horizon-float", "state-cap", "brute-force-horizon", "grid-points",
+            "obs-grid-points"])
+    def test_sizes_must_be_integers(self, call, message):
+        """A bool horizon used to solve horizon 1; the floats ended in a TypeError at
+        ``range``, a RecursionError, a cap message or a pmf mismatch."""
+        spec = NormalPriorSpec(prior_means=(0.0, 0.2), prior_stds=(1.0, 1.0),
+                               sampling_stds=(1.0, 1.0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(two_point_model(), spec)
+
     def test_allocation_covers_reachable_states(self):
         model = two_point_model()
         policy = solve_bellman(model, 2)

@@ -22,7 +22,6 @@ from ranksel.experiment import (
     parse_config,
     replication_features,
     run_experiment,
-    run_macro_replication,
     write_results,
 )
 from ranksel import experiment
@@ -98,16 +97,21 @@ class TestScenarioValidation:
             builtin_scenario("nope")
 
 
+def one_replication(scenario, policy_id, rep_index=0):
+    """Correctness bits of one macro replication; element j is at warmup + j samples."""
+    return experiment._correct_counts(scenario, make_policy(policy_id), [rep_index])
+
+
 class TestMacroReplication:
     def test_repeatable(self):
         sc = small_scenario()
-        a = run_macro_replication(sc, "aoap", rep_index=3)
-        b = run_macro_replication(sc, "aoap", rep_index=3)
+        a = one_replication(sc, "aoap", rep_index=3)
+        b = one_replication(sc, "aoap", rep_index=3)
         np.testing.assert_array_equal(a, b)
 
     def test_bit_vector_span(self):
         sc = small_scenario()
-        bits = run_macro_replication(sc, "ea")
+        bits = one_replication(sc, "ea")
         assert bits.shape == (sc.horizon - sc.warmup + 1,)
 
     def test_zero_prior_spread_always_correct(self):
@@ -118,7 +122,7 @@ class TestMacroReplication:
             n0=1,
         )
         for pid in ("ea", "aoap", "kg"):
-            bits = run_macro_replication(sc, pid, rep_index=1)
+            bits = one_replication(sc, pid, rep_index=1)
             assert bits.min() == 1
 
     def test_ea_counts_balanced(self):
@@ -134,7 +138,7 @@ class TestMacroReplication:
         """Policy curves may differ only after the warmup step."""
         sc = small_scenario()
         first_bits = {
-            pid: run_macro_replication(sc, pid, rep_index=7)[0]
+            pid: one_replication(sc, pid, rep_index=7)[0]
             for pid in ("ea", "aoap", "ocba", "kg")
         }
         assert len(set(first_bits.values())) == 1
@@ -144,7 +148,7 @@ class TestEstimateIpcs:
     def test_single_replication_equals_bit_vector(self):
         sc = small_scenario(macro_reps=1)
         curve = estimate_ipcs(sc, "aoap")
-        bits = run_macro_replication(sc, "aoap", rep_index=0)
+        bits = one_replication(sc, "aoap", rep_index=0)
         np.testing.assert_array_equal(curve.ipcs, bits.astype(float))
         assert curve.macro_reps == 1
 
@@ -465,16 +469,18 @@ class TestBlockNormals:
 
     @pytest.mark.parametrize("rep_index", [2.5, True])
     def test_replication_index_must_be_an_integer(self, rep_index):
-        """``rep_index=2.5`` used to run replication 2, and ``True`` replication 1."""
+        """Index 2.5 used to run replication 2, and ``True`` replication 1."""
         with pytest.raises(ValueError, match=re.escape(
                 f"replication index must be an integer, got {rep_index!r}")):
-            run_macro_replication(small_scenario(macro_reps=8), "aoap", rep_index=rep_index)
+            one_replication(small_scenario(macro_reps=8), "aoap", rep_index=rep_index)
 
     def test_feature_indices_and_namespace_must_be_integers(self):
-        """Index 0.5 used to run as index 0."""
+        """Index 0.5 used to run as index 0, and ``True`` as index 1."""
         sc = small_scenario(macro_reps=8)
         with pytest.raises(ValueError, match="replication index must be an integer, got 0.5"):
             replication_features(sc, "aoap", [0.5, 1])
+        with pytest.raises(ValueError, match="replication index must be an integer, got True"):
+            replication_features(sc, "aoap", [0, True])
         with pytest.raises(ValueError, match="namespace must be an integer, got 1.5"):
             replication_features(sc, "aoap", [0, 1], namespace=1.5)
 

@@ -20,25 +20,19 @@ from ranksel.policies import (
     _sum_alternatives,
     aoap_candidate_values,
     aoap_multistep_values,
-    aoap_values,
     apply_activation,
     argmax_with_tiebreak,
     correlation_squared_min,
     decide,
-    distance_feature,
     distance_squared,
-    eoc_value,
     features,
-    induced_correlation,
-    kg_factors,
+    kg_candidate_values,
     make_policy,
     ocba_ratio_core,
-    ocba_ratios,
     optimal_ratios,
     ratio_residuals,
-    select_max_posterior_mean,
-    select_optimal_pcs,
     shrunk_variance,
+    state_features,
     two_factor_candidate_values,
 )
 from ranksel.vfa import VfaWeights, vfa_eval
@@ -130,12 +124,25 @@ def same_bits(a, b):
     return np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
 
 
+def aoap_values(b):
+    """The one-step look-ahead values of one belief state."""
+    return aoap_candidate_values(b.means, b.post_vars, b.sampling_vars)
+
+
+def kg_values(b):
+    """The knowledge-gradient values of one belief state."""
+    return kg_candidate_values(b.means, b.post_vars, b.sampling_vars)
+
+
 class TestSelectionRules:
+    """The engine selects the largest posterior mean, lowest index on ties: ``_argmax``,
+    which ``experiment._correct_counts`` reads against the true best."""
+
     def test_max_mean_basic(self):
-        assert select_max_posterior_mean(belief_vector([1.0, 0.0, -1.0], [1, 1, 1])) == 0
+        assert _argmax(belief_vector([1.0, 0.0, -1.0], [1, 1, 1]).means) == 0
 
     def test_max_mean_tie_lowest_index(self):
-        assert select_max_posterior_mean(belief_vector([0.5, 0.5, 0.5], [1, 1, 1])) == 0
+        assert _argmax(belief_vector([0.5, 0.5, 0.5], [1, 1, 1]).means) == 0
 
     def test_max_mean_shift_invariant(self):
         rng = np.random.default_rng(0)
@@ -144,129 +151,57 @@ class TestSelectionRules:
             shifted = belief_vector(
                 b.means + 3.7, b.post_vars, b.sampling_vars, b.counts
             )
-            assert select_max_posterior_mean(b) == select_max_posterior_mean(shifted)
-
-    def test_optimal_pcs_equal_variances_matches_max_mean(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            means = rng.normal(size=4)
-            b = belief_vector(means, [0.7] * 4)
-            assert select_optimal_pcs(b) == select_max_posterior_mean(b)
-
-    def test_optimal_pcs_two_alternatives_matches_max_mean(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            b = belief_vector(rng.normal(size=2), rng.uniform(0.1, 4.0, size=2))
-            assert select_optimal_pcs(b) == select_max_posterior_mean(b)
-
-    def test_optimal_pcs_against_monte_carlo(self):
-        b = belief_vector([0.0, -0.01, -0.01], [4.0, 0.01, 0.01])
-        rng = np.random.default_rng(3)
-        n = 10**6
-        draws = b.means + np.sqrt(b.post_vars) * rng.standard_normal((n, 3))
-        mc = np.bincount(np.argmax(draws, axis=1), minlength=3) / n
-        se = np.sqrt(mc * (1 - mc) / n)
-        from ranksel.policies import _posterior_best_probability
-
-        stds = np.sqrt(b.post_vars)
-        for i in range(3):
-            quad = _posterior_best_probability(b.means, stds, i)
-            assert abs(quad - mc[i]) < 3 * max(se[i], 1e-5)
-        assert select_optimal_pcs(b) == int(np.argmax(mc))
-
-    def test_optimal_pcs_k_cap(self):
-        b = random_belief_vector(np.random.default_rng(4), k=17)
-        with pytest.raises(ValueError, match="k=17 exceeds the quadrature cap of 16"):
-            select_optimal_pcs(b)
-
-    @pytest.mark.parametrize("c", [-1.5, -0.3, 0.3, 1.5])
-    def test_optimal_pcs_point_mass_posterior(self, c):
-        """N(c, 0) against N(0, 1): alternative 0 is best with probability Phi(c)."""
-        from ranksel.policies import _posterior_best_probability
-
-        b = belief_vector([c, 0.0], [0.0, 1.0])
-        stds = np.sqrt(b.post_vars)
-        assert _posterior_best_probability(b.means, stds, 0) == pytest.approx(_Phi(c), abs=1e-12)
-        assert _posterior_best_probability(b.means, stds, 1) == pytest.approx(_Phi(-c), abs=1e-12)
-        assert select_optimal_pcs(b) == (0 if _Phi(c) > 0.5 else 1)
-
-
-def _Phi(x):
-    return 0.5 * math.erfc(-x / math.sqrt(2))
+            assert _argmax(b.means) == _argmax(shifted.means)
 
 
 class TestEocValue:
-    def test_symmetric_standard_normals(self):
-        b = belief_vector([0.0, 0.0], [1.0, 1.0])
-        assert eoc_value(b) == pytest.approx(-1.0 / math.sqrt(math.pi), abs=1e-7)
-
-    @pytest.mark.parametrize("c", [-1.5, -0.3, 0.3, 1.5])
-    def test_point_mass_posterior(self, c):
-        """N(c, 0) against N(0, 1): E[max] = c Phi(c) + phi(c)."""
-        phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
-        expected = max(c, 0.0) - (c * _Phi(c) + phi)
-        assert eoc_value(belief_vector([c, 0.0], [0.0, 1.0])) == pytest.approx(expected, abs=1e-12)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(5)
-        b = random_belief_vector(rng, k=3)
-        shifted = belief_vector(b.means + 11.0, b.post_vars, b.sampling_vars, b.counts)
-        assert eoc_value(shifted) == pytest.approx(eoc_value(b), abs=1e-6)
-
-    def test_vanishing_variances_vanishing_cost(self):
-        # Opportunity cost shrinks toward zero as posteriors concentrate;
-        # at tiny variances the truth is below the quadrature tolerance.
-        wide = eoc_value(belief_vector([1.0, 0.0, -0.5], [1.0] * 3))
-        narrow = eoc_value(belief_vector([1.0, 0.0, -0.5], [1e-2] * 3))
-        assert wide < -1e-3
-        assert narrow <= 0 + 1e-7
-        assert abs(narrow) < abs(wide)
-
     def test_selection_is_max_mean(self):
+        """Under the opportunity-cost reward the largest posterior mean is the optimal
+        selection whatever the variances, and it is the engine's."""
         b = belief_vector([0.2, 0.9, -1.0], [2.0, 0.1, 0.4])
-        assert select_max_posterior_mean(b) == 1
+        assert _argmax(b.means) == 1
 
 
 class TestDistanceFeature:
+    """The squared-gap feature of one belief state."""
+
     def test_two_alternative_value(self):
-        _, d = distance_feature(belief_vector([1.0, 0.0], [1.0, 1.0]))
-        assert d == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        b = belief_vector([1.0, 0.0], [1.0, 1.0])
+        assert distance_squared(b.means, b.post_vars) == pytest.approx(0.5, rel=1e-12)
 
     def test_tied_top_means_zero(self):
-        _, d = distance_feature(belief_vector([0.7, 0.7, 0.0], [1.0, 1.0, 1.0]))
-        assert d == 0.0
+        b = belief_vector([0.7, 0.7, 0.0], [1.0, 1.0, 1.0])
+        assert distance_squared(b.means, b.post_vars) == 0.0
 
     def test_scale_invariance(self):
         b = belief_vector([2.0, 1.0, -1.0], [1.0, 0.5, 2.0])
         c = 3.0
         scaled = belief_vector(b.means * c, b.post_vars * c**2, b.sampling_vars, b.counts)
-        d_others, d = distance_feature(b)
-        d_others_s, d_s = distance_feature(scaled)
-        np.testing.assert_allclose(d_others_s, d_others, rtol=1e-12)
-        assert d_s == pytest.approx(d, rel=1e-12)
+        assert distance_squared(scaled.means, scaled.post_vars) == pytest.approx(
+            distance_squared(b.means, b.post_vars), rel=1e-12)
 
     def test_degenerate_pair_rejected(self):
-        with pytest.raises(ValueError):
-            distance_feature(belief_vector([1.0, 1.0], [0.0, 0.0]))
+        b = belief_vector([1.0, 1.0], [0.0, 0.0])
+        assert np.isnan(distance_squared(b.means, b.post_vars))
+        with pytest.raises(ValueError, match="degenerate state"):
+            features(b)
 
 
 class TestInducedCorrelation:
+    """The squared correlation the incumbent induces between two challengers' gaps: the
+    correlation feature of a three-alternative state."""
+
     def test_equal_variances_half(self):
         b = belief_vector([1.0, 0.0, -1.0], [0.8, 0.8, 0.8])
-        assert induced_correlation(b, 1, 2) == pytest.approx(0.5, rel=1e-12)
+        assert state_features(b.means, b.post_vars)[1] == pytest.approx(0.25, rel=1e-12)
 
     def test_vanishing_incumbent_variance(self):
         b = belief_vector([1.0, 0.0, -1.0], [0.0, 0.8, 0.8])
-        assert induced_correlation(b, 1, 2) == 0.0
+        assert state_features(b.means, b.post_vars)[1] == 0.0
 
     def test_zero_challenger_variances_one(self):
         b = belief_vector([1.0, 0.0, -1.0], [0.8, 0.0, 0.0])
-        assert induced_correlation(b, 1, 2) == pytest.approx(1.0, rel=1e-12)
-
-    def test_incumbent_index_rejected(self):
-        b = belief_vector([1.0, 0.0, -1.0], [0.8, 0.8, 0.8])
-        with pytest.raises(ValueError):
-            induced_correlation(b, 0, 2)
+        assert state_features(b.means, b.post_vars)[1] == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFeatures:
@@ -750,8 +685,8 @@ class TestOptimalRatios:
 
 class TestOcba:
     def test_two_alternative_ratio(self):
-        ratios = ocba_ratios([1.0, 0.0], [2.0, 1.0])
-        assert ratios.ratios[0] / ratios.ratios[1] == pytest.approx(2.0, rel=1e-12)
+        ratios = ocba_ratio_core(np.array([1.0, 0.0]), np.array([2.0, 1.0]) ** 2)
+        assert ratios[0] / ratios[1] == pytest.approx(2.0, rel=1e-12)
 
     def test_ratios_sum_to_one(self):
         rng = np.random.default_rng(18)
@@ -759,8 +694,8 @@ class TestOcba:
             k = int(rng.integers(2, 8))
             means = rng.normal(size=k)
             means[0] += 2.0
-            ratios = ocba_ratios(means, rng.uniform(0.2, 3.0, size=k))
-            assert abs(ratios.ratios.sum() - 1.0) < 1e-10
+            ratios = ocba_ratio_core(means, rng.uniform(0.2, 3.0, size=k) ** 2)
+            assert abs(ratios.sum() - 1.0) < 1e-10
 
     @pytest.mark.parametrize("means, stds", [
         ([1.0, 0.0], [1e200, 1.0]),             # the incumbent's variance overflows
@@ -769,26 +704,23 @@ class TestOcba:
     def test_non_finite_ratios_rejected(self, means, stds):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(ValueError, match="ratios must be finite"):
-                ocba_ratios(means, stds)
+            ratios = ocba_ratio_core(np.array(means), np.array(stds) ** 2)
+        with pytest.raises(ValueError, match="ratios must be finite"):
+            RatioVector(ratios)
 
     @pytest.mark.parametrize("ratios", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
     def test_ratio_vector_rejects_non_finite(self, ratios):
         with pytest.raises(ValueError, match="ratios must be finite"):
             RatioVector(np.array(ratios))
 
-    def test_zero_gap_guard_warns(self):
-        with pytest.warns(RuntimeWarning):
-            ocba_ratios([1.0, 1.0, 0.0], [1.0, 1.0, 1.0])
-
     def test_deficits_vanish_at_proportional_counts(self):
         """Counts exactly proportional to the target ratios leave every
         deficit at zero; the tie then goes to the lowest index."""
-        from ranksel.policies import argmax_with_tiebreak, ocba_deficits, ocba_ratio_core
+        from ranksel.policies import ocba_deficits
 
         means = np.array([1.0, 0.3, 0.0])
         svars = np.array([1.0, 2.0, 0.5])
-        ratios, _ = ocba_ratio_core(means, svars)
+        ratios = ocba_ratio_core(means, svars)
         total = float(ratios.sum()) * 120.0
         counts = total * ratios / ratios.sum()
         deficits = ocba_deficits(means, svars, counts)
@@ -815,11 +747,11 @@ class TestKnowledgeGradient:
     def test_factors_nonnegative(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
-            assert np.all(kg_factors(random_belief_vector(rng)) >= 0)
+            assert np.all(kg_values(random_belief_vector(rng)) >= 0)
 
     def test_factor_matches_monte_carlo(self):
         b = belief_vector([0.3, 0.0], [0.8, 0.5], sampling_vars=[1.0, 2.0])
-        factors = kg_factors(b)
+        factors = kg_values(b)
         rng = np.random.default_rng(20)
         n = 10**6
         z = rng.standard_normal(n)
@@ -833,10 +765,11 @@ class TestKnowledgeGradient:
             se = improvement.std(ddof=1) / math.sqrt(n)
             assert abs(factors[i] - mc) < 3 * se
 
-    def test_all_zero_variance_rejected(self):
-        b = belief_vector([1.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            kg_factors(b)
+    def test_all_zero_variance_scores_zero(self):
+        """No alternative can learn, so every value is 0 and the tie-break decides."""
+        b = belief_vector([1.0, 0.0], [0.0, 0.0], counts=[2, 1])
+        assert kg_values(b).tolist() == [0.0, 0.0]
+        assert decide(make_policy("kg"), b, 0) == 1
 
 
 def ea_decision(t, k):
@@ -930,7 +863,7 @@ def alternative_last_ocba_ratios(means, svars):
     raw = np.where(is_b, 0.0, svars / np.maximum(gaps, floor) ** 2)
     r_b = np.sqrt(np.take_along_axis(svars, b, -1)[:, 0]) * np.sqrt((raw**2 / svars).sum(axis=-1))
     raw = np.where(is_b, r_b[:, None], raw)
-    return raw / raw.sum(axis=-1, keepdims=True), bool(np.any((gaps <= floor) & ~is_b))
+    return raw / raw.sum(axis=-1, keepdims=True)
 
 
 class TestAlternativeMajorReductions:
@@ -960,10 +893,8 @@ class TestAlternativeMajorReductions:
         means = data.draw(hnp.arrays(float, (n, k), elements=st.sampled_from([0.0, 0.5, 1.0])
                                      | st.floats(-2.0, 2.0)))
         svars = data.draw(hnp.arrays(float, (n, k), elements=st.floats(0.1, 4.0)))
-        ratios, guarded = ocba_ratio_core(np.ascontiguousarray(means.T),
-                                          np.ascontiguousarray(svars.T))
-        want, want_guarded = alternative_last_ocba_ratios(means, svars)
-        assert ratios.T.tobytes() == want.tobytes() and guarded == want_guarded
+        ratios = ocba_ratio_core(np.ascontiguousarray(means.T), np.ascontiguousarray(svars.T))
+        assert ratios.T.tobytes() == alternative_last_ocba_ratios(means, svars).tobytes()
 
     @pytest.mark.parametrize("k", K + [64, 129, 300])
     def test_sum_keeps_pairwise_order(self, k):
