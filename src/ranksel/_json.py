@@ -21,10 +21,11 @@ def check_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def check_ints(obj, names: str) -> None:
-    """Raise ValueError unless each named field of ``obj``, a settings object, is ``is_int``."""
-    for name in names.split():
-        check_int(getattr(obj, name), name)
+def check_size(value, name: str) -> None:
+    """``check_int``, and below 2^63: no array, list or range is longer."""
+    check_int(value, name)
+    if value >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got {value!r}")
 
 
 def is_positive_int(x) -> bool:

@@ -10,16 +10,20 @@ observations and therefore order-free.  States are keyed by those counts.
 history (forward pass) and then runs backward induction, one level (number
 of samples taken) at a time on arrays.  With D = sum of the support sizes,
 column ``d = s_0 + ... + s_{i-1} + j`` stands for outcome j of alternative
-i.  Level t holds its S_t states as an (S_t, D) integer count matrix and
-their unnormalized posterior weights as an (S_t, r) array; its children
-are every parent row plus one unit vector, in parent-major then column
-order, minus those of zero predictive probability, deduplicated by first
-occurrence.  An (S_t, D) table maps each (state, column) to its child's
-row at level t + 1, or -1 when pruned; the backward pass gathers child
-values through it.  Sums over prior points run left to right, so every
-value equals that of the per-state recursion bit for bit.  The result,
-``SolvedPolicy``, keeps these count matrices, with value and action arrays
-aligned with their rows.
+i.  Level t holds its S_t states as an (S_t, D) count matrix and their
+unnormalized posterior weights as an (S_t, r) array; counts are kept in
+the narrowest signed integer type that holds the horizon (int8 up to
+127, int16 up to 2^15 - 1).  A level's children are every parent row
+plus one unit vector, in parent-major then column order, minus those of
+zero predictive probability, deduplicated by first occurrence.  An
+(S_t, D) table maps each (state, column) to its child's row at level
+t + 1, or -1 when pruned, in the narrowest signed type that holds the
+final level's state count; with the (S_t, D) predictive table it is
+freed as soon as the backward pass has gathered child values through
+it.  Sums over prior points run left to right, so every value equals
+that of the per-state recursion bit for bit.  The result,
+``SolvedPolicy``, keeps these count matrices, with value and action
+arrays aligned with their rows.
 
 An independent oracle, ``brute_force_value``, evaluates the same problem
 by exhaustive expectimax over raw observation histories, never collapsing
@@ -59,7 +63,7 @@ __all__ = [
 
 _PMF_TOL = 1e-12
 _PATH_CAP = 10**5  # most raw histories brute_force_value expands, (k * s_max)^T
-_MAX_PRIOR_POINTS = 10**5  # largest product grid discretize_prior builds
+_MAX_GRID = 10**5  # most prior points, and most observation cells, discretize_prior builds
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +219,11 @@ class SolvedPolicy:
     ``counts[t]`` is the (S_t, D) count matrix of the reachable states
     with ``t`` samples, in order of discovery; a row holds the outcome
     counts of every alternative side by side, ``support_sizes[i]`` columns
-    for alternative i.  ``values[t]`` (t = 0..horizon) and
-    ``allocation[t]`` (t < horizon, the alternative to sample next) are
-    aligned with those rows, and so is ``selection``, the alternative to
-    select at each terminal state.  Argmax ties break toward the lowest
+    for alternative i, in the narrowest signed integer type that holds
+    ``horizon`` (int8 up to 127, int16 up to 2^15 - 1).  ``values[t]``
+    (t = 0..horizon) and ``allocation[t]`` (t < horizon, the alternative
+    to sample next) are aligned with those rows, and so is ``selection``,
+    the alternative to select at each terminal state.  Argmax ties break toward the lowest
     alternative index.  ``row`` finds a state's row.
     """
 
@@ -305,6 +310,11 @@ def _first_occurrences(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(heads), index
 
 
+def _signed_type(n: int) -> np.dtype:
+    """Narrowest signed integer type that holds 0..n (int8 to 127, int16 to 2^15 - 1)."""
+    return np.min_scalar_type(-n - 1)
+
+
 def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) -> SolvedPolicy:
     """Backward induction over reachable count states up to ``horizon``.
 
@@ -336,7 +346,8 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     # Forward pass.  Unnormalized posterior weights propagate incrementally:
     # appending outcome j of alternative i multiplies weight m by q[m, offset(i) + j].
     # A child keeps the weights of the first (parent, column) that reaches it.
-    counts = [np.zeros((1, n_cols), dtype=np.int64)]
+    counts = [np.zeros((1, n_cols), dtype=_signed_type(horizon))]
+    row_type = _signed_type(n_states)  # no level has more rows than the last
     weights = model.prior_pmf[None]
     preds: list[np.ndarray] = []
     children: list[np.ndarray] = []
@@ -347,7 +358,7 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
         cand = counts[-1][parent]
         cand[np.arange(len(reached)), col] += 1
         first, index = _first_occurrences(cand)
-        child = np.full(pred.size, -1, dtype=np.intp)
+        child = np.full(pred.size, -1, dtype=row_type)
         child[reached] = index
         preds.append(pred)
         children.append(child.reshape(pred.shape))
@@ -363,7 +374,7 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     # Backward induction over allocations.
     allocation_arr: list[np.ndarray] = [None] * horizon
     for t in range(horizon - 1, -1, -1):
-        pred, child = preds[t], children[t]
+        pred, child = preds.pop(), children.pop()  # level t's, freed once consumed
         terms = np.where(child >= 0, pred * level_values[t + 1][child], 0.0)
         scores = np.zeros((len(pred), model.k))
         for d, i in enumerate(alternative):  # from 0.0 over outcomes j, left to right
@@ -522,27 +533,37 @@ def discretize_prior(
     Each marginal prior is replaced by an equal-probability-mass quantile
     grid with ``grid_points`` cells; the joint prior support is the product
     grid.  For normal sampling, observations are additionally binned into
-    ``obs_grid_points`` cells of the marginal predictive distribution.
-    The result is an approximation whose quality improves with grid size.
+    ``obs_grid_points`` cells (default ``grid_points``) of the marginal
+    predictive distribution.  The result is an approximation whose quality
+    improves with grid size.  A product grid of more than 10^5 prior
+    points, or more than 10^5 observation cells, raises RuntimeError.
     """
     check_int(grid_points, "grid_points")
     if obs_grid_points is not None:
         check_int(obs_grid_points, "obs_grid_points")
-    from scipy import stats  # lazy: slow to import, and nothing else here needs it
-
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
+    if not isinstance(spec, (BernoulliPriorSpec, NormalPriorSpec)):
+        raise ValueError(f"unsupported prior family: {type(spec).__name__}")
+    normal = isinstance(spec, NormalPriorSpec)
+    if int(grid_points) ** len(spec.prior_means if normal else spec.alphas) > _MAX_GRID:
+        raise RuntimeError(f"product prior grid exceeds {_MAX_GRID} points")
+    if normal:
+        obs_points = grid_points if obs_grid_points is None else obs_grid_points
+        if obs_points < 2:
+            raise ValueError("obs_grid_points must be >= 2")
+        if obs_points > _MAX_GRID:
+            raise RuntimeError(f"observation grid exceeds {_MAX_GRID} cells")
+    from scipy import stats  # lazy: slow to import, and nothing else here needs it
+
     mids = (2 * np.arange(grid_points) + 1) / (2 * grid_points)
     # Each family gives, per alternative, its prior quantiles at the cell midpoints, its
     # outcome support and a table whose row m is the outcome pmf at the m-th quantile.
-    if isinstance(spec, BernoulliPriorSpec):
+    if not normal:
         grids = [stats.beta.ppf(mids, a, b) for a, b in zip(spec.alphas, spec.betas)]
         support = [(0.0, 1.0)] * len(grids)
         tables = [np.column_stack([1.0 - p, p]) for p in grids]
-    elif isinstance(spec, NormalPriorSpec):
-        obs_points = obs_grid_points or grid_points
-        if obs_points < 2:
-            raise ValueError("obs_grid_points must be >= 2")
+    else:
         grids = [stats.norm.ppf(mids, m, s) for m, s in zip(spec.prior_means, spec.prior_stds)]
         # Observations are binned into equal-mass cells of the marginal predictive.  Its
         # quantiles at every half cell alternate cell midpoints (the outcome support) and
@@ -554,10 +575,6 @@ def discretize_prior(
             edges = np.concatenate([[-np.inf], q[1::2], [np.inf]])
             support.append(q[::2])
             tables.append(np.diff(stats.norm.cdf((edges - grid[:, None]) / sd), axis=1))
-    else:
-        raise ValueError(f"unsupported prior family: {type(spec).__name__}")
-    if grid_points ** len(grids) > _MAX_PRIOR_POINTS:
-        raise RuntimeError(f"product prior grid exceeds {_MAX_PRIOR_POINTS} points")
     # The product grid's points in row-major order and, alongside, their (r, k, s) pmfs.
     index = np.indices((grid_points,) * len(grids)).reshape(len(grids), -1)
     prior_points = list(zip(*(grid[ix].tolist() for grid, ix in zip(grids, index))))

@@ -35,8 +35,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import policies as pol
-from ._json import (anything, check_ints, field, fields, is_int, is_list, is_number, is_numbers,
-                    is_object, is_positive_int, is_str)
+from ._json import (anything, check_int, check_size, field, fields, is_int, is_list, is_number,
+                    is_numbers, is_object, is_positive_int, is_str)
 from .beliefs import GroundTruth, _posterior, posterior_arrays, sample_variances
 from .vfa import SaConfig, VfaWeights, gmcl_fit, load_weights
 
@@ -77,7 +77,9 @@ class Scenario:
     def __post_init__(self) -> None:
         for name in ("prior_means", "prior_stds", "sampling_stds"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        check_ints(self, "horizon n0 macro_reps master_seed")
+        for name in ("horizon", "n0", "macro_reps"):
+            check_size(getattr(self, name), name)
+        check_int(self.master_seed, "master_seed")
         k = self.k
         if k < 2:
             raise ValueError("need at least two alternatives")
@@ -201,8 +203,6 @@ _MASK32 = 2**32 - 1
 def _uint32_words(values: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """SeedSequence's 32-bit words of non-negative integers as columns, low first, and
     counts; split in ``uint64`` arithmetic, or on Python integers if one is 2^64 or more."""
-    if min(values, default=0) < 0:
-        raise ValueError("expected non-negative integer")  # as SeedSequence
     values = np.array(values, dtype=np.uint64 if max(values, default=0) < 2**64 else object)
     columns, counts = [(values & _MASK32).astype(np.uint32)], np.ones(len(values), dtype=int)
     while (values := values >> 32).any():
@@ -258,13 +258,16 @@ def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.
     """Row r: the first ``width`` normals of ``PCG64(SeedSequence([master_seed, namespace, i_r]))``.
 
     One vectorized SeedSequence pass computes every row's seed words, and NumPy seeds
-    the row's own PCG64 from them.  A seed, namespace or index that is not ``is_int`` raises.
+    the row's own PCG64 from them.  A seed, namespace or index that is not a non-negative
+    ``is_int`` raises, naming it.
     """
     indices = list(indices)
     for name, value in [("seed", master_seed), ("namespace", namespace)] + [
             ("replication index", i) for i in indices]:
         if not is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"expected non-negative integer {name}, got {value!r}")
     prefix = [column[0] for value in (master_seed, namespace)
               for column in _uint32_words([int(value)])[0]]
     columns, counts = _uint32_words([int(i) for i in indices])
@@ -397,6 +400,7 @@ def estimate_ipcs(
     Replication indices are split into fixed batches of ``_CHUNK`` whose rows
     carry their own generators, so estimates are identical for any worker count.
     """
+    check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     score_fn = pol.make_policy(policy_id, weights)
@@ -458,6 +462,7 @@ def run_fixed_truths(
     """
     if not is_int(steps) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    check_size(steps, "steps")
     score_fn = pol.make_policy(policy_id)
     means = np.stack([t.means for t in truths], axis=1)
     svars = np.stack([t.variances for t in truths], axis=1)

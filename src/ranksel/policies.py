@@ -31,7 +31,7 @@ defined once, as a score function ``score(state, t) -> (k, ...)``;
 ``POLICIES`` maps policy ids to them and ``make_policy`` resolves an id.
 ``decide`` turns scores into the sampled alternative of every state, so
 one state is decided as a batch is: ``decide(make_policy(id, weights), b, t)``.
-Only kg and ``optimal_ratios`` load SciPy, on first use.
+Only kg loads SciPy (``scipy.special``), on first use.
 """
 
 from __future__ import annotations
@@ -625,12 +625,68 @@ def optimal_ratios(truth: GroundTruth) -> tuple[RatioVector, int]:
     elif excess(hi) >= 0.0:
         t, iters = hi, 0
     else:
-        from scipy.optimize import brentq
-        t, info = brentq(excess, lo, hi, xtol=math.ulp(lo), full_output=True)
-        iters = info.iterations
+        t, iters = _brentq(excess, lo, hi, math.ulp(lo))
     ratios = np.ones(len(truth.means))
     ratios[others] = sig * w(t)
     return RatioVector(ratios / ratios.sum()), iters
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> tuple[float, int]:
+    """Root of ``f`` in [xa, xb] by Brent's method, and the iteration count.
+
+    A step-for-step port of SciPy's ``brentq`` (``Zeros/brentq.c``) at its
+    defaults, rtol = 4 eps and 100 iterations: the same root bits, iteration
+    count and errors (ValueError on a NaN value or on f(xa), f(xb) of one
+    sign; RuntimeError if not converged).  A bracket end that is a root
+    returns at once with count 0, where SciPy leaves its count unset.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):  # neither is 0 or NaN, so this is C's signbit test
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    rtol, maxiter = 4.0 * math.ulp(1.0), 100  # ulp(1) is eps
+    for iters in range(1, maxiter + 1):
+        if (fpre < 0.0) != (fcur < 0.0):  # fcur != 0 here, and fpre was an earlier fcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iters
+        stry = math.nan  # fails the short-step test below, as C's x/0 steps do
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):  # C's MIN
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def ratio_residuals(truth: GroundTruth, ratios: RatioVector) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._json import anything, check_ints, fields, is_numbers, read_object
+from ._json import anything, check_int, check_size, fields, is_numbers, read_object
 from .policies import _activation, _two_factor_score
 
 __all__ = [
@@ -69,7 +69,8 @@ class SaConfig:
     activation: str = "linear"
 
     def __post_init__(self) -> None:
-        check_ints(self, "iterations seed")
+        check_size(self.iterations, "iterations")
+        check_int(self.seed, "seed")
         if not 0 < self.step_scale < np.inf:
             raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
         if not 0.5 < self.step_exponent <= 1.0:

@@ -5,7 +5,16 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import ranksel
+from ranksel.beliefs import GroundTruth
+from ranksel.exact import DiscreteModel, NormalPriorSpec, discretize_prior, solve_bellman
+from ranksel.experiment import Scenario, estimate_ipcs, replication_features, run_fixed_truths
+from ranksel.vfa import SaConfig, gmcl_fit
 
 # Every library module's ``__all__``, in order.  A new public name fails this
 # test until it is added here on purpose; a stale one fails it too.
@@ -145,3 +154,93 @@ def test_public_names_match_allowlist():
            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(top) == 46
     assert all(exported.get(name) is value for name, value in top.items())
+
+
+# The integer rule at the Python entry points, on tiny inputs.  Each integer argument:
+# the names its error messages may use, and a call with a value in its place.
+TINY = Scenario(prior_means=(0.0, 0.5), prior_stds=(1.0, 1.0), sampling_stds=(1.0, 2.0),
+                horizon=6, n0=2, macro_reps=8, master_seed=3)
+TRUTH = GroundTruth(means=[0.0, 1.0], variances=[1.0, 4.0])
+MODEL = DiscreteModel(support=[(0.0, 1.0), (0.0, 1.0)], prior_points=["a", "b"],
+                      prior_pmf=[0.4, 0.6],
+                      sampling_pmf=[[(0.2, 0.8), (0.7, 0.3)], [(0.6, 0.4), (0.1, 0.9)]])
+SPEC = NormalPriorSpec(prior_means=(0.0, 0.2), prior_stds=(1.0, 1.0), sampling_stds=(1.0, 2.0))
+INTEGER_ARGUMENTS = {
+    "estimate_ipcs(workers)": (("workers",), lambda v: estimate_ipcs(TINY, "ea", workers=v)),
+    "replication_features(indices)": (
+        ("replication index",), lambda v: replication_features(TINY, "aoap", [1, v])),
+    "replication_features(namespace)": (
+        ("namespace",), lambda v: replication_features(TINY, "aoap", [0, 1], namespace=v)),
+    "run_fixed_truths(steps)": (("steps",), lambda v: run_fixed_truths([TRUTH], "aoap", v)),
+    "run_fixed_truths(seed)": (
+        ("seed",), lambda v: run_fixed_truths([TRUTH], "aoap", 3, seed=v)),
+    "gmcl_fit(horizon)": (
+        ("horizon",), lambda v: gmcl_fit(TINY, horizon=v, config=SaConfig(iterations=3))),
+    "SaConfig(iterations)": (
+        ("iterations",), lambda v: gmcl_fit(TINY, config=SaConfig(iterations=v))),
+    "SaConfig(seed)": (("seed",), lambda v: gmcl_fit(TINY, config=SaConfig(iterations=3, seed=v))),
+    "solve_bellman(horizon)": (("horizon",), lambda v: solve_bellman(MODEL, v)),
+    "solve_bellman(state_cap)": (
+        ("state_cap", "state cap"), lambda v: solve_bellman(MODEL, 3, state_cap=v)),
+    "discretize_prior(grid_points)": (("grid_points",), lambda v: discretize_prior(SPEC, v)),
+    "discretize_prior(obs_grid_points)": (
+        ("obs_grid_points",), lambda v: discretize_prior(SPEC, 2, obs_grid_points=v)),
+}
+# Sizes from 0 to 5 run; sizes beyond 2^63, longer than any array, must not reach NumPy.
+# (Sizes in between would allocate, so they are not drawn.)
+INTEGER_INPUTS = st.one_of(
+    st.booleans(), st.floats(), st.integers(-(2**70), -1), st.integers(0, 5),
+    st.integers(2**63, 2**80), st.integers(-5, 5).map(np.int64),
+    st.integers(2**63, 2**64 - 1).map(np.uint64))
+
+
+def fingerprint(x):
+    """A comparable form of an entry point's result: arrays by dtype, shape and bytes."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(fingerprint, x))
+    if isinstance(x, dict):
+        return tuple((k, fingerprint(v)) for k, v in x.items())
+    if hasattr(x, "__dict__"):
+        return type(x).__name__, fingerprint(vars(x))
+    return x
+
+
+def outcome(call, value):
+    """The call's fingerprint, or the type and message of a ValueError or RuntimeError.
+    Any other exception (TypeError at ``range``, IndexError, OverflowError) fails."""
+    try:
+        return "ok", fingerprint(call(value))
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+@pytest.mark.parametrize("argument", list(INTEGER_ARGUMENTS))
+@given(value=INTEGER_INPUTS)
+@settings(max_examples=25, deadline=None)
+@example(value=True)
+@example(value=2.0)
+@example(value=-1)
+@example(value=2**63)
+@example(value=np.int64(3))
+def test_integer_arguments(argument, value):
+    """A bool, float or NumPy integer is never truncated or read as another integer: an
+    integer gives the outcome of the same Python integer, anything else raises a
+    ValueError naming the argument, and a range or size error names it too.  The one
+    other error is a size cap's RuntimeError (state space, prior or observation grid)."""
+    names, call = INTEGER_ARGUMENTS[argument]
+    got = outcome(call, value)
+    if is_integer(value):  # a message may show a NumPy integer's repr
+        shown = got if got[0] == "ok" else (got[0], got[1].replace(repr(value), str(int(value))))
+        assert shown == outcome(call, int(value))
+    if got[0] == "ok":
+        assert is_integer(value)
+    elif got[0] is ValueError:
+        assert any(name in got[1] for name in names), got
+    else:
+        assert is_integer(value) and "exceeds" in got[1], got

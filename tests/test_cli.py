@@ -229,6 +229,29 @@ class TestOptimalRatios:
             "iterations: 0",
         ]
 
+    # Recorded with scipy.optimize.brentq as the root finder; the port keeps every byte.
+    @pytest.mark.parametrize("means,stds,stdout", [
+        ("1,0,-0.5", "1,2,1", ["ratios: 0.3182568306,0.6270408971,0.05470227228",
+                               "residuals: rate_spread=1.682e-16 incumbent_defect=0.000e+00",
+                               "iterations: 6"]),
+        # c03's three truths, as standard deviations.
+        ("4,3,2,1,0", "1,1,1,1,1", [
+            "ratios: 0.4504558367,0.4448895011,0.06389401983,0.02632304214,0.01443760025",
+            "residuals: rate_spread=1.117e-16 incumbent_defect=0.000e+00",
+            "iterations: 7"]),
+        ("4,3,2,1,0", "2,1,1.5,1,2.5", [
+            "ratios: 0.5907834911,0.291411651,0.06610201474,0.01175785793,0.03994498531",
+            "residuals: rate_spread=0.000e+00 incumbent_defect=2.220e-16",
+            "iterations: 8"]),
+        ("2,1.6,1.2,0.8,0", "1,1.5,0.8,1.2,2", [
+            "ratios: 0.3712862897,0.5535835301,0.02629662131,0.0247735283,0.02406003055",
+            "residuals: rate_spread=4.178e-16 incumbent_defect=2.220e-16",
+            "iterations: 7"]),
+    ])
+    def test_pinned_stdout(self, means, stds, stdout):
+        res = run_cli("optimal-ratios", "--means", means, "--stds", stds)
+        assert (res.returncode, res.stderr, res.stdout.splitlines()) == (0, "", stdout)
+
     @pytest.mark.parametrize("means,stds,message", [
         ("1,0", "1e200,1", "--stds must be positive, with squares in the float range"),
         ("1,0,-1e200", "1,1,1", "optimal ratios need gap and std ratios within the float range"),
@@ -995,12 +1018,24 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(stages))
 """
 
+# Run in a fresh interpreter: an optimal-ratios run whose root finder iterates, then the
+# scipy modules loaded.
+RATIOS_ONLY = """
+import contextlib, io, sys
+import ranksel.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert ranksel.cli.main(["optimal-ratios", "--means", "1,0,-0.5", "--stds", "1,2,1"]) == 0
+print(out.getvalue().splitlines()[-1])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
 
 class TestImport:
     def test_scipy_loaded_only_on_first_use(self, tmp_path):
         """Importing the package and the CLI loads no SciPy module, and neither do the
-        policies and the exact solver that call none; kg loads scipy.special only, the
-        ratio root find scipy.optimize, and no run loads scipy.integrate."""
+        policies and the exact solver that call none; kg loads scipy.special only, and
+        no run loads scipy.optimize or scipy.integrate."""
         config = json.loads(small_config(tmp_path, out_name="a.csv").read_text())
         config["policies"] = ["ea", "ocba", "aoap", "aoap_ms2",
                               {"id": "two_factor", "fit": {"iterations": 4}}]
@@ -1016,6 +1051,12 @@ class TestImport:
         assert stages["import"] == [] and stages["run"] == []
         assert "scipy.special" in stages["kg"]
         assert not [m for m in stages["kg"] if m.startswith("scipy.optimize")], stages["kg"]
-        assert "scipy.optimize" in stages["optimal-ratios"]
+        assert not [m for m in stages["optimal-ratios"] if m.startswith("scipy.optimize")]
         assert not [m for stage in stages.values() for m in stage
                     if m.startswith("scipy.integrate")], stages
+
+    def test_optimal_ratios_loads_no_scipy(self):
+        """The ratio root finder is the package's own: a run that iterates loads no SciPy."""
+        res = subprocess.run([sys.executable, "-c", RATIOS_ONLY], capture_output=True, text=True,
+                             env=SRC_ENV)
+        assert (res.returncode, res.stdout.splitlines()) == (0, ["iterations: 6", "[]"]), res.stderr

@@ -25,6 +25,7 @@ from ranksel.exact import (
     state_space_size,
     terminal_value,
 )
+from ranksel.exact import _signed_type
 
 
 def two_point_model(p_high=0.8, p_low=0.2, reward="PCS"):
@@ -538,6 +539,29 @@ class TestSolver:
         assert type(policy.selection_at(reachable)) is int
         assert type(policy.allocation_at(0, model.empty_state())) is int
 
+    @pytest.mark.parametrize("count", [257, 2**64 + 1, 2**70])
+    def test_count_beyond_the_narrow_type_raises_key_error(self, count):
+        """Counts are int8 at horizon 2.  257 and 2^64 + 1 would wrap to the reachable
+        count 1, and 2^70 overflows even an int64: no such state is found."""
+        model = two_point_model()
+        policy = solve_bellman(model, 2)
+        assert policy.counts[1].dtype == np.int8
+        assert policy.row(1, DiscreteState(((0, 1), (0, 0)))) >= 0
+        state = DiscreteState(((0, count), (0, 0)))
+        with pytest.raises(KeyError):
+            policy.row(1, state)
+        with pytest.raises(KeyError):
+            policy.allocation_at(1, state)
+
+    @pytest.mark.parametrize("n, dtype", [
+        (0, np.int8), (127, np.int8), (128, np.int16), (2**15 - 1, np.int16),
+        (2**15, np.int32), (2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_narrowest_signed_type_holds_the_bound(self, n, dtype):
+        """The solver's count and child-row type: the narrowest that holds n, chosen
+        without solving a horizon that large."""
+        assert _signed_type(n) == dtype
+        assert np.iinfo(_signed_type(n)).max >= n
+
 
 class TestStateSpaceSize:
     def test_no_samples_single_state(self):
@@ -648,6 +672,27 @@ class TestDiscretizePrior:
         with pytest.raises(ValueError):
             discretize_prior(object(), 5)
 
+    @pytest.mark.parametrize("obs_grid_points", [0, 1, -3])
+    def test_obs_grid_below_two_rejected(self, obs_grid_points):
+        """0 used to fall back to ``grid_points`` cells, as if it were not given."""
+        spec = NormalPriorSpec(prior_means=(0.0, 0.2), prior_stds=(1.0, 1.0),
+                               sampling_stds=(1.0, 1.0))
+        with pytest.raises(ValueError, match="obs_grid_points must be >= 2"):
+            discretize_prior(spec, 3, obs_grid_points=obs_grid_points)
+
+    @pytest.mark.parametrize("grid_points, obs_grid_points, message", [
+        (2**70, None, "product prior grid exceeds 100000 points"),
+        (317, None, "product prior grid exceeds 100000 points"),  # 317^2 > 10^5
+        (3, 2**70, "observation grid exceeds 100000 cells"),
+        (3, 10**5 + 1, "observation grid exceeds 100000 cells"),
+    ])
+    def test_grid_caps_checked_before_any_array(self, grid_points, obs_grid_points, message):
+        """A grid of 2^70 points used to fail inside NumPy's ``arange``."""
+        spec = NormalPriorSpec(prior_means=(0.0, 0.2), prior_stds=(1.0, 1.0),
+                               sampling_stds=(1.0, 1.0))
+        with pytest.raises(RuntimeError, match=message):
+            discretize_prior(spec, grid_points, obs_grid_points=obs_grid_points)
+
     def test_bernoulli_golden(self):
         """Exact model of a small Beta prior, pinned bit for bit."""
         model = discretize_prior(BernoulliPriorSpec((1.0, 2.0), (1.0, 1.0)), 2)
@@ -704,7 +749,7 @@ def reference_discretize(spec, grid_points, obs_grid_points=None):
             return (1.0 - p, p)
 
     else:
-        obs_points = obs_grid_points or grid_points
+        obs_points = grid_points if obs_grid_points is None else obs_grid_points
         ppfs = [stats.norm(m, s).ppf for m, s in zip(spec.prior_means, spec.prior_stds)]
         support, boundaries = [], []
         for m, s, sd in zip(spec.prior_means, spec.prior_stds, spec.sampling_stds):

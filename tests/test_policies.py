@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
@@ -17,6 +17,8 @@ from ranksel.policies import (
     BeliefVector,
     RatioVector,
     _argmax,
+    _brentq,
+    _ratio_terms,
     _sum_alternatives,
     aoap_candidate_values,
     aoap_multistep_values,
@@ -671,6 +673,21 @@ class TestOptimalRatios:
         np.testing.assert_allclose(got.ratios, ratios, rtol=1e-12, atol=0)
         assert ratio_residuals(truth, got) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("means, variances, ratios, iterations", [
+        ([4.0, 3.0, 2.0, 1.0, 0.0], [1.0] * 5, [0.4504558366830608, 0.44488950109393466,
+         0.06389401982532819, 0.02632304214345578, 0.01443760025422072], 7),
+        ([4.0, 3.0, 2.0, 1.0, 0.0], [4.0, 1.0, 2.25, 1.0, 6.25], [0.5907834910557035,
+         0.2914116509623158, 0.06610201473976554, 0.011757857928336904,
+         0.039944985313878335], 8),
+        ([2.0, 1.6, 1.2, 0.8, 0.0], [1.0, 2.25, 0.64, 1.44, 4.0], [0.37128628972781014,
+         0.5535835301226019, 0.026296621305595385, 0.024773528296905267,
+         0.024060030547087535], 7),
+    ])
+    def test_c03_truths_pinned(self, means, variances, ratios, iterations):
+        """c03's truths, recorded with scipy.optimize.brentq as the root finder."""
+        got, iters = optimal_ratios(GroundTruth(means=means, variances=variances))
+        assert (got.ratios.tolist(), iters) == (ratios, iterations)
+
     def test_tied_best_rejected(self):
         truth = GroundTruth(means=[1.0, 1.0, 0.0], variances=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
@@ -681,6 +698,92 @@ class TestOptimalRatios:
         truth = GroundTruth(means=[1.0, 0.0, -1e200], variances=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="within the float range"):
             optimal_ratios(truth)
+
+
+
+def ratio_excess(truth):
+    """optimal_ratios' excess function sum w_i^2 - 1 and its bracket (lo, hi)."""
+    _, _, q, sig = _ratio_terms(truth)
+
+    def excess(t):
+        return float(np.square(sig / ((q - 1.0) + q * t)).sum()) - 1.0
+
+    return excess, float(np.max((sig - (q - 1.0)) / q)), math.hypot(*sig)
+
+
+@st.composite
+def interior_root_truths(draw):
+    """k = 3..11 means scaled by 10^[-3, 3] and variances in 10^[-4, 4], kept when the
+    root of the excess lies strictly inside the bracket, so the root finder runs."""
+    k = draw(st.integers(3, 11))
+    means = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    log_vars = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k)))
+    truth = GroundTruth(means=means * scale, variances=10.0 ** log_vars)
+    try:
+        excess, lo, hi = ratio_excess(truth)
+    except ValueError:  # tied or out-of-range gaps
+        assume(False)
+    assume(excess(lo) > 0.0 > excess(hi))
+    return truth
+
+
+def scipy_brentq(f, a, b, xtol):
+    root, info = brentq(f, a, b, xtol=xtol, full_output=True)
+    return root, info.iterations
+
+
+def outcome(solver, f, a, b, xtol):
+    try:
+        root, iters = solver(f, a, b, xtol)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+    return root.hex(), iters
+
+
+class TestBrentq:
+    """``_brentq`` against ``scipy.optimize.brentq``: the root's bits, the iteration
+    count and the errors."""
+
+    @given(truth=interior_root_truths())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_on_ratio_brackets(self, truth):
+        excess, lo, hi = ratio_excess(truth)
+        root, iters = _brentq(excess, lo, hi, math.ulp(lo))
+        want, want_iters = scipy_brentq(excess, lo, hi, math.ulp(lo))
+        assert (root.hex(), iters) == (want.hex(), want_iters)
+        assert optimal_ratios(truth)[1] == iters
+
+    @pytest.mark.parametrize("f, a, b, xtol", [
+        (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 1e-12),
+        (lambda x: x**3 - 2 * x - 5, -1.95, 2.79, 1e-12),  # a step C's MIN(spre, bound) rejects
+        (lambda x: math.tanh(50 * (x - 0.1)), -3.0, 2.0, 1e-300),
+        (lambda x: math.copysign(1.0, x - 0.3), -1.0, 2.0, 1e-300),  # flat: steps divide by 0
+        (lambda x: 1e-300 * (x - 0.123), 1.0, -1.0, 1e-12),  # reversed bracket
+        (lambda x: (x - 0.2) ** 5, -1.0, 2.0, 1e-300),  # 100 iterations do not converge
+        (lambda x: x - 0.7, 1.0, 2.0, 1e-12),  # sign error
+        (lambda x: math.nan, 0.0, 1.0, 1e-12),  # NaN at a bracket end
+        (lambda x: math.nan if 0.5 < x < 1.0 else x - 0.7, 0.0, 1.0, 1e-12),  # NaN inside
+    ], ids=["cubic", "cubic-wide", "tanh", "flat-steps", "reversed", "no-convergence",
+            "sign-error", "nan-end", "nan-inside"])
+    def test_matches_scipy(self, f, a, b, xtol):
+        assert outcome(_brentq, f, a, b, xtol) == outcome(scipy_brentq, f, a, b, xtol)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
+            _brentq(lambda x: x - 0.7, 1.0, 2.0, 1e-12)
+        with pytest.raises(ValueError, match=r"^The function value at x=1.0 is NaN; solver"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+        with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+            _brentq(lambda x: (x - 0.2) ** 5, -1.0, 2.0, 1e-300)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0), (lambda x: x, -0.0, 1.0)],
+        ids=["root-at-a", "root-at-b", "root-at-minus-zero"])
+    def test_bracket_end_root_takes_no_iteration(self, f, a, b):
+        """SciPy returns the same end, but leaves its iteration count unset there."""
+        root, iters = _brentq(f, a, b, 1e-12)
+        assert (root.hex(), iters) == (scipy_brentq(f, a, b, 1e-12)[0].hex(), 0)
 
 
 class TestOcba:
