@@ -13,17 +13,21 @@ column ``d = s_0 + ... + s_{i-1} + j`` stands for outcome j of alternative
 i.  Level t holds its S_t states as an (S_t, D) count matrix and their
 unnormalized posterior weights as an (S_t, r) array; counts are kept in
 the narrowest signed integer type that holds the horizon (int8 up to
-127, int16 up to 2^15 - 1).  A level's children are every parent row
-plus one unit vector, in parent-major then column order, minus those of
-zero predictive probability, deduplicated by first occurrence.  An
-(S_t, D) table maps each (state, column) to its child's row at level
-t + 1, or -1 when pruned, in the narrowest signed type that holds the
-final level's state count; with the (S_t, D) predictive table it is
-freed as soon as the backward pass has gathered child values through
-it.  Sums over prior points run left to right, so every value equals
-that of the per-state recursion bit for bit.  The result,
-``SolvedPolicy``, keeps these count matrices, with value and action
-arrays aligned with their rows.
+127, int16 up to 2^15 - 1).  Every level lists its states in descending
+lexicographic order of their counts: ascending order of rank, a state's
+place among all count vectors of its sum in the combinatorial number
+system.  A level's children are every parent row plus one unit vector
+that has positive predictive probability; each child's rank follows from
+its parent's in closed form, one sort of those ranks finds the distinct
+children, and a child keeps the weights of the first (parent, column),
+in parent-major then column order, that reaches it.  An (S_t, D) table
+maps each (state, column) to its child's row at level t + 1, or -1 when
+pruned, in the narrowest signed type that holds the final level's state
+count; with the (S_t, D) predictive table it is freed as soon as the
+backward pass has gathered child values through it.  Sums over prior
+points run left to right, so every value equals that of the per-state
+recursion bit for bit.  The result, ``SolvedPolicy``, keeps these count
+matrices, with value and action arrays aligned with their rows.
 
 An independent oracle, ``brute_force_value``, evaluates the same problem
 by exhaustive expectimax over raw observation histories, never collapsing
@@ -217,14 +221,15 @@ class SolvedPolicy:
     """Output of backward induction: the solver's level arrays.
 
     ``counts[t]`` is the (S_t, D) count matrix of the reachable states
-    with ``t`` samples, in order of discovery; a row holds the outcome
-    counts of every alternative side by side, ``support_sizes[i]`` columns
-    for alternative i, in the narrowest signed integer type that holds
-    ``horizon`` (int8 up to 127, int16 up to 2^15 - 1).  ``values[t]``
-    (t = 0..horizon) and ``allocation[t]`` (t < horizon, the alternative
-    to sample next) are aligned with those rows, and so is ``selection``,
-    the alternative to select at each terminal state.  Argmax ties break toward the lowest
-    alternative index.  ``row`` finds a state's row.
+    with ``t`` samples, in descending lexicographic order; a row holds the
+    outcome counts of every alternative side by side, ``support_sizes[i]``
+    columns for alternative i, in the narrowest signed integer type that
+    holds ``horizon`` (int8 up to 127, int16 up to 2^15 - 1).
+    ``values[t]`` (t = 0..horizon) and ``allocation[t]`` (t < horizon, the
+    alternative to sample next) are aligned with those rows, and so is
+    ``selection``, the alternative to select at each terminal state.
+    Argmax ties break toward the lowest alternative index.  ``row`` finds
+    a state's row.
     """
 
     horizon: int
@@ -253,19 +258,19 @@ class SolvedPolicy:
         return int(self.selection[self.row(self.horizon, state)])
 
     def dump_table(self, path: str) -> None:
-        """Write a human-readable policy table, each level's states in sorted order."""
+        """Write a human-readable policy table, each level's states in ascending order."""
         bounds = np.cumsum((0, *self.support_sizes)).tolist()
         with open(path, "w") as fh:
             fh.write(f"# horizon={self.horizon} reward={self.reward} value={self.value!r}\n")
             fh.write("# kind\tt\tstate\taction\tvalue\n")
             levels = [("allocate", self.allocation[t]) for t in range(self.horizon)]
             for t, (kind, actions) in enumerate(levels + [("select", self.selection)]):
-                order = np.lexsort(self.counts[t].T[::-1])  # column 0 is the primary key
-                # .tolist() yields Python ints and floats: numpy scalars repr differently.
+                # Reversed: ascending order.  .tolist() yields Python ints and floats,
+                # whose reprs differ from those of numpy scalars.
                 for flat, action, value in zip(
-                    self.counts[t][order].tolist(),
-                    actions[order].tolist(),
-                    self.values[t][order].tolist(),
+                    self.counts[t][::-1].tolist(),
+                    actions[::-1].tolist(),
+                    self.values[t][::-1].tolist(),
                 ):
                     state = ";".join(
                         ",".join(map(str, flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])
@@ -290,26 +295,6 @@ def _sum_over_points(weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _first_occurrences(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (N, D) int matrix, in order of first occurrence.
-
-    Returns ``(first, index)``: ``first`` holds the row numbers of each
-    distinct row's first occurrence, ascending, and ``rows[n]`` equals
-    ``rows[first[index[n]]]``.  The sort is stable, so each run of equal
-    rows starts at its first occurrence.
-    """
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    heads = order[starts]
-    position = np.empty(len(heads), dtype=np.intp)
-    position[np.argsort(heads)] = np.arange(len(heads))
-    index = np.empty(len(rows), dtype=np.intp)
-    index[order] = position[np.cumsum(starts) - 1]
-    return np.sort(heads), index
-
-
 def _signed_type(n: int) -> np.dtype:
     """Narrowest signed integer type that holds 0..n (int8 to 127, int16 to 2^15 - 1)."""
     return np.min_scalar_type(-n - 1)
@@ -321,8 +306,10 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     A forward pass enumerates, level by level, every state reachable with
     positive predictive probability; backward induction then fills values,
     allocations, and the terminal selection.  Each level is a set of
-    arrays (see the module docstring); the result is bit-identical to the
-    per-state recursion, with states in order of first discovery.
+    arrays (see the module docstring), its states in descending
+    lexicographic order of their counts; every value, allocation and
+    selection is bit-identical to the per-state recursion's.  More than
+    2^63 - 1 states at the horizon raise, whatever ``state_cap`` says.
     """
     check_int(horizon, "horizon")
     check_int(state_cap, "state_cap")
@@ -331,10 +318,11 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     if state_cap < 1:
         raise ValueError(f"state cap must be >= 1, got {state_cap}")
     n_states = state_space_size(horizon, model.k, model.support_sizes)
-    if n_states > state_cap:
+    cap = min(state_cap, 2**63 - 1)  # ranks and rows need a fixed-width integer type
+    if n_states > cap:
         raise RuntimeError(
             f"state space too large: {n_states} states at the final step "
-            f"exceeds the cap of {state_cap}"
+            f"exceeds the cap of {cap}"
         )
 
     # Column d = offset(i) + j of a level stands for outcome j of alternative i.
@@ -345,25 +333,39 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
 
     # Forward pass.  Unnormalized posterior weights propagate incrementally:
     # appending outcome j of alternative i multiplies weight m by q[m, offset(i) + j].
-    # A child keeps the weights of the first (parent, column) that reaches it.
+    # A level's rows are its states in ascending order of rank, the number of count
+    # vectors of the same sum that are lexicographically larger: the sum over columns i
+    # of C(A_i - 1 + r_i, r_i), where A_i is the number of samples to the right of column
+    # i, r_i = D - 1 - i, and a term with A_i = 0 is 0.  Appending column d raises A_i by
+    # one for each i < d, and so, by Pascal's rule, the rank by rise[A_i, i] =
+    # C(A_i + r_i - 1, r_i - 1) for each.  A child keeps the weights of the first
+    # (parent, column), in parent-major order, that reaches it.
+    row_type = _signed_type(n_states)  # no rank, rise or row index exceeds n_states
+    rise = np.array([[math.comb(a + r - 1, r - 1) for r in range(n_cols - 1, 0, -1)]
+                     for a in range(horizon)], dtype=row_type)
     counts = [np.zeros((1, n_cols), dtype=_signed_type(horizon))]
-    row_type = _signed_type(n_states)  # no level has more rows than the last
+    ranks = np.zeros(1, dtype=row_type)
     weights = model.prior_pmf[None]
     preds: list[np.ndarray] = []
     children: list[np.ndarray] = []
-    for _ in range(horizon):
+    for t in range(horizon):
         pred = _sum_over_points(weights, q) / _sum_over_points(weights, ones)
         reached = np.flatnonzero(pred > 0.0)
-        parent, col = np.divmod(reached, n_cols)
-        cand = counts[-1][parent]
-        cand[np.arange(len(reached)), col] += 1
-        first, index = _first_occurrences(cand)
+        right = t - np.cumsum(counts[-1][:, :-1], axis=1, dtype=counts[-1].dtype)  # A_i
+        step = np.zeros(pred.shape, dtype=row_type)  # the child's rank minus the parent's
+        np.cumsum(rise[right, np.arange(n_cols - 1)], axis=1, dtype=row_type, out=step[:, 1:])
+        step += ranks[:, None]  # now the child's rank
+        ranks, first, index = np.unique(
+            step.reshape(-1)[reached], return_index=True, return_inverse=True)
         child = np.full(pred.size, -1, dtype=row_type)
         child[reached] = index
+        parent, col = np.divmod(reached[first], n_cols)
+        level = counts[-1][parent]
+        level[np.arange(len(first)), col] += 1
         preds.append(pred)
         children.append(child.reshape(pred.shape))
-        counts.append(cand[first])
-        weights = weights[parent[first]] * q[:, col[first]].T
+        counts.append(level)
+        weights = weights[parent] * q[:, col].T
 
     # Terminal layer: optimal selection (np.argmax takes the lowest index on ties).
     post = weights / _sum_over_points(weights, ones)
@@ -446,6 +448,22 @@ def brute_force_value(model: DiscreteModel, horizon: int) -> float:
     return value(())
 
 
+def _count_arguments(t: int, k: int, supports: Sequence[int]) -> tuple[int, int, list[int]]:
+    """``state_space_size``'s arguments as Python integers, once they pass its checks."""
+    check_int(t, "t")
+    check_int(k, "k")
+    sizes = list(supports)
+    for s in sizes:
+        check_int(s, "support size")
+    if t < 0 or k < 0:
+        raise ValueError("t and k must be >= 0")
+    if len(sizes) != k:
+        raise ValueError("need one support size per alternative")
+    if any(s < 2 for s in sizes):
+        raise ValueError("support sizes must be >= 2")
+    return int(t), int(k), [int(s) for s in sizes]
+
+
 def state_space_size(t: int, k: int, supports: Sequence[int]) -> int:
     """Number of distinct count states after ``t`` samples over ``k`` alternatives.
 
@@ -453,13 +471,7 @@ def state_space_size(t: int, k: int, supports: Sequence[int]) -> int:
     D the sum of the support sizes, so there are C(t + D - 1, D - 1) of
     them.  Exact integer arithmetic.
     """
-    if t < 0 or k < 0:
-        raise ValueError("t and k must be >= 0")
-    sizes = [int(s) for s in supports]
-    if len(sizes) != k:
-        raise ValueError("need one support size per alternative")
-    if any(s < 2 for s in sizes):
-        raise ValueError("support sizes must be >= 2")
+    t, k, sizes = _count_arguments(t, k, supports)
     if k == 0:
         return int(t == 0)
     return math.comb(t + sum(sizes) - 1, sum(sizes) - 1)
@@ -472,11 +484,11 @@ def state_space_bounds(t: int, k: int, supports: Sequence[int]) -> tuple[Fractio
     samples, so it uses floor(t/k); the ceiling variant overshoots the true
     count for small ``t`` not divisible by ``k`` (e.g. three binary
     alternatives and one sample admit 6 states, not 2^3).  Both forms agree
-    whenever ``k`` divides ``t``.
+    whenever ``k`` divides ``t``.  Arguments are checked as ``state_space_size``'s.
     """
+    t, k, sizes = _count_arguments(t, k, supports)
     if k < 1:
         raise ValueError("bounds need k >= 1")
-    sizes = [int(s) for s in supports]
     s_hi = max(sizes)
     s_lo = min(sizes)
     lower = (1 + Fraction(t // k, s_hi - 1)) ** (k * (s_lo - 1))

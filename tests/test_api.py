@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import ranksel
 from ranksel.beliefs import GroundTruth
-from ranksel.exact import DiscreteModel, NormalPriorSpec, discretize_prior, solve_bellman
+from ranksel.exact import (DiscreteModel, NormalPriorSpec, discretize_prior, solve_bellman,
+                           state_space_bounds, state_space_size)
 from ranksel.experiment import Scenario, estimate_ipcs, replication_features, run_fixed_truths
 from ranksel.vfa import SaConfig, gmcl_fit
 
@@ -185,6 +186,12 @@ INTEGER_ARGUMENTS = {
     "discretize_prior(grid_points)": (("grid_points",), lambda v: discretize_prior(SPEC, v)),
     "discretize_prior(obs_grid_points)": (
         ("obs_grid_points",), lambda v: discretize_prior(SPEC, 2, obs_grid_points=v)),
+    "state_space_size(t)": (("t",), lambda v: state_space_size(v, 2, [2, 2])),
+    "state_space_size(k)": (("k", "alternative"), lambda v: state_space_size(2, v, [2, 2])),
+    "state_space_size(supports)": (
+        ("support size",), lambda v: state_space_size(2, 2, [2, v])),
+    "state_space_bounds(t)": (("t",), lambda v: state_space_bounds(v, 2, [2, 2])),
+    "state_space_bounds(k)": (("k", "alternative"), lambda v: state_space_bounds(2, v, [2, 2])),
 }
 # Sizes from 0 to 5 run; sizes beyond 2^63, longer than any array, must not reach NumPy.
 # (Sizes in between would allocate, so they are not drawn.)

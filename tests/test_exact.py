@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,32 @@ def pruned_model():
             [(0.1, 0.9, 0.0), (0.0, 1.0)],
         ],
         reward="EOC",
+    )
+
+
+def bench_model(seed):
+    """The benchmark's sequential-exact model: k=2, binary outcomes, a 2-point prior."""
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.2, 0.8))
+    a = np.sort(rng.uniform(0.1, 0.9, size=(2, 2)), axis=1)
+    q = [(float(a[0, 1]), float(a[0, 0])), (float(a[1, 0]), float(a[1, 1]))]
+    return DiscreteModel(
+        support=[(0.0, 1.0), (0.0, 1.0)],
+        prior_points=["a0 best", "a1 best"],
+        prior_pmf=[p, 1.0 - p],
+        sampling_pmf=[[(1.0 - qi, qi) for qi in point] for point in q],
+    )
+
+
+def subnormal_model():
+    """Outcome 1 of alternative 1 has probability 2.5e-162, so a few samples of it
+    drive a weight subnormal, and a few more to 0 on one route to a state but not on
+    another."""
+    return DiscreteModel(
+        support=[(0.0, 1.0), (0.0, 1.0)],
+        prior_points=["only"],
+        prior_pmf=[1.0],
+        sampling_pmf=[[(0.25, 0.75), (1.0, 2.5e-162)]],
     )
 
 
@@ -484,6 +511,20 @@ class TestSolver:
         model = two_point_model()
         with pytest.raises(RuntimeError, match="state space"):
             solve_bellman(model, 10, state_cap=5)
+
+    def test_state_count_past_fixed_width_refused_before_any_array(self):
+        """About 1.7e20 states at horizon 10^7, past 2^63: whatever the cap, no row
+        type holds the ranks, so the solver raises before it builds a level."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "state space too large: 166666766666685000001 states at the final step "
+                    "exceeds the cap of 9223372036854775807")):
+                solve_bellman(two_point_model(), 10**7, state_cap=10**30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_state_cap_below_one_rejected(self):
         with pytest.raises(ValueError, match="state cap must be >= 1, got 0"):
@@ -952,3 +993,72 @@ class TestSolverMatchesPerStateRecursion:
             assert len(solved.values[t]) < state_space_size(t, model.k, model.support_sizes)
             assert len(solved.counts[t]) == len(solved.values[t])
             assert np.all(solved.counts[t][:, 2] == 0)  # outcome 2 of alternative 0
+
+
+def level_rows(solved, t):
+    return [tuple(row) for row in solved.counts[t].tolist()]
+
+
+def flat_counts(key):
+    """A ``DiscreteState.counts`` key as one row of a level's count matrix."""
+    return tuple(c for per_alt in key for c in per_alt)
+
+
+def assert_levels_descending(solved):
+    """Every level lists its states in strictly descending lexicographic order."""
+    for t in solved.counts:
+        rows = level_rows(solved, t)
+        assert all(a > b for a, b in zip(rows, rows[1:])), t
+
+
+def count_vectors(total, cells):
+    """Every vector of ``cells`` nonnegative integers that sum to ``total``."""
+    if cells == 1:
+        return [(total,)]
+    return [(head, *tail) for head in range(total + 1)
+            for tail in count_vectors(total - head, cells - 1)]
+
+
+class TestLevelOrder:
+    """Each level's rows are its states in descending lexicographic order of their
+    counts, whatever order the forward pass reaches them in."""
+
+    @pytest.mark.parametrize("name", list(oracle_models()))
+    def test_oracle_models_descending(self, name):
+        for horizon in range(7):
+            assert_levels_descending(solve_bellman(oracle_models()[name], horizon))
+
+    def test_bench_model_descending(self):
+        assert_levels_descending(solve_bellman(bench_model(1), 36))
+
+    @pytest.mark.parametrize("model, horizon", [
+        (two_point_model(), 12), (oracle_models()["pcs-k3"], 6)], ids=["two-point", "pcs-k3"])
+    def test_unpruned_level_is_every_count_vector(self, model, horizon):
+        """No pmf entry is 0, so level t holds every count vector of sum t."""
+        solved = solve_bellman(model, horizon)
+        n_cols = sum(model.support_sizes)
+        for t in range(horizon + 1):
+            assert level_rows(solved, t) == sorted(count_vectors(t, n_cols), reverse=True)
+
+    @pytest.mark.parametrize("horizon", [6, 7, 8])
+    def test_subnormal_weights_match_reference_by_counts(self, horizon):
+        """Here the per-state recursion reaches some states first from a parent other
+        than the lexicographically largest one, as in exact arithmetic it would not, so
+        its level 6 in order of first discovery is not descending.  Keyed by counts,
+        every value, allocation and selection is the recursion's."""
+        model = subnormal_model()
+        value, values, allocation, selection = reference_solve(model, horizon)
+        discovered = [flat_counts(key) for key in values[6]]
+        assert discovered != sorted(discovered, reverse=True)
+        solved = solve_bellman(model, horizon)
+        assert_levels_descending(solved)
+        assert solved.value == value
+        for t in range(horizon + 1):
+            rows = {row: n for n, row in enumerate(level_rows(solved, t))}
+            keys = {flat_counts(key): key for key in values[t]}
+            assert rows.keys() == keys.keys()
+            got = solved.allocation[t] if t < horizon else solved.selection
+            want = allocation[t] if t < horizon else selection
+            for row, key in keys.items():
+                assert solved.values[t][rows[row]] == values[t][key]
+                assert got[rows[row]] == want[key]
