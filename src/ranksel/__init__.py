@@ -48,7 +48,6 @@ from .experiment import (
     Scenario,
     builtin_scenario,
     estimate_ipcs,
-    run_experiment,
     run_fixed_truths,
     write_results,
 )

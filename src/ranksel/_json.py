@@ -1,7 +1,13 @@
-"""JSON input rules: read a file's object, and check an object's keys and values.
+"""Input rules: read a JSON file's object, check an object's keys and values, and
+check an integer argument.
 
 A spec maps each allowed key to ``(valid,)`` or, if the key is optional,
 ``(valid, default)``, where ``valid`` is one of the predicates below.
+``check_int`` and ``check_size`` are the one integer rule of the package's
+entry points: a Python or NumPy integer, not a bool, at least an optional
+lower bound and, for a size, below 2^63.  They raise one of three messages,
+``<name> must be an integer, got <v>``, ``<name> must be >= <low>, got <v>``
+and ``<name> must be below 2**63, got <v>``.
 """
 
 from __future__ import annotations
@@ -15,15 +21,18 @@ def is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def check_int(value, name: str) -> None:
-    """Raise ValueError, naming the argument ``name``, unless ``value`` is ``is_int``."""
+def check_int(value, name: str, *low) -> None:
+    """Raise ValueError, naming the argument ``name``, unless ``value`` is ``is_int`` and,
+    if a lower bound ``low`` is given, at least that bound."""
     if not is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low and value < low[0]:
+        raise ValueError(f"{name} must be >= {low[0]}, got {value!r}")
 
 
-def check_size(value, name: str) -> None:
+def check_size(value, name: str, *low) -> None:
     """``check_int``, and below 2^63: no array, list or range is longer."""
-    check_int(value, name)
+    check_int(value, name, *low)
     if value >= 2**63:
         raise ValueError(f"{name} must be below 2**63, got {value!r}")
 

@@ -20,7 +20,7 @@ import sys
 import warnings
 
 from . import exact, experiment, policies, vfa
-from ._json import anything, field, read_object
+from ._json import anything, check_int, field, read_object
 from .beliefs import GroundTruth
 
 
@@ -84,8 +84,7 @@ def _cmd_run_experiment(args) -> int:
     if not out:
         raise ValueError("no output path: give --out or config output.path")
     downsample = output["downsample"] if args.downsample is None else args.downsample
-    if downsample < 1:
-        raise ValueError(f"--downsample must be >= 1, got {downsample}")
+    check_int(downsample, "--downsample", 1)
     results = experiment.run_specs(scenario, specs, args.workers)
     experiment.write_results(results, out, downsample=downsample)
     print(f"wrote {out}")

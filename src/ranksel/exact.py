@@ -68,6 +68,7 @@ __all__ = [
 _PMF_TOL = 1e-12
 _PATH_CAP = 10**5  # most raw histories brute_force_value expands, (k * s_max)^T
 _MAX_GRID = 10**5  # most prior points, and most observation cells, discretize_prior builds
+_MAX_BOUND_BITS = 10**5  # most bits, k * s_max * bit_length(s_max + t + k - 1), of a bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +177,11 @@ class DiscreteState:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(tuple(int(c) for c in row) for row in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(c < 0 for row in counts for c in row):
-            raise ValueError("counts must be nonnegative")
+        counts = tuple(map(tuple, self.counts))
+        for row in counts:
+            for c in row:
+                check_int(c, "count", 0)
+        object.__setattr__(self, "counts", tuple(tuple(map(int, row)) for row in counts))
 
     def bump(self, i: int, j: int) -> "DiscreteState":
         row = list(self.counts[i])
@@ -311,12 +313,8 @@ def solve_bellman(model: DiscreteModel, horizon: int, state_cap: int = 10**7) ->
     selection is bit-identical to the per-state recursion's.  More than
     2^63 - 1 states at the horizon raise, whatever ``state_cap`` says.
     """
-    check_int(horizon, "horizon")
-    check_int(state_cap, "state_cap")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if state_cap < 1:
-        raise ValueError(f"state cap must be >= 1, got {state_cap}")
+    check_int(horizon, "horizon", 0)
+    check_int(state_cap, "state_cap", 1)
     n_states = state_space_size(horizon, model.k, model.support_sizes)
     cap = min(state_cap, 2**63 - 1)  # ranks and rows need a fixed-width integer type
     if n_states > cap:
@@ -404,9 +402,7 @@ def brute_force_value(model: DiscreteModel, horizon: int) -> float:
     every adaptive deterministic policy, so the root value equals the
     optimum.
     """
-    check_int(horizon, "horizon")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    check_int(horizon, "horizon", 0)
     s_max = max(model.support_sizes)
     if (model.k * s_max) ** horizon > _PATH_CAP:
         raise RuntimeError(
@@ -450,17 +446,13 @@ def brute_force_value(model: DiscreteModel, horizon: int) -> float:
 
 def _count_arguments(t: int, k: int, supports: Sequence[int]) -> tuple[int, int, list[int]]:
     """``state_space_size``'s arguments as Python integers, once they pass its checks."""
-    check_int(t, "t")
-    check_int(k, "k")
+    check_int(t, "t", 0)
+    check_int(k, "k", 0)
     sizes = list(supports)
     for s in sizes:
-        check_int(s, "support size")
-    if t < 0 or k < 0:
-        raise ValueError("t and k must be >= 0")
+        check_int(s, "support size", 2)
     if len(sizes) != k:
         raise ValueError("need one support size per alternative")
-    if any(s < 2 for s in sizes):
-        raise ValueError("support sizes must be >= 2")
     return int(t), int(k), [int(s) for s in sizes]
 
 
@@ -485,11 +477,17 @@ def state_space_bounds(t: int, k: int, supports: Sequence[int]) -> tuple[Fractio
     count for small ``t`` not divisible by ``k`` (e.g. three binary
     alternatives and one sample admit 6 states, not 2^3).  Both forms agree
     whenever ``k`` divides ``t``.  Arguments are checked as ``state_space_size``'s.
+    An upper numerator of more than about 10^5 bits raises RuntimeError before
+    any big-integer power is taken.
     """
     t, k, sizes = _count_arguments(t, k, supports)
     if k < 1:
         raise ValueError("bounds need k >= 1")
     s_hi = max(sizes)
+    bits = k * s_hi * (s_hi + t + k - 1).bit_length()
+    if bits > _MAX_BOUND_BITS:
+        raise RuntimeError(f"bounds too large: a numerator of up to {bits} bits exceeds the "
+                           f"cap of {_MAX_BOUND_BITS}")
     s_lo = min(sizes)
     lower = (1 + Fraction(t // k, s_hi - 1)) ** (k * (s_lo - 1))
     upper = Fraction(
@@ -550,11 +548,9 @@ def discretize_prior(
     improves with grid size.  A product grid of more than 10^5 prior
     points, or more than 10^5 observation cells, raises RuntimeError.
     """
-    check_int(grid_points, "grid_points")
+    check_int(grid_points, "grid_points", 2)
     if obs_grid_points is not None:
         check_int(obs_grid_points, "obs_grid_points")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     if not isinstance(spec, (BernoulliPriorSpec, NormalPriorSpec)):
         raise ValueError(f"unsupported prior family: {type(spec).__name__}")
     normal = isinstance(spec, NormalPriorSpec)
@@ -562,8 +558,7 @@ def discretize_prior(
         raise RuntimeError(f"product prior grid exceeds {_MAX_GRID} points")
     if normal:
         obs_points = grid_points if obs_grid_points is None else obs_grid_points
-        if obs_points < 2:
-            raise ValueError("obs_grid_points must be >= 2")
+        check_int(obs_points, "obs_grid_points", 2)
         if obs_points > _MAX_GRID:
             raise RuntimeError(f"observation grid exceeds {_MAX_GRID} cells")
     from scipy import stats  # lazy: slow to import, and nothing else here needs it

@@ -49,7 +49,6 @@ __all__ = [
     "estimate_ipcs",
     "replication_features",
     "run_fixed_truths",
-    "run_experiment",
     "run_specs",
     "write_results",
     "parse_config",
@@ -77,9 +76,10 @@ class Scenario:
     def __post_init__(self) -> None:
         for name in ("prior_means", "prior_stds", "sampling_stds"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        for name in ("horizon", "n0", "macro_reps"):
+        for name in ("horizon", "n0"):  # bounded below by the checks against k and the mode
             check_size(getattr(self, name), name)
-        check_int(self.master_seed, "master_seed")
+        check_size(self.macro_reps, "macro_reps", 1)
+        check_int(self.master_seed, "master_seed", 0)
         k = self.k
         if k < 2:
             raise ValueError("need at least two alternatives")
@@ -99,10 +99,6 @@ class Scenario:
             raise ValueError(f"n0 must be >= {min_n0} for variance_mode {self.variance_mode}")
         if self.horizon < k * self.n0:
             raise ValueError("horizon must cover the warmup (horizon >= k * n0)")
-        if self.macro_reps < 1:
-            raise ValueError("macro_reps must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
         zero_prior = [i for i, s in enumerate(self.prior_stds) if s == 0]
         means = [self.prior_means[i] for i in zero_prior]
         if len(set(means)) != len(means):
@@ -201,7 +197,7 @@ _MASK32 = 2**32 - 1
 
 
 def _uint32_words(values: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
-    """SeedSequence's 32-bit words of non-negative integers as columns, low first, and
+    """SeedSequence's 32-bit words of integers >= 0 as columns, low first, and
     counts; split in ``uint64`` arithmetic, or on Python integers if one is 2^64 or more."""
     values = np.array(values, dtype=np.uint64 if max(values, default=0) < 2**64 else object)
     columns, counts = [(values & _MASK32).astype(np.uint32)], np.ones(len(values), dtype=int)
@@ -258,16 +254,13 @@ def _block_normals(master_seed: int, namespace: int, indices, width: int) -> np.
     """Row r: the first ``width`` normals of ``PCG64(SeedSequence([master_seed, namespace, i_r]))``.
 
     One vectorized SeedSequence pass computes every row's seed words, and NumPy seeds
-    the row's own PCG64 from them.  A seed, namespace or index that is not a non-negative
-    ``is_int`` raises, naming it.
+    the row's own PCG64 from them.  The seed, the namespace and every index must pass
+    ``check_int`` with a lower bound of 0.
     """
     indices = list(indices)
     for name, value in [("seed", master_seed), ("namespace", namespace)] + [
             ("replication index", i) for i in indices]:
-        if not is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"expected non-negative integer {name}, got {value!r}")
+        check_int(value, name, 0)
     prefix = [column[0] for value in (master_seed, namespace)
               for column in _uint32_words([int(value)])[0]]
     columns, counts = _uint32_words([int(i) for i in indices])
@@ -400,9 +393,7 @@ def estimate_ipcs(
     Replication indices are split into fixed batches of ``_CHUNK`` whose rows
     carry their own generators, so estimates are identical for any worker count.
     """
-    check_int(workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_int(workers, "workers", 1)
     score_fn = pol.make_policy(policy_id, weights)
     n = scenario.macro_reps
     blocks = _blocks(range(n))
@@ -460,9 +451,7 @@ def run_fixed_truths(
     Used to study long-run sampling behavior: allocation frequencies and
     the terminal selection.  ``steps`` counts post-initialization samples.
     """
-    if not is_int(steps) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    check_size(steps, "steps")
+    check_size(steps, "steps", 0)
     score_fn = pol.make_policy(policy_id)
     means = np.stack([t.means for t in truths], axis=1)
     svars = np.stack([t.variances for t in truths], axis=1)
@@ -571,16 +560,9 @@ def _fit_settings(fit: dict, scenario: Scenario) -> SaConfig:
     return SaConfig(**{**settings, "initial_w": tuple(settings["initial_w"])})
 
 
-def run_experiment(config: dict, workers: int = 1) -> dict[str, IpcsCurve]:
-    """Run every policy in the config on its scenario; returns curves by label."""
-    scenario, specs, _ = parse_config(config)
-    return run_specs(scenario, specs, workers)
-
-
 def run_specs(scenario: Scenario, specs: list[dict], workers: int) -> dict[str, IpcsCurve]:
     """Run policy specs parsed by ``parse_config`` on the scenario; returns curves by label."""
-    if workers < 1:  # before an inline fit runs
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_int(workers, "workers", 1)  # before an inline fit runs
     results: dict[str, IpcsCurve] = {}
     for spec in specs:
         weights = gmcl_fit(scenario, config=spec["fit"]) if "fit" in spec else spec.get("weights")
@@ -594,8 +576,7 @@ def write_results(results: dict[str, IpcsCurve], path: str, downsample: int = 1)
     Rows are sorted by (policy, t) and floats use 10-significant-digit
     formatting, so identical results serialize byte-identically.
     """
-    if downsample < 1:
-        raise ValueError("downsample must be >= 1")
+    check_int(downsample, "downsample", 1)
     lines = ["policy,t,ipcs,stderr,macro_reps"]
     for label in sorted(results):
         curve = results[label]

@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ._json import check_size
 from .beliefs import GaussianBelief, GroundTruth
 
 if TYPE_CHECKING:
@@ -313,8 +314,7 @@ def aoap_multistep_values(
     means, zero variances), the value is NaN.  Each value is the float one
     multiset scores, for any depth >= 1, at O(depth^2 k^2) work per state.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_size(depth, "depth", 1)
     if depth == 1:
         return aoap_candidate_values(means, post_vars, sampling_vars)
     # (alternative, candidate, ...) arrays; each candidate holds its own first sample

@@ -69,16 +69,12 @@ class SaConfig:
     activation: str = "linear"
 
     def __post_init__(self) -> None:
-        check_size(self.iterations, "iterations")
-        check_int(self.seed, "seed")
+        check_size(self.iterations, "iterations", 1)
+        check_int(self.seed, "seed", 0)
         if not 0 < self.step_scale < np.inf:
             raise ValueError(f"step_scale must be positive and finite, got {self.step_scale}")
         if not 0.5 < self.step_exponent <= 1.0:
             raise ValueError("step_exponent must lie in (0.5, 1]")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"fit seed must be >= 0, got {self.seed}")
         VfaWeights(self.initial_w, self.activation)
 
     def step(self, l: int) -> float:

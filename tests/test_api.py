@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import os
 import types
 from pathlib import Path
 
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import ranksel
 from ranksel.beliefs import GroundTruth
-from ranksel.exact import (DiscreteModel, NormalPriorSpec, discretize_prior, solve_bellman,
-                           state_space_bounds, state_space_size)
-from ranksel.experiment import Scenario, estimate_ipcs, replication_features, run_fixed_truths
+from ranksel.exact import (DiscreteModel, DiscreteState, NormalPriorSpec, discretize_prior,
+                           solve_bellman, state_space_bounds, state_space_size)
+from ranksel.experiment import (IpcsCurve, Scenario, estimate_ipcs, replication_features,
+                                run_fixed_truths, write_results)
+from ranksel.policies import aoap_multistep_values
 from ranksel.vfa import SaConfig, gmcl_fit
 
 # Every library module's ``__all__``, in order.  A new public name fails this
@@ -32,8 +35,8 @@ ALLOWED_NAMES = {
     ],
     "experiment": [
         "VARIANCE_MODES", "Scenario", "IpcsCurve", "builtin_scenario", "BUILTIN_SCENARIOS",
-        "estimate_ipcs", "replication_features", "run_fixed_truths", "run_experiment",
-        "run_specs", "write_results", "parse_config", "scenario_from_config",
+        "estimate_ipcs", "replication_features", "run_fixed_truths", "run_specs",
+        "write_results", "parse_config", "scenario_from_config",
     ],
     "policies": [
         "BatchState", "POLICIES", "lookup_policy", "make_policy", "decide", "BeliefVector",
@@ -61,7 +64,6 @@ ALLOWED_OPTIONS = {
     "experiment.estimate_ipcs(workers)",
     "experiment.replication_features(namespace)",
     "experiment.run_fixed_truths(seed)",
-    "experiment.run_experiment(workers)",
     "experiment.write_results(downsample)",
     "policies.shrunk_variance(n)",
     "policies.make_policy(weights)",
@@ -153,12 +155,13 @@ def test_public_names_match_allowlist():
         exported.update({entry: getattr(module, entry) for entry in allowed})
     top = {name: value for name, value in vars(ranksel).items()
            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(top) == 46
+    assert len(top) == 45
     assert all(exported.get(name) is value for name, value in top.items())
 
 
 # The integer rule at the Python entry points, on tiny inputs.  Each integer argument:
-# the names its error messages may use, and a call with a value in its place.
+# the name its error messages use, its lower bound (None where a relation alone bounds it)
+# and a call with a value in its place.
 TINY = Scenario(prior_means=(0.0, 0.5), prior_stds=(1.0, 1.0), sampling_stds=(1.0, 2.0),
                 horizon=6, n0=2, macro_reps=8, master_seed=3)
 TRUTH = GroundTruth(means=[0.0, 1.0], variances=[1.0, 4.0])
@@ -166,32 +169,49 @@ MODEL = DiscreteModel(support=[(0.0, 1.0), (0.0, 1.0)], prior_points=["a", "b"],
                       prior_pmf=[0.4, 0.6],
                       sampling_pmf=[[(0.2, 0.8), (0.7, 0.3)], [(0.6, 0.4), (0.1, 0.9)]])
 SPEC = NormalPriorSpec(prior_means=(0.0, 0.2), prior_stds=(1.0, 1.0), sampling_stds=(1.0, 2.0))
+CURVES = {"ea": IpcsCurve(steps=[4, 5, 6], ipcs=[0.5, 0.75, 1.0], stderr=[0.1, 0.1, 0.0],
+                          macro_reps=8)}
+COLUMN = np.array([[0.0], [0.5]]), np.array([[1.0], [1.0]]), np.array([[1.0], [4.0]])
 INTEGER_ARGUMENTS = {
-    "estimate_ipcs(workers)": (("workers",), lambda v: estimate_ipcs(TINY, "ea", workers=v)),
+    "estimate_ipcs(workers)": ("workers", 1, lambda v: estimate_ipcs(TINY, "ea", workers=v)),
     "replication_features(indices)": (
-        ("replication index",), lambda v: replication_features(TINY, "aoap", [1, v])),
+        "replication index", 0, lambda v: replication_features(TINY, "aoap", [1, v])),
     "replication_features(namespace)": (
-        ("namespace",), lambda v: replication_features(TINY, "aoap", [0, 1], namespace=v)),
-    "run_fixed_truths(steps)": (("steps",), lambda v: run_fixed_truths([TRUTH], "aoap", v)),
+        "namespace", 0, lambda v: replication_features(TINY, "aoap", [0, 1], namespace=v)),
+    "run_fixed_truths(steps)": ("steps", 0, lambda v: run_fixed_truths([TRUTH], "aoap", v)),
     "run_fixed_truths(seed)": (
-        ("seed",), lambda v: run_fixed_truths([TRUTH], "aoap", 3, seed=v)),
+        "seed", 0, lambda v: run_fixed_truths([TRUTH], "aoap", 3, seed=v)),
     "gmcl_fit(horizon)": (
-        ("horizon",), lambda v: gmcl_fit(TINY, horizon=v, config=SaConfig(iterations=3))),
+        "horizon", None, lambda v: gmcl_fit(TINY, horizon=v, config=SaConfig(iterations=3))),
     "SaConfig(iterations)": (
-        ("iterations",), lambda v: gmcl_fit(TINY, config=SaConfig(iterations=v))),
-    "SaConfig(seed)": (("seed",), lambda v: gmcl_fit(TINY, config=SaConfig(iterations=3, seed=v))),
-    "solve_bellman(horizon)": (("horizon",), lambda v: solve_bellman(MODEL, v)),
+        "iterations", 1, lambda v: gmcl_fit(TINY, config=SaConfig(iterations=v))),
+    "SaConfig(seed)": (
+        "seed", 0, lambda v: gmcl_fit(TINY, config=SaConfig(iterations=3, seed=v))),
+    "solve_bellman(horizon)": ("horizon", 0, lambda v: solve_bellman(MODEL, v)),
     "solve_bellman(state_cap)": (
-        ("state_cap", "state cap"), lambda v: solve_bellman(MODEL, 3, state_cap=v)),
-    "discretize_prior(grid_points)": (("grid_points",), lambda v: discretize_prior(SPEC, v)),
+        "state_cap", 1, lambda v: solve_bellman(MODEL, 3, state_cap=v)),
+    "discretize_prior(grid_points)": ("grid_points", 2, lambda v: discretize_prior(SPEC, v)),
     "discretize_prior(obs_grid_points)": (
-        ("obs_grid_points",), lambda v: discretize_prior(SPEC, 2, obs_grid_points=v)),
-    "state_space_size(t)": (("t",), lambda v: state_space_size(v, 2, [2, 2])),
-    "state_space_size(k)": (("k", "alternative"), lambda v: state_space_size(2, v, [2, 2])),
+        "obs_grid_points", 2, lambda v: discretize_prior(SPEC, 2, obs_grid_points=v)),
+    "state_space_size(t)": ("t", 0, lambda v: state_space_size(v, 2, [2, 2])),
+    "state_space_size(k)": ("k", 0, lambda v: state_space_size(2, v, [2, 2])),
     "state_space_size(supports)": (
-        ("support size",), lambda v: state_space_size(2, 2, [2, v])),
-    "state_space_bounds(t)": (("t",), lambda v: state_space_bounds(v, 2, [2, 2])),
-    "state_space_bounds(k)": (("k", "alternative"), lambda v: state_space_bounds(2, v, [2, 2])),
+        "support size", 2, lambda v: state_space_size(2, 2, [2, v])),
+    "state_space_bounds(t)": ("t", 0, lambda v: state_space_bounds(v, 2, [2, 2])),
+    "state_space_bounds(k)": ("k", 0, lambda v: state_space_bounds(2, v, [2, 2])),
+    "state_space_bounds(supports)": (
+        "support size", 2, lambda v: state_space_bounds(2, 2, [2, v])),
+    "DiscreteState(counts)": ("count", 0, lambda v: DiscreteState(((v, 0), (0, 1)))),
+    "write_results(downsample)": (
+        "downsample", 1, lambda v: write_results(CURVES, os.devnull, downsample=v)),
+    "aoap_multistep_values(depth)": (
+        "depth", 1, lambda v: aoap_multistep_values(*COLUMN, v)),
+}
+# The one other ValueError an entry may raise: a relation between arguments.
+RELATIONAL = {
+    "gmcl_fit(horizon)": "horizon must cover the warmup (horizon >= k * n0)",
+    "state_space_size(k)": "need one support size per alternative",
+    "state_space_bounds(k)": "need one support size per alternative",
 }
 # Sizes from 0 to 5 run; sizes beyond 2^63, longer than any array, must not reach NumPy.
 # (Sizes in between would allocate, so they are not drawn.)
@@ -237,10 +257,11 @@ def is_integer(x) -> bool:
 @example(value=np.int64(3))
 def test_integer_arguments(argument, value):
     """A bool, float or NumPy integer is never truncated or read as another integer: an
-    integer gives the outcome of the same Python integer, anything else raises a
-    ValueError naming the argument, and a range or size error names it too.  The one
-    other error is a size cap's RuntimeError (state space, prior or observation grid)."""
-    names, call = INTEGER_ARGUMENTS[argument]
+    integer gives the outcome of the same Python integer, and anything else raises the
+    integer rule's ValueError.  A ValueError is one of the rule's three messages or the
+    entry's relational one.  The one other error is a size cap's RuntimeError (state
+    space, bounds, prior or observation grid)."""
+    name, low, call = INTEGER_ARGUMENTS[argument]
     got = outcome(call, value)
     if is_integer(value):  # a message may show a NumPy integer's repr
         shown = got if got[0] == "ok" else (got[0], got[1].replace(repr(value), str(int(value))))
@@ -248,6 +269,9 @@ def test_integer_arguments(argument, value):
     if got[0] == "ok":
         assert is_integer(value)
     elif got[0] is ValueError:
-        assert any(name in got[1] for name in names), got
+        rule = (f"{name} must be an integer, got {value!r}",
+                f"{name} must be >= {low}, got {value!r}",
+                f"{name} must be below 2**63, got {value!r}")
+        assert got[1] in {*rule, RELATIONAL.get(argument)}, got
     else:
         assert is_integer(value) and "exceeds" in got[1], got

@@ -318,7 +318,7 @@ class TestSolveExact:
         res = run_cli("solve-exact", "--model", str(self.model_file(tmp_path)),
                       "--horizon", "3", "--state-cap", cap)
         assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr.splitlines() == [f"error: state cap must be >= 1, got {cap}"]
+        assert res.stderr.splitlines() == [f"error: state_cap must be >= 1, got {cap}"]
 
     def test_huge_horizon_rejected_at_cap(self, tmp_path, capsys):
         """The state count is closed-form, so a horizon far past the cap is
@@ -413,7 +413,7 @@ class TestFitVfa:
         assert cli.main(["fit-vfa", "--scenario", str(small_config(tmp_path)),
                          "--out", str(out), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == (
-            "error: fit seed must be >= 0, got -1\n")
+            "error: seed must be >= 0, got -1\n")
         assert not out.exists()
 
     def test_lookahead_generator_beyond_budget_rejected(self, tmp_path, capsys, monkeypatch):
@@ -599,7 +599,7 @@ class TestConfigValidation:
         ({"initial_w": []}, "exactly two weights"),
         ({"initial_w": [200, 1]}, "weights must lie in [0, 100], got [200.0, 1.0]"),
         ({"activation": "x"}, "unknown activation 'x'"),
-        ({"seed": -1}, "fit seed must be >= 0, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"step_scale": math.inf}, "step_scale must be positive and finite, got inf"),
     ], ids=["three-weights", "no-weights", "outside-box", "unknown-activation",
             "negative-seed", "infinite-step-scale"])

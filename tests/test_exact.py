@@ -527,7 +527,7 @@ class TestSolver:
         assert peak < 10**6
 
     def test_state_cap_below_one_rejected(self):
-        with pytest.raises(ValueError, match="state cap must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="state_cap must be >= 1, got 0"):
             solve_bellman(two_point_model(), 2, state_cap=0)
 
     def test_path_cap_enforced(self):

@@ -21,7 +21,7 @@ from ranksel.experiment import (
     estimate_ipcs,
     parse_config,
     replication_features,
-    run_experiment,
+    run_specs,
     write_results,
 )
 from ranksel import experiment
@@ -41,6 +41,12 @@ def small_scenario(**overrides):
         master_seed=99,
     )
     return replace(base, **overrides) if overrides else base
+
+
+def run_config(config, workers=1):
+    """Every policy of a config mapping run on its scenario, as ``run-experiment`` runs them."""
+    scenario, specs, _ = parse_config(config)
+    return run_specs(scenario, specs, workers)
 
 
 def weights_for(policy_id):
@@ -446,19 +452,21 @@ class TestBlockNormals:
 
     @pytest.mark.parametrize("master_seed, indices", [(-1, [0]), (0, [-1]), (0, [3, -2])])
     def test_negative_entropy_rejected(self, master_seed, indices):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        message = (f"seed must be >= 0, got {master_seed}" if master_seed < 0
+                   else f"replication index must be >= 0, got {min(indices)}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             experiment._block_normals(master_seed, 0, indices, 4)
 
     def test_negative_fixed_truth_seed_rejected(self):
         truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 1.0])
-        with pytest.raises(ValueError, match="expected non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             experiment.run_fixed_truths([truth], "aoap", steps=2, seed=-1)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": True}, "seed must be an integer, got True"),
-        ({"steps": -3}, "steps must be a non-negative integer, got -3"),
-        ({"steps": 2.5}, "steps must be a non-negative integer, got 2.5"),
+        ({"steps": -3}, "steps must be >= 0, got -3"),
+        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
     ])
     def test_fixed_truth_seed_and_steps_must_be_integers(self, kwargs, message):
         """``seed=1.5`` used to run as seed 1; ``steps=-3`` and ``steps=2.5`` failed
@@ -619,7 +627,7 @@ class TestConfigAndResults:
 
     def test_run_experiment_and_write(self, tmp_path):
         config = self.config_dict(tmp_path)
-        results = run_experiment(config)
+        results = run_config(config)
         out = tmp_path / "res.csv"
         write_results(results, str(out))
         lines = out.read_text().splitlines()
@@ -636,13 +644,13 @@ class TestConfigAndResults:
     def test_byte_identical_reruns(self, tmp_path):
         config = self.config_dict(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_results(run_experiment(config, workers=1), str(a))
-        write_results(run_experiment(config, workers=3), str(b))
+        write_results(run_config(config), str(a))
+        write_results(run_config(config, workers=3), str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_downsample(self, tmp_path):
         config = self.config_dict(tmp_path)
-        results = run_experiment(config)
+        results = run_config(config)
         out = tmp_path / "ds.csv"
         write_results(results, str(out), downsample=4)
         lines = out.read_text().splitlines()
@@ -656,13 +664,13 @@ class TestConfigAndResults:
         save_weights(VfaWeights(np.array([0.98, 0.42])), str(wpath))
         config = self.config_dict(tmp_path)
         config["policies"] = [{"id": "two_factor", "weights_file": str(wpath)}]
-        results = run_experiment(config)
+        results = run_config(config)
         assert "two_factor" in results
 
     def test_two_factor_with_inline_fit(self, tmp_path):
         config = self.config_dict(tmp_path)
         config["policies"] = [{"id": "two_factor", "fit": {"iterations": 60}}]
-        results = run_experiment(config)
+        results = run_config(config)
         curve = results["two_factor"]
         assert np.all((curve.ipcs >= 0) & (curve.ipcs <= 1))
 
