@@ -68,7 +68,7 @@ __all__ = [
 _PMF_TOL = 1e-12
 _PATH_CAP = 10**5  # most raw histories brute_force_value expands, (k * s_max)^T
 _MAX_GRID = 10**5  # most prior points, and most observation cells, discretize_prior builds
-_MAX_BOUND_BITS = 10**5  # most bits, k * s_max * bit_length(s_max + t + k - 1), of a bound
+_MAX_BOUND_BITS = 10**5  # most bits of a state count or bound, as estimated before it is formed
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,12 +461,17 @@ def state_space_size(t: int, k: int, supports: Sequence[int]) -> int:
 
     A state spreads ``t`` samples over the D (alternative, outcome) cells,
     D the sum of the support sizes, so there are C(t + D - 1, D - 1) of
-    them.  Exact integer arithmetic.
+    them: exact integers, but past about 10^5 bits RuntimeError, raised before any product.
     """
     t, k, sizes = _count_arguments(t, k, supports)
     if k == 0:
         return int(t == 0)
-    return math.comb(t + sum(sizes) - 1, sum(sizes) - 1)
+    cells = sum(sizes)
+    bits = min(t, cells - 1) * (t + cells - 1).bit_length()
+    if bits > _MAX_BOUND_BITS:
+        raise RuntimeError(f"state space too large: a count of up to {bits} bits exceeds the "
+                           f"cap of {_MAX_BOUND_BITS}")
+    return math.comb(t + cells - 1, cells - 1)
 
 
 def state_space_bounds(t: int, k: int, supports: Sequence[int]) -> tuple[Fraction, Fraction]:

@@ -315,12 +315,11 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
     means, post_vars = posterior_arrays(prior_means[:, None], prior_vars[:, None], counts, sums,
                                         svars)
     state = pol.BatchState(_checked(means, post_vars, prior_vars[:, None]), post_vars, svars,
-                           counts, sums / counts)
+                           counts, sums)
     cols = np.arange(n)
     posterior, prior = ((posterior_arrays, prior_vars) if (prior_vars == 0.0).any()
                         else (_posterior, 1.0 / prior_vars))
-    counts, sums, means, post_vars, sample_means = (
-        x.reshape(-1) for x in (counts, sums, means, post_vars, state.sample_means))
+    counts, sums, means, post_vars = (x.reshape(-1) for x in (counts, sums, means, post_vars))
     if variance_mode == "plugin_refresh":
         sumsqs, svars = sumsqs.reshape(-1), svars.reshape(-1)
 
@@ -345,7 +344,7 @@ def _engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior
         m, v = posterior(prior_means.take(alt), prior.take(alt), c, s, sv)
         if not (np.isfinite(m).all() and v.all()):  # a bad mean, or a zero variance
             _checked(m, v, prior_vars.take(alt))
-        means[at], post_vars[at], sample_means[at] = m, v, s / c
+        means[at], post_vars[at] = m, v
 
 
 def _last(states):
@@ -394,6 +393,7 @@ def estimate_ipcs(
     carry their own generators, so estimates are identical for any worker count.
     """
     check_int(workers, "workers", 1)
+    _check_policy(policy_id, scenario.horizon - scenario.warmup)
     score_fn = pol.make_policy(policy_id, weights)
     n = scenario.macro_reps
     blocks = _blocks(range(n))
@@ -421,7 +421,7 @@ def replication_features(
     squared-correlation) features at the horizon of the l-th index and
     ``y[l]`` is its correct-selection indicator.
     """
-    _check_policy(scenario, policy_id)
+    _check_policy(policy_id, scenario.horizon - scenario.warmup)
     score_fn = pol.make_policy(policy_id)
     rows = []
     for block in _blocks(indices):
@@ -452,6 +452,7 @@ def run_fixed_truths(
     the terminal selection.  ``steps`` counts post-initialization samples.
     """
     check_size(steps, "steps", 0)
+    _check_policy(policy_id, steps)
     score_fn = pol.make_policy(policy_id)
     means = np.stack([t.means for t in truths], axis=1)
     svars = np.stack([t.variances for t in truths], axis=1)
@@ -510,7 +511,7 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
         if not is_object(entry):
             raise ValueError(f"policy entry must be an id or an object: {entry!r}")
         pid = field(entry, "policy", "id", anything)
-        _check_policy(scenario, pid)
+        _check_policy(pid, scenario.horizon - scenario.warmup)
         sources = {"weights_file": (is_str, None), "fit": (is_object, None)}
         spec = fields(entry, "policy", {
             "id": (anything,), "label": (is_str, pid), **(sources if pid == "two_factor" else {})
@@ -537,11 +538,10 @@ def parse_config(config: dict) -> tuple[Scenario, list[dict], dict]:
     return scenario, specs, output
 
 
-def _check_policy(scenario: Scenario, policy_id) -> None:
+def _check_policy(policy_id, budget: int) -> None:
     """Reject an unknown policy id, and an ``aoap_ms<d>`` id whose look-ahead d exceeds
-    the samples after warmup: no decision has more left, and each costs O(d^2)."""
+    the ``budget`` of samples after warmup: no decision has more left, and each costs O(d^2)."""
     _, depth = pol.lookup_policy(policy_id)
-    budget = scenario.horizon - scenario.warmup
     if depth is not None and depth > budget:
         raise ValueError(f"policy {policy_id!r} looks {depth} samples ahead, but only "
                          f"{budget} follow the warmup (T - k*n0)")

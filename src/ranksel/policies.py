@@ -78,15 +78,13 @@ __all__ = [
 @dataclass(frozen=True)
 class BatchState:
     """Belief states as ``(k, ...)`` arrays: one column per replication, or one state.
-
-    ``sample_means`` is None when some alternative has no observations.
-    """
+    ``sums`` holds each alternative's sum of observations, the statistic the engine keeps."""
 
     means: np.ndarray
     post_vars: np.ndarray
     sampling_vars: np.ndarray
     counts: np.ndarray
-    sample_means: np.ndarray | None
+    sums: np.ndarray
 
 
 class BeliefVector(BatchState):
@@ -96,9 +94,7 @@ class BeliefVector(BatchState):
         rows = [(b.post_mean, b.post_var, b.sampling_var, b.count, b.sum_obs) for b in beliefs]
         if len(rows) < 2:
             raise ValueError("need at least two alternatives")
-        means, post_vars, sampling_vars, counts, sums = np.array(rows, dtype=float).T.copy()
-        super().__init__(means, post_vars, sampling_vars, counts,
-                         sums / counts if counts.all() else None)
+        super().__init__(*np.array(rows, dtype=float).T.copy())
 
 
 @dataclass(frozen=True)
@@ -315,8 +311,6 @@ def aoap_multistep_values(
     multiset scores, for any depth >= 1, at O(depth^2 k^2) work per state.
     """
     check_size(depth, "depth", 1)
-    if depth == 1:
-        return aoap_candidate_values(means, post_vars, sampling_vars)
     # (alternative, candidate, ...) arrays; each candidate holds its own first sample
     k = means.shape[0]
     shape = (k,) + means.shape
@@ -410,13 +404,11 @@ def kg_candidate_values(
     from scipy.special import ndtr
     s = post_vars - shrunk_variance(post_vars, sampling_vars)
     np.sqrt(np.maximum(s, 0.0, out=s), out=s)
-    m1 = means.max(axis=0)
-    at_a1 = _offsets(_index_of(means, m1))
-    # The best other mean is m1, except for a1 itself: the runner-up.
+    # The best other mean is the incumbent's, except for the incumbent itself: the runner-up.
+    at_b, z = _incumbent_geometry(means)
     runner_up = np.array(means, dtype=float)
-    runner_up.reshape(-1)[at_a1] = -np.inf
-    z = means - m1
-    z.reshape(-1)[at_a1] = means.take(at_a1) - runner_up.max(axis=0)
+    runner_up.reshape(-1)[at_b] = -np.inf
+    z.reshape(-1)[at_b] = means.take(at_b) - runner_up.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.negative(np.abs(z, out=z), out=z), s, out=z)
         nu = ndtr(z)
@@ -479,9 +471,9 @@ def _ea_score(state: BatchState, t: int) -> np.ndarray:
 def _ocba_score(state: BatchState, t: int) -> np.ndarray:
     """Most-starving budget allocation on frequentist plug-in statistics: sample means
     (so every alternative needs an observation) and the sampling variances."""
-    if state.sample_means is None:
+    if not state.counts.all():
         raise ValueError("sample mean undefined with no observations")
-    return ocba_deficits(state.sample_means, state.sampling_vars, state.counts)
+    return ocba_deficits(state.sums / state.counts, state.sampling_vars, state.counts)
 
 
 # Entries call the array cores through their module-level names.  The

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -669,6 +670,16 @@ class TestStateSpaceSize:
 
     def test_no_alternatives(self):
         assert [state_space_size(t, 0, ()) for t in range(3)] == [1, 0, 0]
+
+    @pytest.mark.parametrize("t, supports", [(2**18, [2, 2**18]), (2**40, [2, 2**40])])
+    def test_count_too_large_refused_before_it_is_formed(self, t, supports):
+        """C(t + D - 1, D - 1) has at most min(t, D - 1) * bit_length(t + D - 1) bits; past
+        10^5 of them the count raises at once (the exact product took seconds at 2^18,
+        and did not finish at 2^40)."""
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="state space too large: .* exceeds the cap"):
+            state_space_size(t, 2, supports)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDiscretizePrior:

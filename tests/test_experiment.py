@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from ranksel.experiment import (
     estimate_ipcs,
     parse_config,
     replication_features,
+    run_fixed_truths,
     run_specs,
     write_results,
 )
@@ -242,12 +244,12 @@ class TestEngineMatchesScalarPolicies:
         post_vars = rng.uniform(0.05, 2.0, size=(n, k))
         svars = rng.uniform(0.2, 3.0, size=(n, k))
         counts = rng.integers(2, 20, size=(n, k)).astype(float)
-        sample_means = rng.normal(size=(n, k))
+        sums = rng.normal(size=(n, k))
         # drawn row by row, held alternative-major like the engine's state
-        arrays = (means, post_vars, svars, counts, sample_means)
+        arrays = (means, post_vars, svars, counts, sums)
         return BatchState(*(a.T.copy() for a in arrays))
 
-    def _row_beliefs(self, state, r, use_sample_mean_sums=True):
+    def _row_beliefs(self, state, r):
         k = state.means.shape[0]
         return pol.BeliefVector(
             tuple(
@@ -256,7 +258,7 @@ class TestEngineMatchesScalarPolicies:
                     post_var=float(state.post_vars[i, r]),
                     count=int(state.counts[i, r]),
                     sampling_var=float(state.sampling_vars[i, r]),
-                    sum_obs=float(state.sample_means[i, r] * state.counts[i, r]),
+                    sum_obs=float(state.sums[i, r]),
                 )
                 for i in range(k)
             )
@@ -328,8 +330,8 @@ class TestEngineMatchesScalarPolicies:
 def reference_engine(score_fn, true_means, true_sds, true_vars, noise, prior_means, prior_vars,
                      variance_mode, n0, horizon):
     """The engine as a full recompute: every step rebuilds the posterior, the
-    plug-in variances and the sample means of all (k, n) entries from the
-    running sums.  Yields (state, decision), decision None at the horizon."""
+    plug-in variances of all (k, n) entries from the running sums.  Yields
+    (state, decision), decision None at the horizon."""
     k, n = true_means.shape
     cols = np.arange(n)
     counts, sums, sumsqs = np.zeros((k, n)), np.zeros((k, n)), np.zeros((k, n))
@@ -348,7 +350,7 @@ def reference_engine(score_fn, true_means, true_sds, true_vars, noise, prior_mea
             svars = sample_variances(counts, sums, sumsqs)
         means, post_vars = posterior_arrays(prior_means[:, None], prior_vars[:, None], counts,
                                             sums, svars)
-        state = BatchState(means, post_vars, svars, counts.copy(), sums / counts)
+        state = BatchState(means, post_vars, svars, counts.copy(), sums.copy())
         alt = decide(score_fn, state, t) if t < horizon else None
         yield state, alt
         if alt is not None:
@@ -384,7 +386,7 @@ class TestIncrementalStep:
         score_fn = make_policy(policy_id, weights_for(policy_id))
         args = (score_fn, true_means, true_sds, true_sds**2, noise, prior_means, prior_vars,
                 mode, n0, horizon)
-        fields = ("means", "post_vars", "sampling_vars", "counts", "sample_means")
+        fields = ("means", "post_vars", "sampling_vars", "counts", "sums")
         for t, (state, (ref, ref_alt)) in enumerate(
                 zip(experiment._engine(*args), reference_engine(*args), strict=True),
                 start=k * n0):
@@ -624,6 +626,33 @@ class TestConfigAndResults:
             parse_config(config)
         with pytest.raises(ValueError, match=re.escape(message)):
             replication_features(scenario, "aoap_ms13", range(4))
+
+    def test_lookahead_depth_bounded_before_any_simulation(self):
+        """estimate_ipcs and run_fixed_truths (whose budget is ``steps``) check the same
+        rule before they simulate, so a depth of 10^9 raises at once instead of spending
+        O(d^2) on each decision; the alarm fails the test if it does not."""
+        scenario = Scenario(prior_means=(0, 1), prior_stds=(1, 1), sampling_stds=(1, 1),
+                            horizon=6, n0=2, macro_reps=4)
+        truth = GroundTruth(means=[0.0, 1.0], variances=[1.0, 1.0])
+        deep = "aoap_ms1000000000"
+
+        def expire(signum, frame):
+            raise TimeoutError(f"{deep} was simulated")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"policy '{deep}' looks 1000000000 samples ahead, but only 2 follow")):
+                estimate_ipcs(scenario, deep)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"policy '{deep}' looks 1000000000 samples ahead, but only 4 follow")):
+                run_fixed_truths([truth], deep, 4)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert estimate_ipcs(scenario, "aoap_ms2").macro_reps == 4
+        assert run_fixed_truths([truth], "aoap_ms4", 4).counts.sum() == 8
 
     def test_run_experiment_and_write(self, tmp_path):
         config = self.config_dict(tmp_path)

@@ -340,12 +340,38 @@ def multistep_states(draw):
     return means, post_vars, sampling_vars
 
 
+def degenerate_batch(rng, shape):
+    """A seeded (k, n) batch of the kinds of states ``multistep_states`` draws: tied
+    means, zero and infinite variances, sampling-to-posterior ratios above 2^53."""
+
+    def variances():
+        u = rng.random(shape)
+        return np.select([u < 0.15, u < 0.3], [0.0, np.inf], rng.exponential(size=shape))
+
+    means = np.where(rng.random(shape) < 0.5, rng.integers(0, 2, shape), rng.normal(size=shape))
+    post_vars = variances()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = post_vars * 2.0 ** rng.uniform(53, 1000, shape)
+    return means, post_vars, np.where(rng.random(shape) < 0.5, scaled, variances())
+
+
 class TestAoapMultistep:
     def test_depth_one_reproduces_single_step(self):
+        """Depth 1 runs the water-filling loop with no sample to pour; its values are
+        aoap's bit for bit, NaN included, also on tied means and zero and infinite
+        variances."""
         rng = np.random.default_rng(8)
         for _ in range(100):
             b = random_belief_vector(rng)
             assert decide(make_policy("aoap_ms1"), b, 0) == decide(make_policy("aoap"), b, 0)
+            args = (b.means, b.post_vars, b.sampling_vars)
+            assert (aoap_multistep_values(*args, 1).tobytes()
+                    == aoap_candidate_values(*args).tobytes())
+        for k in range(2, 12):
+            args = degenerate_batch(rng, (k, 512))
+            values = aoap_candidate_values(*args)
+            assert np.isnan(values).any()  # some state has tied means and zero variances
+            assert aoap_multistep_values(*args, 1).tobytes() == values.tobytes(), k
 
     def test_depth_two_matches_pair_enumeration(self):
         """Depths 2 and 3 against a brute-force loop over every ordered
@@ -397,18 +423,7 @@ class TestAoapMultistep:
         """Seeded (k, 2048) batches of the same kinds of states reach corners that a few
         hundred hypothesis examples rarely do: each greedy failure pinned above shows
         up here too."""
-        rng = np.random.default_rng(k)
-        shape = (k, 2048)
-
-        def variances():
-            u = rng.random(shape)
-            return np.select([u < 0.15, u < 0.3], [0.0, np.inf], rng.exponential(size=shape))
-
-        means = np.where(rng.random(shape) < 0.5, rng.integers(0, 2, shape), rng.normal(size=shape))
-        post_vars = variances()
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = post_vars * 2.0 ** rng.uniform(53, 1000, shape)
-        sampling_vars = np.where(rng.random(shape) < 0.5, scaled, variances())
+        means, post_vars, sampling_vars = degenerate_batch(np.random.default_rng(k), (k, 2048))
         for depth in (2, 3, 4):
             expected = multiset_values(means, post_vars, sampling_vars, depth)
             got = aoap_multistep_values(means, post_vars, sampling_vars, depth)
@@ -837,7 +852,7 @@ class TestOcba:
     def test_unobserved_alternative_rejected(self):
         """Plug-in sample means need at least one observation each."""
         b = belief_vector([1.0, 0.0, 0.0], [0.5] * 3, counts=[3, 0, 2])
-        assert b.sample_means is None
+        assert (b.counts[1], b.sums[1]) == (0.0, 0.0)
         with pytest.raises(ValueError, match="sample mean undefined"):
             decide(make_policy("ocba"), b, 0)
 
