@@ -20,6 +20,8 @@ SeedSequence pass computes every row's seed words, and NumPy seeds the
 row's own PCG64 from them.  Replications, ``gmcl_fit``'s histories too,
 run in batches of at most ``_CHUNK`` rows; results do not depend on batch
 boundaries or worker counts, so any replication can be reproduced alone.
+Runs are block-major: each batch draws its noise once and every policy of
+``run_specs`` runs on it, so a config's policies share one draw per batch.
 Configs are checked by the one JSON input reader (``_json``), which rejects
 a key that nothing reads, by name; ``parse_config`` also reads every weights
 file, so every input is checked before the first simulation.
@@ -58,6 +60,28 @@ __all__ = [
 VARIANCE_MODES = ("known", "plugin_frozen", "plugin_refresh")
 _N_INIT = 2  # warmup observations per alternative of a fixed-truth run
 _CHUNK = 4096  # replications per engine batch
+_MAX_NORMALS = 2**31  # the most noise a run may draw: 16 GiB of float64
+
+
+def _check_noise(rows: int, width: int, block: int, row_arg: tuple, width_arg: tuple) -> None:
+    """Refuse, before any array is built, ``rows`` rows of ``width`` normals drawn ``block``
+    rows at a time; ``row_arg`` and ``width_arg`` are the (name, value) that set them.  A
+    block past 2**63 bytes is a ValueError, as NumPy's "array is too big" was; past
+    ``_MAX_NORMALS`` a run exceeds the cap (RuntimeError), where NumPy would allocate."""
+    if block * width * 8 >= 2**63:
+        name, value = width_arg
+        raise ValueError(f"{name} makes a noise block of {block} x {width} normals, more than "
+                         f"any array can hold, got {value!r}")
+    if rows * width > _MAX_NORMALS:
+        name, value = width_arg if width > _MAX_NORMALS else row_arg
+        raise RuntimeError(f"{name} too large: the run's noise of {rows} x {width} normals "
+                           f"exceeds the cap of 2**31 normals (16 GiB), got {value!r}")
+
+
+def _check_replications(scenario: Scenario, name: str, rows) -> None:
+    """``_check_noise`` for ``rows`` replications of the scenario, drawn in ``_CHUNK`` blocks."""
+    _check_noise(int(rows), scenario.k + int(scenario.horizon), min(int(rows), _CHUNK),
+                 (name, rows), ("horizon", scenario.horizon))
 
 
 @dataclass(frozen=True)
@@ -353,32 +377,35 @@ def _last(states):
     return state
 
 
-def _blocks(indices) -> list[list]:
-    """Replication indices in consecutive engine batches of at most ``_CHUNK`` rows."""
-    idx = list(indices)
+def _blocks(indices) -> list:
+    """Replication indices in consecutive engine batches of at most ``_CHUNK`` rows
+    (slices of a ``range``, which lists no index)."""
+    idx = indices if isinstance(indices, range) else list(indices)
     return [idx[lo:lo + _CHUNK] for lo in range(0, len(idx), _CHUNK)]
 
 
-def _replications(scenario: Scenario, score_fn, indices, namespace=0):
-    """Engine run of a batch of macro replications: (true best per row, state stream)."""
+def _replications(scenario: Scenario, score_fns, indices, namespace=0):
+    """Engine runs of a batch of macro replications, one per score function, all on one
+    noise draw: (true best per row, one state stream per score function)."""
     n, k, horizon = len(indices), scenario.k, scenario.horizon
     z = _block_normals(scenario.master_seed, namespace, indices, k + horizon)
 
     prior_means = np.array(scenario.prior_means)
     prior_vars = np.array(scenario.prior_stds) ** 2
     sds = np.broadcast_to(np.array(scenario.sampling_stds)[:, None], (k, n))
+    svars = sds**2
     truth = np.ascontiguousarray((prior_means + np.sqrt(prior_vars) * z[:, :k]).T)
-    states = _engine(score_fn, truth, sds, sds**2, z[:, k:], prior_means, prior_vars,
-                     scenario.variance_mode, scenario.n0, horizon)
-    return pol._argmax(truth), states
+    return pol._argmax(truth), [
+        _engine(score_fn, truth, sds, svars, z[:, k:], prior_means, prior_vars,
+                scenario.variance_mode, scenario.n0, horizon) for score_fn in score_fns]
 
 
-def _correct_counts(scenario: Scenario, score_fn, indices) -> np.ndarray:
-    """Number of replications in the batch selecting correctly, per recorded step."""
-    true_best, states = _replications(scenario, score_fn, indices)
-    return np.array([
-        np.count_nonzero(pol._argmax(state.means) == true_best) for state in states
-    ])
+def _correct_counts(scenario: Scenario, score_fns, indices) -> np.ndarray:
+    """Number of replications in the batch selecting correctly, per score function (rows)
+    and recorded step (columns)."""
+    true_best, runs = _replications(scenario, score_fns, indices)
+    return np.array([[np.count_nonzero(pol._argmax(state.means) == true_best) for state in states]
+                     for states in runs])
 
 
 def estimate_ipcs(
@@ -387,26 +414,9 @@ def estimate_ipcs(
     weights: VfaWeights | None = None,
     workers: int = 1,
 ) -> IpcsCurve:
-    """Estimate the correct-selection curve over the scenario's replications.
-
-    Replication indices are split into fixed batches of ``_CHUNK`` whose rows
-    carry their own generators, so estimates are identical for any worker count.
-    """
-    check_int(workers, "workers", 1)
-    _check_policy(policy_id, scenario.horizon - scenario.warmup)
-    score_fn = pol.make_policy(policy_id, weights)
-    n = scenario.macro_reps
-    blocks = _blocks(range(n))
-
-    def count(block):
-        return _correct_counts(scenario, score_fn, block)
-
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(count, blocks))
-    else:
-        parts = [count(b) for b in blocks]
-    return IpcsCurve.from_counts(scenario.step_grid, sum(parts), n)
+    """Estimate the correct-selection curve over the scenario's replications: the
+    one-policy case of ``run_specs``."""
+    return run_specs(scenario, [{"id": policy_id, "label": 0, "weights": weights}], workers)[0]
 
 
 def replication_features(
@@ -425,7 +435,7 @@ def replication_features(
     score_fn = pol.make_policy(policy_id)
     rows = []
     for block in _blocks(indices):
-        true_best, states = _replications(scenario, score_fn, block, namespace)
+        true_best, (states,) = _replications(scenario, [score_fn], block, namespace)
         final = _last(states)
         g1, g2 = pol.state_features(final.means, final.post_vars)
         rows.append((np.column_stack([g1, g2]), pol._argmax(final.means) == true_best))
@@ -459,7 +469,8 @@ def run_fixed_truths(
     if np.any(svars <= 0):
         raise ValueError("fixed-truth runs require strictly positive variances")
     k, n = means.shape
-    horizon = _N_INIT * k + steps
+    horizon = _N_INIT * k + int(steps)
+    _check_noise(n, horizon, n, ("number of truths", n), ("steps", steps))
     noise = _block_normals(seed, 2, range(n), horizon)
     final = _last(_engine(score_fn, means, np.sqrt(svars), svars, noise, np.zeros(k),
                           np.full(k, np.inf), "known", _N_INIT, horizon))
@@ -561,13 +572,32 @@ def _fit_settings(fit: dict, scenario: Scenario) -> SaConfig:
 
 
 def run_specs(scenario: Scenario, specs: list[dict], workers: int) -> dict[str, IpcsCurve]:
-    """Run policy specs parsed by ``parse_config`` on the scenario; returns curves by label."""
-    check_int(workers, "workers", 1)  # before an inline fit runs
-    results: dict[str, IpcsCurve] = {}
+    """Run policy specs parsed by ``parse_config`` on the scenario; returns curves by label.
+
+    Every spec's policy and look-ahead budget are checked before an inline fit runs;
+    the fits run next.  Then each batch of ``_CHUNK`` replications draws its noise
+    once and every policy runs on it.  Rows carry their own generators, so each curve
+    is the same for any worker count and whatever other policies run beside it.
+    """
+    check_int(workers, "workers", 1)
+    _check_replications(scenario, "macro_reps", scenario.macro_reps)
     for spec in specs:
-        weights = gmcl_fit(scenario, config=spec["fit"]) if "fit" in spec else spec.get("weights")
-        results[spec["label"]] = estimate_ipcs(scenario, spec["id"], weights, workers=workers)
-    return results
+        _check_policy(spec["id"], scenario.horizon - scenario.warmup)
+    score_fns = [pol.make_policy(spec["id"], gmcl_fit(scenario, config=spec["fit"])
+                                 if "fit" in spec else spec.get("weights")) for spec in specs]
+
+    def count(block):
+        return _correct_counts(scenario, score_fns, block)
+
+    n = scenario.macro_reps
+    blocks = _blocks(range(n))
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(count, blocks))
+    else:
+        hits = sum(map(count, blocks))
+    return {spec["label"]: IpcsCurve.from_counts(scenario.step_grid, h, n)
+            for spec, h in zip(specs, hits)}
 
 
 def write_results(results: dict[str, IpcsCurve], path: str, downsample: int = 1) -> None:

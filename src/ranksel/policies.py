@@ -399,7 +399,10 @@ def kg_candidate_values(
     For each alternative, the posterior mean after one more observation is
     normal around its current value with standard deviation
     s_i = sqrt(var_i - var_i'); the expected improvement has the usual
-    closed form s * (z * Phi(z) + phi(z)) at z = -|gap to best other| / s.
+    closed form s * (z * Phi(z) + phi(z)) at z = -|gap to best other| / s,
+    and 0 where s is not positive.  Below z = -39 both Phi(z) and phi(z) are
+    exactly 0 in float64, so the value is exactly +0.0 and only the other
+    entries are computed (a NaN z among them).
     """
     from scipy.special import ndtr
     s = post_vars - shrunk_variance(post_vars, sampling_vars)
@@ -409,15 +412,22 @@ def kg_candidate_values(
     runner_up = np.array(means, dtype=float)
     runner_up.reshape(-1)[at_b] = -np.inf
     z.reshape(-1)[at_b] = means.take(at_b) - runner_up.max(axis=0)
+    del runner_up
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.negative(np.abs(z, out=z), out=z), s, out=z)
-        nu = ndtr(z)
-        nu *= z
-        np.square(z, out=z)
-        z *= -0.5
-        nu += np.exp(z, out=z) / math.sqrt(2.0 * math.pi)
+        live = np.flatnonzero((s > 0.0) & ~(z < -39.0))
+        x, s = z.take(live), s.take(live)
+        nu = ndtr(x)
+        nu *= x
+        np.square(x, out=x)
+        x *= -0.5
+        np.exp(x, out=x)
+        x /= math.sqrt(2.0 * math.pi)
+        nu += x
         nu *= s
-    return np.where(s > 0.0, nu, 0.0)
+    z.fill(0.0)
+    z.reshape(-1)[live] = nu
+    return z
 
 
 def ocba_ratio_core(means: np.ndarray, sampling_vars: np.ndarray) -> np.ndarray:

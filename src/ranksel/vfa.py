@@ -160,11 +160,12 @@ def gmcl_fit(
     posterior variances, as with zero prior stds and known variances)
     raises ValueError: the weights are not identified from it.
     """
-    from .experiment import replication_features
+    from .experiment import _check_replications, replication_features
 
     config = config or SaConfig()
     scenario = replace(scenario, horizon=scenario.horizon if horizon is None else horizon,
                        master_seed=config.seed)
+    _check_replications(scenario, "iterations", config.iterations)
     features, indicators = replication_features(scenario, generator_policy,
                                                 range(config.iterations), namespace=1)
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))

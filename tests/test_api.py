@@ -3,7 +3,10 @@
 import ast
 import importlib
 import os
+import re
+import tracemalloc
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +181,9 @@ INTEGER_ARGUMENTS = {
         "replication index", 0, lambda v: replication_features(TINY, "aoap", [1, v])),
     "replication_features(namespace)": (
         "namespace", 0, lambda v: replication_features(TINY, "aoap", [0, 1], namespace=v)),
+    "Scenario(horizon)": ("horizon", None, lambda v: estimate_ipcs(replace(TINY, horizon=v), "ea")),
+    "Scenario(macro_reps)": (
+        "macro_reps", 1, lambda v: estimate_ipcs(replace(TINY, macro_reps=v), "ea")),
     "run_fixed_truths(steps)": ("steps", 0, lambda v: run_fixed_truths([TRUTH], "aoap", v)),
     "run_fixed_truths(seed)": (
         "seed", 0, lambda v: run_fixed_truths([TRUTH], "aoap", 3, seed=v)),
@@ -209,12 +215,13 @@ INTEGER_ARGUMENTS = {
 }
 # The one other ValueError an entry may raise: a relation between arguments.
 RELATIONAL = {
+    "Scenario(horizon)": "horizon must cover the warmup (horizon >= k * n0)",
     "gmcl_fit(horizon)": "horizon must cover the warmup (horizon >= k * n0)",
     "state_space_size(k)": "need one support size per alternative",
     "state_space_bounds(k)": "need one support size per alternative",
 }
 # Sizes from 0 to 5 run; sizes beyond 2^63, longer than any array, must not reach NumPy.
-# (Sizes in between would allocate, so they are not drawn.)
+# (Sizes in between are drawn below, for the sizes that set a run's noise.)
 INTEGER_INPUTS = st.one_of(
     st.booleans(), st.floats(), st.integers(-(2**70), -1), st.integers(0, 5),
     st.integers(2**63, 2**80), st.integers(-5, 5).map(np.int64),
@@ -260,7 +267,7 @@ def test_integer_arguments(argument, value):
     integer gives the outcome of the same Python integer, and anything else raises the
     integer rule's ValueError.  A ValueError is one of the rule's three messages or the
     entry's relational one.  The one other error is a size cap's RuntimeError (state
-    space, bounds, prior or observation grid)."""
+    space, bounds, prior or observation grid, a run's noise)."""
     name, low, call = INTEGER_ARGUMENTS[argument]
     got = outcome(call, value)
     if is_integer(value):  # a message may show a NumPy integer's repr
@@ -275,3 +282,35 @@ def test_integer_arguments(argument, value):
         assert got[1] in {*rule, RELATIONAL.get(argument)}, got
     else:
         assert is_integer(value) and "exceeds" in got[1], got
+
+
+# The sizes that set how much noise a run draws, and the argument each error names.
+NOISE_SIZES = ["Scenario(horizon)", "Scenario(macro_reps)", "run_fixed_truths(steps)",
+               "gmcl_fit(horizon)", "SaConfig(iterations)"]
+
+
+@pytest.mark.parametrize("argument", NOISE_SIZES)
+@given(value=st.one_of(st.integers(2**31, 2**63 - 1), st.integers(2**31, 2**63 - 1).map(np.int64)))
+@settings(max_examples=25, deadline=None)
+@example(value=2**31)
+@example(value=2**45)
+@example(value=2**62)
+@example(value=2**63 - 1)
+def test_sizes_no_array_can_hold(argument, value):
+    """From 2^31 up to 2^63, a size that sets a run's noise is refused before any array
+    is built (tracemalloc sees under 64 KiB): a ValueError where one block of noise is
+    more than any array can index (2^63 bytes), else the noise cap's RuntimeError (2^31
+    normals, 16 GiB).  Either names the argument, with the value given."""
+    name, _, call = INTEGER_ARGUMENTS[argument]
+    tracemalloc.start()
+    try:
+        kind, message = outcome(call, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+    pattern = {
+        ValueError: f"{name} makes a noise block of N x N normals, more than any array can hold",
+        RuntimeError: f"{name} too large: the run's noise of N x N normals exceeds the cap of "
+                      "2**31 normals (16 GiB)"}[kind]
+    assert re.fullmatch(re.escape(f"{pattern}, got {value!r}").replace("N", r"\d+"), message)

@@ -211,10 +211,11 @@ class TestConjugacyProperties:
 
 def engine_truths(monkeypatch, scenario, indices):
     """The ``(k, n)`` true means that ``experiment._replications`` draws for the rows
-    ``indices`` and hands to the simulation engine (which is not run)."""
+    ``indices`` and hands to the simulation engine (which is not run) for its one score
+    function."""
     seen = []
     monkeypatch.setattr(experiment, "_engine", lambda score_fn, truth, *rest: seen.append(truth))
-    experiment._replications(scenario, None, list(indices))
+    experiment._replications(scenario, [None], list(indices))
     return seen[0]
 
 

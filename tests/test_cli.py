@@ -496,13 +496,14 @@ class TestConfigValidation:
         assert "macro_reps" in self.run_main(tmp_path, capsys, {"macro_reps": True})
 
     @staticmethod
-    def forbid_runs(monkeypatch, name="estimate_ipcs"):
+    def forbid_runs(monkeypatch):
+        """Fail on the first noise draw: every simulation, an inline fit's too, starts there."""
         from ranksel import experiment
 
         def no_runs(*args, **kwargs):
             raise AssertionError("a policy ran before the config was validated")
 
-        monkeypatch.setattr(experiment, name, no_runs)
+        monkeypatch.setattr(experiment, "_block_normals", no_runs)
 
     def test_lookahead_beyond_budget_rejected_before_any_run(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -612,7 +613,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
                                                        workers):
-        self.forbid_runs(monkeypatch, "_correct_counts")  # the check is in estimate_ipcs
+        self.forbid_runs(monkeypatch)  # the check is in run_specs, before any fit or block
         err = self.run_main(tmp_path, capsys, flags=("--workers", workers))
         assert f"workers must be >= 1, got {workers}" in err
 

@@ -107,7 +107,7 @@ class TestScenarioValidation:
 
 def one_replication(scenario, policy_id, rep_index=0):
     """Correctness bits of one macro replication; element j is at warmup + j samples."""
-    return experiment._correct_counts(scenario, make_policy(policy_id), [rep_index])
+    return experiment._correct_counts(scenario, [make_policy(policy_id)], [rep_index])[0]
 
 
 class TestMacroReplication:
@@ -137,7 +137,7 @@ class TestMacroReplication:
         sc = small_scenario(horizon=31)  # not a multiple of k
         from ranksel.experiment import _last, _replications
 
-        _, states = _replications(sc, make_policy("ea"), [0, 1, 2])
+        _, (states,) = _replications(sc, [make_policy("ea")], [0, 1, 2])
         counts = _last(states).counts
         assert counts.sum() == 3 * sc.horizon
         assert np.all(np.isin(counts, (sc.horizon // sc.k, sc.horizon // sc.k + 1)))
@@ -713,6 +713,80 @@ class TestConfigAndResults:
         w1 = gmcl_fit(scenario, config=specs[0]["fit"])
         w2 = gmcl_fit(scenario, config=specs[0]["fit"])
         np.testing.assert_array_equal(w1.w, w2.w)
+
+
+class TestBlockMajorRuns:
+    """``run_specs`` draws each block's noise once and runs every policy on it; the curves
+    are those each policy gets alone from ``estimate_ipcs``."""
+
+    CONFIG = {
+        "scenario": {"prior_means": [0.0, 0.2, 0.4], "prior_stds": [1.0, 1.0, 1.0],
+                     "sampling_stds": [1.0, 2.0, 1.5], "T": 14, "n0": 2, "macro_reps": 8200,
+                     "master_seed": 17},
+        "policies": ["ea", "ocba", "kg", "aoap", "aoap_ms2",
+                     {"id": "two_factor", "label": "tf", "fit": {"iterations": 64}}],
+    }
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        calls = []
+        block_normals = experiment._block_normals
+
+        def spy(master_seed, namespace, indices, width):
+            calls.append((namespace, len(indices)))
+            return block_normals(master_seed, namespace, indices, width)
+
+        monkeypatch.setattr(experiment, "_block_normals", spy)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_curves_match_each_policy_alone(self, workers):
+        from ranksel.vfa import gmcl_fit
+
+        scenario, specs, _ = parse_config(self.CONFIG)
+        together = run_specs(scenario, specs, workers)
+        assert list(together) == ["ea", "ocba", "kg", "aoap", "aoap_ms2", "tf"]
+        for spec in specs:
+            weights = gmcl_fit(scenario, config=spec["fit"]) if "fit" in spec else None
+            alone = estimate_ipcs(scenario, spec["id"], weights)
+            got = together[spec["label"]]
+            assert got.macro_reps == alone.macro_reps == 8200
+            for name in ("steps", "ipcs", "stderr"):
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), spec
+        assert len({c.ipcs.tobytes() for c in together.values()}) == len(together)
+
+    @pytest.mark.parametrize("policies", [["ea"], ["ea", "ocba", "kg", "aoap"]])
+    def test_one_noise_draw_per_block(self, monkeypatch, policies):
+        """8,200 replications are three blocks: three draws in namespace 0, however many
+        policies run; an inline fit draws its own histories in namespace 1."""
+        calls = self.count_blocks(monkeypatch)
+        scenario, specs, _ = parse_config({**self.CONFIG, "policies": policies})
+        run_specs(scenario, specs, 1)
+        assert calls == [(0, 4096), (0, 4096), (0, 8)]
+        calls.clear()
+        scenario, specs, _ = parse_config({**self.CONFIG, "policies": policies + [
+            {"id": "two_factor", "fit": {"iterations": 5000}}]})
+        run_specs(scenario, specs, 2)
+        assert sorted(calls) == [(0, 8), (0, 4096), (0, 4096), (1, 904), (1, 4096)]
+
+    def test_every_spec_checked_before_any_fit(self, monkeypatch):
+        """A look-ahead beyond the budget, listed after an inline fit, is refused before
+        the fit or any replication runs."""
+        from ranksel.vfa import SaConfig
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fit or a simulation ran before every spec was checked")
+
+        monkeypatch.setattr(experiment, "gmcl_fit", forbidden)
+        monkeypatch.setattr(experiment, "_block_normals", forbidden)
+        scenario, _, _ = parse_config(self.CONFIG)
+        specs = [{"id": "two_factor", "label": "tf", "fit": SaConfig(iterations=2)},
+                 {"id": "aoap_ms1000000000", "label": "deep"}]
+        with pytest.raises(ValueError, match=re.escape(
+                "policy 'aoap_ms1000000000' looks 1000000000 samples ahead, but only 8 follow")):
+            run_specs(scenario, specs, 1)
+        with pytest.raises(ValueError, match="unknown policy id 'sobol'"):
+            run_specs(scenario, specs[:1] + [{"id": "sobol", "label": "s"}], 1)
 
 
 class TestMidConfidenceScenario:

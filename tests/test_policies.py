@@ -889,6 +889,92 @@ class TestKnowledgeGradient:
         assert kg_values(b).tolist() == [0.0, 0.0]
         assert decide(make_policy("kg"), b, 0) == 1
 
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_live_entries_reproduce_the_full_formula(self, k):
+        """Computing only the entries with z >= -39 (and s > 0) changes no bit: the far
+        tail is +0.0 either way, and infinite and NaN entries stay where they were.  (A
+        NaN's sign bit follows the SIMD lane that made it, so ``same_bits`` reads every
+        NaN as one; a NaN score raises in ``decide`` whatever its sign.)"""
+        rng = np.random.default_rng(300 + k)
+        means, post_vars, sampling_vars = kg_tail_batch(rng, k, 4096)
+        got = kg_candidate_values(means, post_vars, sampling_vars)
+        want = reference_kg_values(means, post_vars, sampling_vars)
+        assert got.shape == want.shape and same_bits(got, want)
+        assert np.isnan(got).any() and np.isinf(got).any() and (got > 0).any()
+        for i in range(3):  # one (k,) state at a time
+            state = [x[:, i] for x in (means, post_vars, sampling_vars)]
+            want = reference_kg_values(*[x[:, None] for x in state])[:, 0]
+            assert same_bits(kg_candidate_values(*state), want)
+        edge = np.array([[0.0, 0.0, 0.0, 0.0], [-39.0, np.nextafter(-39.0, 0),
+                                                np.nextafter(-39.0, -np.inf), -38.6]])
+        twos = np.full(edge.shape, 2.0)
+        got = kg_candidate_values(edge, twos, twos)
+        assert got.tobytes() == reference_kg_values(edge, twos, twos).tobytes()
+        assert got[1, 0] == got[1, 2] == 0.0 and not np.signbit(got[1]).any()
+
+    def test_far_tail_terms_are_exact_zeros(self):
+        """Both terms of z * Phi(z) + phi(z) are exactly 0 below z = -39: on a fine grid
+        down to -60, on a coarse one to -1e300 and at -inf."""
+        from scipy.special import ndtr
+
+        z = np.concatenate([
+            np.nextafter(-39.0, -np.inf) - np.arange(10**6) * 2.1e-5,
+            -np.geomspace(60, 1e300, 10**4), [-np.inf]])
+        assert (z < -39.0).all()
+        assert not ndtr(z).any()
+        with np.errstate(over="ignore"):
+            assert not np.exp(np.square(z) * -0.5).any()
+        # Above it, each term leaves 0 (subnormal) at its own point: ndtr near -37.68,
+        # exp near -38.60.
+        assert ndtr(-37.67) > 0.0 and np.exp(-0.5 * 38.6**2) > 0.0
+
+
+def reference_kg_values(means, post_vars, sampling_vars):
+    """kg's closed form over every entry, far tail included: the formula that computing
+    only the entries at or above z = -39 must reproduce bit for bit."""
+    from scipy.special import ndtr
+
+    s = post_vars - shrunk_variance(post_vars, sampling_vars)
+    np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+    top = means.max(axis=0)
+    z = top - means
+    incumbent = _argmax(means)
+    columns = np.arange(means[0].size).reshape(means.shape[1:])
+    runner_up = np.array(means, dtype=float)
+    runner_up[incumbent, columns] = -np.inf
+    z[incumbent, columns] = means[incumbent, columns] - runner_up.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.negative(np.abs(z, out=z), out=z), s, out=z)
+        nu = ndtr(z)
+        nu *= z
+        np.square(z, out=z)
+        z *= -0.5
+        nu += np.exp(z, out=z) / math.sqrt(2.0 * math.pi)
+        nu *= s
+    return np.where(s > 0.0, nu, 0.0)
+
+
+def kg_tail_batch(rng, k, n):
+    """A seeded (k, n) kg batch whose z = -|gap| / s spreads over [-60, 0], with the
+    subnormal band (-38.7, -37), z = -39 and its neighbours hit exactly (gaps over
+    s = 1: posterior and sampling variances of 2), and s = 0, infinite posterior
+    variances and NaN means among them."""
+    u = rng.random((k, n))
+    post_vars = np.select([u < 0.05, u < 0.1, u < 0.6], [0.0, np.inf, 2.0],
+                          rng.exponential(size=(k, n)))
+    sampling_vars = np.where(post_vars == 2.0, 2.0, rng.exponential(size=(k, n)))
+    z = np.select([u < 0.7, u < 0.75, u < 0.8, u < 0.85],
+                  [rng.uniform(-60, 0, (k, n)), rng.uniform(-38.7, -37, (k, n)),
+                   np.full((k, n), -39.0), np.full((k, n), np.nextafter(-39.0, 0))],
+                  np.full((k, n), np.nextafter(-39.0, -np.inf)))
+    with np.errstate(invalid="ignore"):
+        s = np.sqrt(post_vars - shrunk_variance(post_vars, sampling_vars))
+    means = np.where(np.isfinite(s) & (s > 0), z * s, -rng.exponential(size=(k, n)))
+    means[0] = 0.0  # the incumbent, so each challenger's gap is -means
+    means[rng.random((k, n)) < 0.01] = np.nan
+    order = np.argsort(rng.random((k, n)), axis=0)
+    return tuple(np.take_along_axis(x, order, axis=0) for x in (means, post_vars, sampling_vars))
+
 
 def ea_decision(t, k):
     return decide(make_policy("ea"), belief_vector([0.0] * k, [1.0] * k), t)
