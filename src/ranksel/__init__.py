@@ -34,13 +34,10 @@ from .exact import (
     brute_force_value,
     discretize_prior,
     load_model,
-    posterior_pmf,
-    predictive_pmf,
     save_model,
     solve_bellman,
     state_space_bounds,
     state_space_size,
-    terminal_value,
 )
 from .experiment import (
     BUILTIN_SCENARIOS,

@@ -51,9 +51,6 @@ __all__ = [
     "DiscreteModel",
     "DiscreteState",
     "SolvedPolicy",
-    "posterior_pmf",
-    "predictive_pmf",
-    "terminal_value",
     "solve_bellman",
     "brute_force_value",
     "state_space_size",
@@ -139,11 +136,9 @@ class DiscreteModel:
             raise ValueError("sampling probabilities must lie in [0, 1]")
         if not np.isfinite(np.concatenate(self.support)).all():
             raise ValueError("support values must be finite")
-        # Means accumulate from 0.0 over outcomes left to right, as sum() over one row would.
-        means = np.zeros((self.r, self.k))
-        for i, (outcomes, table) in enumerate(zip(self.support, tables)):
-            for j, y in enumerate(outcomes):
-                means[:, i] += y * table[:, j]
+        # Means sum over outcomes left to right, as the solver sums over prior points.
+        means = np.hstack([_sum_over_points(table, np.array(outcomes)[:, None])
+                           for outcomes, table in zip(self.support, tables)])
         best = means.max(axis=1, keepdims=True)
         with np.errstate(over="ignore"):  # the check below reports an overflow
             rewards = (means == best).astype(float) if self.reward == "PCS" else means - best
@@ -189,33 +184,6 @@ class DiscreteState:
         counts = list(self.counts)
         counts[i] = tuple(row)
         return DiscreteState(tuple(counts))
-
-
-def posterior_pmf(model: DiscreteModel, state: DiscreteState) -> np.ndarray:
-    """Posterior over the prior support points given the observed counts."""
-    if tuple(map(len, state.counts)) != model.support_sizes:
-        raise ValueError("state counts do not match the model support")
-    likelihoods = np.prod(model.sampling_pmf ** np.concatenate(state.counts), axis=1)
-    weights = model.prior_pmf[None] * likelihoods
-    total = _sum_over_points(weights, np.ones((model.r, 1)))[0, 0]
-    if total <= 0.0:
-        raise ValueError("state has zero probability under every prior point")
-    return weights[0] / total
-
-
-def predictive_pmf(model: DiscreteModel, state: DiscreteState, i: int) -> np.ndarray:
-    """Predictive distribution of the next observation from alternative i."""
-    if not 0 <= i < model.k:
-        raise IndexError(f"alternative index {i} out of range")
-    pred = _sum_over_points(posterior_pmf(model, state)[None], model.sampling_pmf)[0]
-    return pred[np.repeat(np.arange(model.k), model.support_sizes) == i]
-
-
-def terminal_value(model: DiscreteModel, state: DiscreteState, i: int) -> float:
-    """Expected terminal reward of selecting alternative i at this state."""
-    if not 0 <= i < model.k:
-        raise IndexError(f"alternative index {i} out of range")
-    return float(_sum_over_points(posterior_pmf(model, state)[None], model.rewards)[0, i])
 
 
 @dataclass(eq=False)

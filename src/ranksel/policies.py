@@ -9,7 +9,8 @@ Conventions shared by every operation here:
   ``(k,)`` array is one belief state; the simulation engine passes
   C-ordered ``(k, n)`` batches, one column per state, so every max, min
   and sum over alternatives runs along contiguous rows.  Sums over
-  alternatives keep the order NumPy uses along a contiguous last axis.
+  alternatives run left to right from +0.0, in one order for a ``(k,)``
+  state and a ``(k, n)`` batch.
 - Allocation tie-breaking is always: highest value, then fewest samples,
   then lowest index.
 
@@ -165,23 +166,11 @@ def _offsets(b: np.ndarray) -> np.ndarray:
 
 
 def _sum_alternatives(x: np.ndarray) -> np.ndarray:
-    """Sum over alternatives in NumPy's order for a contiguous axis, not axis 0's left to
-    right: under 8 terms left to right; up to 128, 8 interleaved partial sums combined
-    pairwise, then the rest left to right; beyond, the two halves apart."""
-    k = x.shape[0]
-    if k < 8:
-        return x.sum(axis=0)
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _sum_alternatives(x[:half]) + _sum_alternatives(x[half:])
-    acc = x[:8].copy()
-    for i in range(8, k - k % 8, 8):
-        acc += x[i:i + 8]
-    acc = acc[0::2] + acc[1::2]
-    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    for row in x[k - k % 8:]:
+    """Sum over alternatives (axis 0) left to right from +0.0, for one state or a batch."""
+    total = x[0] + 0.0
+    for row in x[1:]:
         total += row
-    return total + 0.0  # NumPy starts from +0.0, so an all -0.0 sum is +0.0
+    return total
 
 
 def shrunk_variance(post_vars: np.ndarray, sampling_vars: np.ndarray, n: float = 1.0) -> np.ndarray:

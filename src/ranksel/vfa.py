@@ -96,7 +96,7 @@ def gmcl_gradient(g: Sequence[float], indicator: float, weights: VfaWeights) -> 
 
 def _gradient(w, g, indicator, K, K_prime):
     g = np.asarray(g, dtype=float)
-    z = float(w @ g)  # not vfa_eval's score: fitted weights keep the bits of ``@``
+    z = float(w[0] * g[0] + w[1] * g[1])  # the two-factor score's sum, with no BLAS call
     return (K(z) - indicator) * (K_prime(z) * g)
 
 

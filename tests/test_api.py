@@ -31,10 +31,9 @@ ALLOWED_NAMES = {
         "normal_batch_posterior", "normal_predictive", "posterior_arrays", "sample_variances",
     ],
     "exact": [
-        "DiscreteModel", "DiscreteState", "SolvedPolicy", "posterior_pmf", "predictive_pmf",
-        "terminal_value", "solve_bellman", "brute_force_value", "state_space_size",
-        "state_space_bounds", "BernoulliPriorSpec", "NormalPriorSpec", "discretize_prior",
-        "load_model", "save_model",
+        "DiscreteModel", "DiscreteState", "SolvedPolicy", "solve_bellman", "brute_force_value",
+        "state_space_size", "state_space_bounds", "BernoulliPriorSpec", "NormalPriorSpec",
+        "discretize_prior", "load_model", "save_model",
     ],
     "experiment": [
         "VARIANCE_MODES", "Scenario", "IpcsCurve", "builtin_scenario", "BUILTIN_SCENARIOS",
@@ -158,7 +157,7 @@ def test_public_names_match_allowlist():
         exported.update({entry: getattr(module, entry) for entry in allowed})
     top = {name: value for name, value in vars(ranksel).items()
            if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(top) == 45
+    assert len(top) == 42
     assert all(exported.get(name) is value for name, value in top.items())
 
 

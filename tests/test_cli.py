@@ -21,12 +21,12 @@ SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
-def run_cli(*args, **kwargs):
+def run_cli(*args, env=SRC_ENV, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "ranksel.cli", *args],
         capture_output=True,
         text=True,
-        env=SRC_ENV,
+        env=env,
         **kwargs,
     )
 
@@ -103,6 +103,34 @@ class TestRunExperiment:
         assert run_cli("run-experiment", "--config", str(config), "--out", str(out2),
                        "--workers", "4").returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("cpu_env", [
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    ], ids=["openblas-haswell", "numpy-no-avx512"])
+    def test_bytes_independent_of_cpu_kernels(self, tmp_path, cpu_env):
+        """kg and an inline-fitted two_factor, and the same fit through fit-vfa, write
+        the bytes of a plain run under another OpenBLAS kernel or without NumPy's
+        AVX-512 loops.  A fit that scored ``w @ g`` would take the kernel's rounding:
+        with a fused multiply-add, this fit's first weight moves in its last bit."""
+        config = json.loads(small_config(tmp_path, reps=200).read_text())
+        config["scenario"].update(k=10, prior_means=[0.0] * 10,
+                                  prior_stds=[0.02] + [0.01] * 9, sampling_stds=[1.0] * 10,
+                                  T=60, master_seed=5)
+        config["policies"] = ["kg", {"id": "two_factor",
+                                     "fit": {"iterations": 1000, "step_scale": 30.0}}]
+        path = tmp_path / "cpu.json"
+        path.write_text(json.dumps(config))
+        outputs = []
+        for env in ({}, cpu_env):
+            csv, weights = tmp_path / f"{len(outputs)}.csv", tmp_path / f"{len(outputs)}.json"
+            for argv in (["run-experiment", "--config", str(path), "--out", str(csv)],
+                         ["fit-vfa", "--scenario", str(path), "--out", str(weights),
+                          "--iterations", "1000", "--step-scale", "30"]):
+                res = run_cli(*argv, env=dict(SRC_ENV, **env))
+                assert res.returncode == 0, res.stderr
+            outputs.append((csv.read_bytes(), weights.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_two_workers_match_one_across_blocks(self, tmp_path):
         """8,200 replications make three 4,096-row blocks, so two threads seed and draw

@@ -19,15 +19,12 @@ from ranksel.exact import (
     brute_force_value,
     discretize_prior,
     load_model,
-    posterior_pmf,
-    predictive_pmf,
     save_model,
     solve_bellman,
     state_space_bounds,
     state_space_size,
-    terminal_value,
 )
-from ranksel.exact import _signed_type
+from ranksel.exact import _signed_type, _sum_over_points
 
 
 def two_point_model(p_high=0.8, p_low=0.2, reward="PCS"):
@@ -144,6 +141,35 @@ def scalar_rewards(model):
         else:
             rewards.append([mean - best for mean in means])
     return rewards
+
+
+# One state's posterior, predictive and terminal value: a second posterior formula,
+# independent of the solver's level arrays, that the tests check the solver against.
+def posterior_pmf(model, state):
+    """Posterior over the prior support points given the observed counts."""
+    if tuple(map(len, state.counts)) != model.support_sizes:
+        raise ValueError("state counts do not match the model support")
+    likelihoods = np.prod(model.sampling_pmf ** np.concatenate(state.counts), axis=1)
+    weights = model.prior_pmf[None] * likelihoods
+    total = _sum_over_points(weights, np.ones((model.r, 1)))[0, 0]
+    if total <= 0.0:
+        raise ValueError("state has zero probability under every prior point")
+    return weights[0] / total
+
+
+def predictive_pmf(model, state, i):
+    """Predictive distribution of the next observation from alternative i."""
+    if not 0 <= i < model.k:
+        raise IndexError(f"alternative index {i} out of range")
+    pred = _sum_over_points(posterior_pmf(model, state)[None], model.sampling_pmf)[0]
+    return pred[np.repeat(np.arange(model.k), model.support_sizes) == i]
+
+
+def terminal_value(model, state, i):
+    """Expected terminal reward of selecting alternative i at this state."""
+    if not 0 <= i < model.k:
+        raise IndexError(f"alternative index {i} out of range")
+    return float(_sum_over_points(posterior_pmf(model, state)[None], model.rewards)[0, i])
 
 
 def assert_same_model(got, want):
@@ -989,6 +1015,13 @@ class TestSolverMatchesPerStateRecursion:
             assert model.rewards.tobytes() == np.array(scalar_rewards(model)).tobytes(), name
         assert (models["symmetric"].rewards == 1.0).all()  # a PCS tie: equal means
         assert models["eoc-k3"].reward == "EOC" and (models["eoc-k3"].rewards < 0.0).any()
+        # Signed zeros and point masses: a mean of -0.0 terms is the +0.0 of a loop from
+        # 0.0, so an EOC reward is +0.0 - +0.0, never -0.0.
+        zeros = DiscreteModel(support=[(-0.0, -0.0), (-0.0, 1.0)], prior_points=["a", "b"],
+                              prior_pmf=[0.5, 0.5], reward="EOC",
+                              sampling_pmf=[[(0.5, 0.5), (1.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)]])
+        assert zeros.rewards.tobytes() == np.array(scalar_rewards(zeros)).tobytes()
+        assert not np.signbit(zeros.rewards[0]).any()
 
     @pytest.mark.parametrize("name", ["pcs-k3", "eoc-k3", "normal-r9", "beta"])
     def test_level_sizes_match_state_space_size(self, name):

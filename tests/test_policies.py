@@ -1057,24 +1057,36 @@ def alternative_last_tiebreak(values, counts):
     return np.where(tie, counts * k + np.arange(k), np.inf).argmin(axis=-1)
 
 
+def left_to_right_sums(x):
+    """Sums over the last axis of an (n, k) array, one float at a time from +0.0."""
+    sums = []
+    for row in x.tolist():
+        acc = 0.0
+        for v in row:
+            acc += v
+        sums.append(acc)
+    return np.array(sums)
+
+
 def alternative_last_ocba_ratios(means, svars):
-    """OCBA ratios over the last axis of C-ordered (n, k) arrays, summed by np.sum."""
+    """OCBA ratios over the last axis of C-ordered (n, k) arrays, summed left to right."""
     b = np.argmax(means, axis=-1)[:, None]
     is_b = b == np.arange(means.shape[-1])
     mean_b = np.take_along_axis(means, b, -1)
     gaps = mean_b - means
     floor = np.finfo(float).eps * np.maximum(np.abs(mean_b), 1.0)
     raw = np.where(is_b, 0.0, svars / np.maximum(gaps, floor) ** 2)
-    r_b = np.sqrt(np.take_along_axis(svars, b, -1)[:, 0]) * np.sqrt((raw**2 / svars).sum(axis=-1))
+    r_b = np.sqrt(np.take_along_axis(svars, b, -1)[:, 0])
+    r_b *= np.sqrt(left_to_right_sums(raw**2 / svars))
     raw = np.where(is_b, r_b[:, None], raw)
-    return raw / raw.sum(axis=-1, keepdims=True)
+    return raw / left_to_right_sums(raw)[:, None]
 
 
 class TestAlternativeMajorReductions:
-    """Reductions over axis 0 of (k, n) arrays must reproduce NumPy's last-axis
-    results on the same data held as C-ordered (n, k) arrays, bit for bit:
-    the tie-break, the incumbent index (NaN first, as in argmax) and the sums
-    in OCBA, where NumPy sums 8 or more terms pairwise."""
+    """Reductions over axis 0 of (k, n) arrays must reproduce last-axis results
+    on the same data held as C-ordered (n, k) arrays, bit for bit: NumPy's
+    tie-break and incumbent index (NaN first, as in argmax), and the sums in
+    OCBA, left to right from +0.0 for a batch and for one state alike."""
 
     K = [2, 3, 7, 8, 9, 10, 16, 17]
 
@@ -1102,6 +1114,14 @@ class TestAlternativeMajorReductions:
 
     @pytest.mark.parametrize("k", K + [64, 129, 300])
     def test_sum_keeps_pairwise_order(self, k):
-        x = np.random.default_rng(k).lognormal(sigma=3.0, size=(50, k))
+        rng = np.random.default_rng(k)
+        x = rng.lognormal(sigma=3.0, size=(50, k))
         x[::7] = -0.0
-        assert _sum_alternatives(np.ascontiguousarray(x.T)).tobytes() == x.sum(axis=-1).tobytes()
+        got = _sum_alternatives(np.ascontiguousarray(x.T))
+        assert got.tobytes() == left_to_right_sums(x).tobytes()
+        # Each column decided as a (k,) state gets the batch column's OCBA ratios.
+        means, svars = rng.normal(size=(k, 20)), rng.uniform(0.1, 4.0, size=(k, 20))
+        batch = ocba_ratio_core(means, svars)
+        for j in range(20):
+            one = ocba_ratio_core(means[:, j].copy(), svars[:, j].copy())
+            assert one.tobytes() == batch[:, j].tobytes()

@@ -255,7 +255,7 @@ def reference_sa_minimize(sample_fn, config, average_tail=0.0, path=None):
         g, y = sample_fn(l)
         weights = VfaWeights(w, activation)
         g = np.asarray(g, dtype=float)
-        z = float(weights.w @ g)
+        z = float(weights.w[0] * g[0] + weights.w[1] * g[1])
         d = (apply_activation(z, activation) - y) * (ACTIVATIONS[activation][1](z) * g)
         w = np.clip(w - config.step(l) * d, 0.0, box_bound)
         if path is not None:
